@@ -10,7 +10,7 @@ from .model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetMode
                     ensemble_logits, export_attention, predict, total_loss)
 from .ood import (DdmEnsemble, Domain, FoldPartition, SubDdm, calibrate_theta,
                   confidence, detect, disagreement, partition_classes, subddm_loss)
-from .pipeline import GzslSystem, classify_gzsl, classify_zsl
+from .pipeline import GzslSystem, classify_gzsl
 from .train import (TrainConfig, calibrate_ensemble, load_ddm_checkpoint,
                     load_setnet_checkpoint, save_checkpoint, train_ddm, train_setnet)
 

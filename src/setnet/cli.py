@@ -149,16 +149,9 @@ def _cmd_calibrate(args) -> None:
     print(f"theta={repr(float(ensemble.theta))}")
 
 
-def _unseen_test_indices(bundle: DatasetBundle) -> np.ndarray:
-    unseen = set(bundle.split.unseen_ids.tolist())
-    return np.array([i for i in bundle.test_indices()
-                     if int(bundle.labels[i]) in unseen], dtype=np.int64)
-
-
-def _seen_test_indices(bundle: DatasetBundle) -> np.ndarray:
-    seen = set(bundle.split.seen_ids.tolist())
-    return np.array([i for i in bundle.test_indices()
-                     if int(bundle.labels[i]) in seen], dtype=np.int64)
+def _test_indices_in(bundle: DatasetBundle, class_ids) -> np.ndarray:
+    test = bundle.test_indices()
+    return test[np.isin(bundle.labels[test], class_ids)]
 
 
 def _maybe_export_attention(args, model, bundle: DatasetBundle) -> None:
@@ -177,7 +170,7 @@ def _cmd_eval_zsl(args) -> None:
     model, _ = load_setnet_checkpoint(args.setnet)
     bundle = load_bundle(args.bundle)
     table = bundle.unseen_table()
-    idx = _unseen_test_indices(bundle)
+    idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
     preds = [predict(model, bundle.features[i], table) for i in idx]
@@ -223,8 +216,8 @@ def _cmd_eval_ood(args) -> None:
         raise CliError("config key 'fnr_grid' must be a nonempty list")
     ensemble, _ = load_ddm_checkpoint(args.ddm)
     bundle = load_bundle(args.bundle)
-    seen_idx = _seen_test_indices(bundle)
-    unseen_idx = _unseen_test_indices(bundle)
+    seen_idx = _test_indices_in(bundle, bundle.split.seen_ids)
+    unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:
         raise CliError("bundle needs both seen-class and unseen-class test samples")
     seen_deg = [disagreement_degree(ensemble, spatial_mean(bundle.features[i])) for i in seen_idx]
@@ -312,7 +305,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # non-finite results are caught and reported as errors, so numpy's
+        # floating-point warnings would only add lines to stderr
+        with np.errstate(all="ignore"):
+            args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,9 +1,13 @@
 """Dense float64 tensor math with hand-written analytic gradients.
 
-Tensors are plain C-order ``numpy`` arrays in float64. Every loss-bearing
-operation comes with a companion ``*_backward`` (or ``*_grad``) function so
-the training losses can chain them explicitly, and ``grad_check`` verifies
-any such composition against central finite differences.
+Tensors are plain C-order ``numpy`` arrays in float64. The losses and their
+gradients work row-wise on the last axis, so a ``(B, D)`` batch of logits or
+distributions costs one call: a 1-D input gives a ``float`` and a batch gives
+the ``(B,)`` per-row values. The layers (``matmul``, ``relu``, ``conv1x1``,
+the spatial softmax) take whole batches too and come with ``*_backward``
+companions, so the training losses in ``model`` and ``ood`` chain them into
+one batched backward pass per model, and ``grad_check`` verifies any such
+composition against central finite differences.
 
 A gradient set is a ``dict`` mapping parameter name -> gradient array of the
 same shape as the parameter.
@@ -63,17 +67,13 @@ def spatial_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndarray:
-    """Gradient through spatial_softmax.
-
-    ``maps`` is the forward output A (K, H, W), ``grad_maps`` is dL/dA;
-    returns dL/dlogits with the same shape.
-    """
+    """dL/dlogits of a softmax over the last two (spatial) axes, from its
+    output A ((K, H, W) or (B, K, H, W)) and grad_maps = dL/dA."""
     a = _as_f64(maps)
     g = _as_f64(grad_maps)
-    k = a.shape[0]
-    af = a.reshape(k, -1)
-    gf = g.reshape(k, -1)
-    inner = (af * gf).sum(axis=1, keepdims=True)
+    af = a.reshape(*a.shape[:-2], -1)
+    gf = g.reshape(af.shape)
+    inner = (af * gf).sum(axis=-1, keepdims=True)
     return (af * (gf - inner)).reshape(a.shape)
 
 
@@ -93,82 +93,91 @@ def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def hellinger_sq_grad(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of hellinger_sq w.r.t. both arguments.
-
-    sqrt arguments are clamped to >= HELLINGER_CLAMP so the gradient stays
-    finite at zero entries.
-    """
-    p = np.maximum(_as_f64(p).ravel(), HELLINGER_CLAMP)
-    q = np.maximum(_as_f64(q).ravel(), HELLINGER_CLAMP)
+    """Elementwise gradients of hellinger_sq w.r.t. p and q, which broadcast
+    against each other; sqrt arguments are clamped to >= HELLINGER_CLAMP."""
+    p = np.maximum(_as_f64(p), HELLINGER_CLAMP)
+    q = np.maximum(_as_f64(q), HELLINGER_CLAMP)
     ratio = np.sqrt(q / p)
     return -0.5 * ratio, -0.5 / ratio
 
 
 # ---------------------------------------------------------------------------
-# losses on probability vectors / logits
+# losses on probability vectors / logits, row-wise over the last axis
 
-def cross_entropy_from_logits(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], log-sum-exp stabilized."""
-    z = _as_f64(logits).ravel()
-    if not 0 <= label < z.shape[0]:
-        raise IndexError(f"label {label} out of range for {z.shape[0]} logits")
-    return float(-log_softmax(z)[label])
+def _per_row(values: np.ndarray, ndim: int):
+    """A last-axis reduction's result: a float for 1-D input, else the array."""
+    return float(values) if ndim == 1 else values
 
 
-def cross_entropy_grad(logits: np.ndarray, label: int) -> np.ndarray:
-    """dCE/dlogits = softmax(logits) - onehot(label)."""
-    z = _as_f64(logits).ravel()
-    if not 0 <= label < z.shape[0]:
-        raise IndexError(f"label {label} out of range for {z.shape[0]} logits")
-    g = softmax(z)
-    g[label] -= 1.0
-    return g
+def _onehot(z: np.ndarray, label) -> np.ndarray:
+    """Boolean one-hot rows for integer labels, one label per row of z."""
+    labels = np.asarray(label)
+    if labels.shape != z.shape[:-1]:
+        raise ValueError(f"expected labels of shape {z.shape[:-1]}, got {labels.shape}")
+    n = z.shape[-1]
+    bad = (labels < 0) | (labels >= n)
+    if bad.any():
+        raise IndexError(f"label {labels[bad][0]} out of range for {n} logits")
+    return np.arange(n) == labels[..., None]
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy -sum p log p in nats, with 0*log 0 = 0."""
-    p = _as_f64(p).ravel()
+def cross_entropy_from_logits(logits: np.ndarray, label):
+    """-log softmax(logits)[label] per row, log-sum-exp stabilized."""
+    z = _as_f64(logits)
+    picked = log_softmax(z)[_onehot(z, label)].reshape(z.shape[:-1])
+    return _per_row(-picked, z.ndim)
+
+
+def cross_entropy_grad(logits: np.ndarray, label) -> np.ndarray:
+    """dCE/dlogits = softmax(logits) - onehot(label), per row."""
+    z = _as_f64(logits)
+    return softmax(z) - _onehot(z, label)
+
+
+def entropy(p: np.ndarray):
+    """Shannon entropy -sum p log p in nats per row, with 0*log 0 = 0."""
+    p = _as_f64(p)
     if (p < 0).any():
         raise ValueError("distribution entries must be nonnegative")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    plogp = p * np.log(np.where(p > 0, p, 1.0))
+    return _per_row(-plogp.sum(axis=-1), p.ndim)
 
 
-def kl_to_uniform(p: np.ndarray) -> float:
-    """KL(p || uniform) = log C - entropy(p) = sum p log(p*C), nats."""
-    p = _as_f64(p).ravel()
-    c = p.shape[0]
+def kl_to_uniform(p: np.ndarray):
+    """KL(p || uniform) = log C - entropy(p) = sum p log(p*C) per row, nats."""
+    p = _as_f64(p)
+    c = p.shape[-1]
     if c == 0:
         raise ValueError("empty distribution")
-    if (p < 0).any():
-        raise ValueError("distribution entries must be nonnegative")
-    return float(np.log(c) - entropy(p))
+    return np.log(c) - entropy(p)
 
 
 def kl_to_uniform_grad_logits(logits: np.ndarray) -> np.ndarray:
-    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z.
+    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row.
 
     With p = softmax(z) and g = log p + log C this is p * (g - p.g).
     """
-    z = _as_f64(logits).ravel()
-    c = z.shape[0]
+    z = _as_f64(logits)
+    c = z.shape[-1]
     if c == 0:
         raise ValueError("empty logits")
     p = softmax(z)
     g = log_softmax(z) + np.log(c)
-    return p * (g - float(p @ g))
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
-# supporting ops (standard semantics, analytic gradients)
+# layers of the two-layer stacks (standard semantics, analytic gradients)
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with numpy's broadcasting over leading axes."""
     return _as_f64(a) @ _as_f64(b)
 
 
 def matmul_backward(a: np.ndarray, b: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (dL/da, dL/db) for matmul, given grad = dL/d(a @ b)."""
     g = _as_f64(grad)
-    return g @ _as_f64(b).T, _as_f64(a).T @ g
+    return g @ np.swapaxes(_as_f64(b), -1, -2), np.swapaxes(_as_f64(a), -1, -2) @ g
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -180,57 +189,37 @@ def relu_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1x1 channel-mixing convolution over an (H, W, C_in) grid.
-
-    Equivalent to a per-cell affine map: out[h, w] = x[h, w] @ w + b.
-    """
+    """1x1 channel-mixing convolution over an (H, W, C_in) grid or a batch of
+    them: the per-cell affine map out[..., h, w, :] = x[..., h, w, :] @ w + b."""
     x = _as_f64(x)
     w = _as_f64(w)
-    if x.ndim != 3 or x.shape[2] != w.shape[0]:
+    if x.ndim not in (3, 4) or x.shape[-1] != w.shape[0]:
         raise ValueError(f"channel mismatch: input {x.shape} vs weights {w.shape}")
     return x @ w + _as_f64(b)
 
 
 def conv1x1_backward(x: np.ndarray, w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dL/dx, dL/dw, dL/db) for conv1x1."""
+    """Returns (dL/dx, dL/dw, dL/db) for conv1x1; dw and db sum over every cell."""
     x = _as_f64(x)
     g = _as_f64(grad)
-    h, wd, cin = x.shape
-    cout = g.shape[2]
+    cin = x.shape[-1]
+    cout = g.shape[-1]
     gx = g @ _as_f64(w).T
     gw = x.reshape(-1, cin).T @ g.reshape(-1, cout)
     gb = g.reshape(-1, cout).sum(axis=0)
     return gx, gw, gb
 
 
+# ---------------------------------------------------------------------------
+# pooling
+
 def spatial_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the two leading spatial axes of an (H, W, C) map."""
+    """Mean over the two spatial axes of an (H, W, C) map or a (B, H, W, C)
+    batch of them."""
     x = _as_f64(x)
-    if x.ndim != 3:
-        raise ValueError(f"expected (H, W, C), got shape {x.shape}")
-    return x.mean(axis=(0, 1))
-
-
-def spatial_mean_backward(shape: tuple[int, int, int], grad: np.ndarray) -> np.ndarray:
-    h, w, c = shape
-    return np.broadcast_to(_as_f64(grad) / (h * w), (h, w, c)).copy()
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _as_f64(a) + _as_f64(b)
-
-
-def add_backward(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = _as_f64(grad)
-    return g, g
-
-
-def scale(x: np.ndarray, s: float) -> np.ndarray:
-    return _as_f64(x) * float(s)
-
-
-def scale_backward(s: float, grad: np.ndarray) -> np.ndarray:
-    return _as_f64(grad) * float(s)
+    if x.ndim not in (3, 4):
+        raise ValueError(f"expected (H, W, C) or (B, H, W, C), got shape {x.shape}")
+    return x.mean(axis=(-3, -2))
 
 
 # ---------------------------------------------------------------------------

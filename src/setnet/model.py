@@ -23,18 +23,21 @@ from .diffmath import GradientSet
 
 @dataclass
 class AttentionStack:
-    """Two-layer 1x1 conv stack: C -> C_h -> K head logits."""
+    """Two-layer 1x1 conv stack: C -> C_h -> K head logits.
+
+    The second layer has no bias: a per-head constant shifts every cell of
+    its map equally and cancels exactly under the spatial softmax.
+    """
 
     w1: np.ndarray  # (C, C_h)
     b1: np.ndarray  # (C_h,)
     w2: np.ndarray  # (C_h, K)
-    b2: np.ndarray  # (K,)
 
     def __post_init__(self):
         if self.w1.ndim != 2 or self.w2.ndim != 2:
             raise ValueError("attention weights must be matrices")
-        if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[1] != self.b2.shape[0]:
-            raise ValueError("bias shapes do not match weight shapes")
+        if self.b1.shape != (self.w1.shape[1],):
+            raise ValueError("bias shape does not match weight shape")
         if self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError("hidden channel mismatch between the two layers")
         if self.head_count < 1 or self.hidden_channels < 1:
@@ -106,17 +109,22 @@ class SemanticTable:
     def semantic_dim(self) -> int:
         return self.vectors.shape[1]
 
+    def indices_of(self, class_ids) -> np.ndarray:
+        """Row index of every given class id, in the given order."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        hits = ids[..., None] == self.class_ids
+        missing = ~hits.any(axis=-1)
+        if missing.any():
+            raise IndexError(f"class id {ids[missing][0]} not in table")
+        return hits.argmax(axis=-1)
+
     def index_of(self, class_id: int) -> int:
-        hits = np.nonzero(self.class_ids == class_id)[0]
-        if hits.shape[0] == 0:
-            raise IndexError(f"class id {class_id} not in table")
-        return int(hits[0])
+        return int(self.indices_of(class_id))
 
     def subset(self, class_ids) -> "SemanticTable":
         """Rows for the given ids, ordered by ascending class id."""
         wanted = np.sort(np.asarray(list(class_ids), dtype=np.int64))
-        rows = [self.index_of(int(c)) for c in wanted]
-        return SemanticTable(class_ids=wanted, vectors=self.vectors[rows].copy())
+        return SemanticTable(class_ids=wanted, vectors=self.vectors[self.indices_of(wanted)])
 
 
 @dataclass
@@ -143,7 +151,6 @@ class SetNetModel:
             "attn.w1": self.attention.w1,
             "attn.b1": self.attention.b1,
             "attn.w2": self.attention.w2,
-            "attn.b2": self.attention.b2,
         }
         for k in range(self.projectors.head_count):
             out[f"proj.{k}.w"] = self.projectors.weights[k]
@@ -163,7 +170,6 @@ def init_setnet(channels: int, hidden_channels: int, head_count: int,
         w1=u(channels, channels, hidden_channels),
         b1=u(channels, hidden_channels),
         w2=u(hidden_channels, hidden_channels, head_count),
-        b2=u(hidden_channels, head_count),
     )
     projectors = ProjectorEnsemble(
         weights=u(channels, head_count, channels, semantic_dim),
@@ -176,36 +182,29 @@ def init_setnet(channels: int, hidden_channels: int, head_count: int,
 # ---------------------------------------------------------------------------
 # forward operations
 
-def _check_feature_map(fmap: np.ndarray, channels: int) -> np.ndarray:
-    fmap = np.asarray(fmap, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise ValueError(f"feature map must be (H, W, C), got shape {fmap.shape}")
-    if fmap.shape[2] != channels:
-        raise ValueError(f"feature map has {fmap.shape[2]} channels, model expects {channels}")
-    return fmap
+def _pool(model: SetNetModel, fmaps: np.ndarray):
+    """The shared forward of a (B, H, W, C) batch up to the pooled features.
 
-
-def attention_logits(model: SetNetModel, fmap: np.ndarray) -> np.ndarray:
-    """Pre-softmax head responses, shape (K, H, W)."""
-    fmap = _check_feature_map(fmap, model.attention.in_channels)
-    z1 = dm.conv1x1(fmap, model.attention.w1, model.attention.b1)
-    z2 = dm.conv1x1(dm.relu(z1), model.attention.w2, model.attention.b2)
-    return np.moveaxis(z2, 2, 0)
+    Returns the cells x (B, T, C) with T = H*W, the hidden pre-activations
+    z1 (B, T, C_h), their ReLU r, the attention maps (B, K, T) and the
+    attention-pooled features (B, K, C).
+    """
+    fmaps = np.asarray(fmaps, dtype=np.float64)
+    att = model.attention
+    if fmaps.ndim != 4:
+        raise ValueError(f"feature maps must be (H, W, C), got {fmaps.shape[1:]} per sample")
+    b, h, w, c = fmaps.shape
+    x = fmaps.reshape(b, h * w, c)
+    z1 = dm.conv1x1(fmaps, att.w1, att.b1).reshape(b, h * w, -1)
+    r = dm.relu(z1)
+    maps = dm.softmax(np.swapaxes(dm.matmul(r, att.w2), 1, 2))
+    return x, z1, r, maps, maps @ x
 
 
 def attention_maps(model: SetNetModel, fmap: np.ndarray) -> np.ndarray:
-    """K spatial attention maps; each (H, W) slice sums to 1.
-
-    The per-head bias shifts every cell of its map equally, so it cancels
-    exactly under the spatial softmax; dropping it here makes that
-    invariance bitwise (and its gradient exactly zero) instead of leaving
-    ULP-level noise in the maps.
-    """
-    fmap = _check_feature_map(fmap, model.attention.in_channels)
-    att = model.attention
-    z1 = dm.conv1x1(fmap, att.w1, att.b1)
-    z2 = dm.relu(z1) @ att.w2
-    return dm.spatial_softmax(np.moveaxis(z2, 2, 0))
+    """K spatial attention maps of an (H, W, C) map; each (H, W) slice sums to 1."""
+    maps = _pool(model, np.asarray(fmap)[None])[3][0]
+    return maps.reshape(model.head_count, *np.shape(fmap)[:2])
 
 
 def attentive_features(fmap: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -218,50 +217,59 @@ def attentive_features(fmap: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return maps.reshape(k, -1) @ fmap.reshape(-1, fmap.shape[2])
 
 
-def diversity_loss(maps: np.ndarray) -> float:
+def diversity_loss(maps: np.ndarray):
     """Sum of squared Hellinger distances over ordered head pairs.
 
-    Each unordered pair counts twice; range [0, K*(K-1)].
+    Takes one (K, H, W) attention stack, giving a float, or a (B, K, H, W)
+    batch, giving the (B,) per-sample values. Each unordered pair counts
+    twice; range [0, K*(K-1)].
     """
     maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3 or maps.shape[0] == 0:
-        raise ValueError("expected a nonempty (K, H, W) attention stack")
-    k = maps.shape[0]
-    flat = maps.reshape(k, -1)
+    if maps.ndim not in (3, 4) or maps.shape[-3] == 0:
+        raise ValueError("expected a nonempty (K, H, W) attention stack or a batch of them")
+    k = maps.shape[-3]
+    flat = maps.reshape(-1, k, maps.shape[-2] * maps.shape[-1])
     # Bhattacharyya coefficients for all pairs at once.
     roots = np.sqrt(np.maximum(flat, 0.0))
-    bc = roots @ roots.T
-    off_diag = bc.sum() - np.trace(bc)
-    return float(k * (k - 1) - off_diag)
+    bc = roots @ np.swapaxes(roots, 1, 2)
+    off_diag = bc.sum(axis=(1, 2)) - np.trace(bc, axis1=1, axis2=2)
+    values = k * (k - 1) - off_diag
+    return float(values[0]) if maps.ndim == 3 else values
 
 
 def _diversity_grad(flat: np.ndarray) -> np.ndarray:
-    """dL_div/da for vectorized maps (K, T), with clamped sqrt arguments."""
-    k = flat.shape[0]
-    a = np.maximum(flat, dm.HELLINGER_CLAMP)
-    roots = np.sqrt(a)
-    # d/d a_i sum_{j != i} 2 * (1 - sum sqrt(a_i a_j)) = -sum_{j != i} sqrt(a_j / a_i)
-    other = roots.sum(axis=0, keepdims=True) - roots
-    return -other / roots
+    """dL_div/da for vectorized maps (..., K, T), with clamped sqrt arguments."""
+    k = flat.shape[-2]
+    # grad_p[..., i, j, :] = d hellinger_sq(a_i, a_j) / d a_i; head i is the
+    # first argument of pair (i, j) and, symmetrically, the second of (j, i)
+    grad_p, _ = dm.hellinger_sq_grad(flat[..., :, None, :], flat[..., None, :, :])
+    off_diag = ~np.eye(k, dtype=bool)[:, :, None]
+    return 2.0 * (grad_p * off_diag).sum(axis=-2)
 
 
 def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable) -> np.ndarray:
-    """Mean projector score per class: logits[d] = (1/K) sum_k Q_k(m_k) . e_d."""
+    """Mean projector score per class: logits[d] = (1/K) sum_k Q_k(m_k) . e_d.
+
+    Takes (K, V) pooled features, giving (D,) logits, or a (B, K, V) batch,
+    giving (B, D).
+    """
     feats = np.asarray(feats, dtype=np.float64)
     k = model.head_count
-    if feats.shape != (k, model.projectors.visual_dim):
+    if feats.ndim not in (2, 3) or feats.shape[-2:] != (k, model.projectors.visual_dim):
         raise ValueError(f"expected features of shape {(k, model.projectors.visual_dim)}, got {feats.shape}")
     if table.semantic_dim != model.projectors.semantic_dim:
         raise ValueError(f"semantic dim mismatch: table {table.semantic_dim} vs projectors {model.projectors.semantic_dim}")
-    projected = np.einsum("kv,kvs->ks", feats, model.projectors.weights) + model.projectors.biases
-    return table.vectors @ projected.mean(axis=0)
+    # heads lead, so all K projectors apply as one stacked product: (K, B, S)
+    per_head = np.swapaxes(feats.reshape(-1, k, feats.shape[-1]), 0, 1)
+    projected = dm.matmul(per_head, model.projectors.weights) + model.projectors.biases[:, None, :]
+    logits = projected.mean(axis=0) @ table.vectors.T
+    return logits[0] if feats.ndim == 2 else logits
 
 
 def class_scores(model: SetNetModel, fmap: np.ndarray, table: SemanticTable) -> np.ndarray:
     """Summed (not averaged) projector scores per table class, used for prediction."""
-    maps = attention_maps(model, fmap)
-    feats = attentive_features(fmap, maps)
-    return ensemble_logits(model, feats, table) * model.head_count
+    feats = _pool(model, np.asarray(fmap)[None])[4]
+    return ensemble_logits(model, feats, table)[0] * model.head_count
 
 
 def predict(model: SetNetModel, fmap: np.ndarray, table: SemanticTable) -> int:
@@ -278,68 +286,56 @@ def predict(model: SetNetModel, fmap: np.ndarray, table: SemanticTable) -> int:
 # ---------------------------------------------------------------------------
 # training loss
 
-def total_loss(model: SetNetModel, fmap: np.ndarray, label: int,
+def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
                table: SemanticTable, diversity_sign: int = -1) -> tuple[float, GradientSet]:
-    """Classification loss plus signed diversity term, with gradients.
+    """Batch-mean classification loss plus signed diversity term, with gradients.
 
-    Returns ``L_cls + diversity_sign * weight * L_div`` and the gradient of
-    that total w.r.t. every model parameter. The default sign -1 means
-    minimizing the total *increases* attention-map diversity.
+    ``fmaps`` is a (B, H, W, C) batch and ``labels`` its (B,) class ids.
+    Returns the mean over the batch of ``L_cls + diversity_sign * weight *
+    L_div`` and the gradient of that mean w.r.t. every model parameter. The
+    default sign -1 means minimizing the total *increases* attention-map
+    diversity.
     """
     if diversity_sign not in (1, -1):
         raise ValueError("diversity_sign must be +1 or -1")
+    x, z1, r, maps, feats = _pool(model, fmaps)
+    b, h, w = np.shape(fmaps)[:3]
+    label_idx = table.indices_of(labels)
+    if label_idx.shape != (b,):
+        raise ValueError(f"expected {b} labels, got shape {label_idx.shape}")
+    if b == 0:
+        raise ValueError("empty batch")
     att = model.attention
-    fmap = _check_feature_map(fmap, att.in_channels)
-    label_idx = table.index_of(label)
-    h, w, c = fmap.shape
     k = model.head_count
-    cells = h * w
 
-    # forward; the head bias cancels under the per-map softmax (see
-    # attention_maps), so it is omitted and its gradient is exactly zero
-    x = fmap.reshape(cells, c)
-    z1 = x @ att.w1 + att.b1                      # (cells, C_h)
-    r = np.maximum(z1, 0.0)
-    z2 = r @ att.w2                               # (cells, K)
-    maps_flat = dm.softmax(z2.T)                  # (K, cells)
-    feats = maps_flat @ x                         # (K, C)
-    projected = np.einsum("kv,kvs->ks", feats, model.projectors.weights) + model.projectors.biases
-    mean_proj = projected.mean(axis=0)            # (S,)
-    scores = table.vectors @ mean_proj            # (D,)
+    scores = ensemble_logits(model, feats, table)  # (B, D)
     l_cls = dm.cross_entropy_from_logits(scores, label_idx)
-    l_div = diversity_loss(maps_flat.reshape(k, h, w))
-    lam = model.diversity_weight
-    total = l_cls + diversity_sign * lam * l_div
+    l_div = diversity_loss(maps[:, :, None, :])    # as (B, K, 1, T) stacks
+    div_scale = diversity_sign * model.diversity_weight
+    total = float(np.mean(l_cls + div_scale * l_div))
 
-    # backward: classification path
-    d_scores = dm.cross_entropy_grad(scores, label_idx)
-    d_mean_proj = table.vectors.T @ d_scores      # (S,)
-    d_projected = np.broadcast_to(d_mean_proj / k, (k, mean_proj.shape[0]))
-    d_proj_w = np.einsum("kv,ks->kvs", feats, d_projected)
-    d_proj_b = d_projected.copy()
-    d_feats = np.einsum("kvs,ks->kv", model.projectors.weights, d_projected)
-    d_maps_flat = d_feats @ x.T                   # (K, cells)
+    # backward: classification path; every head sees the same d_projected
+    d_scores = dm.cross_entropy_grad(scores, label_idx) / b
+    d_projected = (d_scores @ table.vectors) / k   # (B, S)
+    d_per_head, d_proj_w = dm.matmul_backward(np.swapaxes(feats, 0, 1), model.projectors.weights,
+                                                d_projected)
+    d_proj_b = d_projected.sum(axis=0)
+    d_maps = np.swapaxes(d_per_head, 0, 1) @ np.swapaxes(x, 1, 2)   # (B, K, T)
 
     # backward: diversity path
-    d_maps_flat = d_maps_flat + diversity_sign * lam * _diversity_grad(maps_flat)
+    d_maps += (div_scale / b) * _diversity_grad(maps)
 
     # through the per-head softmax and the conv stack
-    inner = (maps_flat * d_maps_flat).sum(axis=1, keepdims=True)
-    d_z2 = (maps_flat * (d_maps_flat - inner)).T  # (cells, K)
-    d_w2 = r.T @ d_z2
-    d_r = d_z2 @ att.w2.T
-    d_z1 = d_r * (z1 > 0)
-    d_w1 = x.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
-
-    grads: GradientSet = {
-        "attn.w1": d_w1, "attn.b1": d_b1,
-        "attn.w2": d_w2, "attn.b2": np.zeros_like(att.b2),
-    }
+    d_logits = dm.spatial_softmax_backward(maps.reshape(b, k, h, w), d_maps.reshape(b, k, h, w))
+    d_z2 = np.swapaxes(d_logits.reshape(b, k, h * w), 1, 2)   # (B, T, K)
+    d_r, d_w2 = dm.matmul_backward(r.reshape(b * h * w, -1), att.w2, d_z2.reshape(b * h * w, k))
+    d_z1 = dm.relu_backward(z1, d_r.reshape(z1.shape))
+    _, d_w1, d_b1 = dm.conv1x1_backward(x, att.w1, d_z1)
+    grads: GradientSet = {"attn.w1": d_w1, "attn.b1": d_b1, "attn.w2": d_w2}
     for i in range(k):
         grads[f"proj.{i}.w"] = d_proj_w[i]
-        grads[f"proj.{i}.b"] = d_proj_b[i]
-    return float(total), grads
+        grads[f"proj.{i}.b"] = d_proj_b
+    return total, grads
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,14 @@ class SubDdm:
             raise ValueError(f"expected (B, {self.in_dim}) features, got {feats.shape}")
         return np.maximum(feats @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
 
-    def local_label(self, class_id: int) -> int:
-        hits = np.nonzero(self.id_class_ids == class_id)[0]
-        if hits.shape[0] == 0:
-            raise IndexError(f"class id {class_id} is not an ID class of fold {self.fold_index}")
-        return int(hits[0])
+    def local_labels(self, class_ids) -> np.ndarray:
+        """Output index of every given ID class id, in the given order."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        hits = ids[..., None] == self.id_class_ids
+        missing = ~hits.any(axis=-1)
+        if missing.any():
+            raise IndexError(f"class id {ids[missing][0]} is not an ID class of fold {self.fold_index}")
+        return hits.argmax(axis=-1)
 
     def parameters(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
@@ -132,40 +135,36 @@ def subddm_loss(d: SubDdm, id_feats: np.ndarray | None, id_labels=None,
     grads: GradientSet = {name: np.zeros_like(p) for name, p in d.parameters().items()}
     total = 0.0
 
-    def backward(feats, z1, d_z2):
-        r = np.maximum(z1, 0.0)
-        grads["w2"] += r.T @ d_z2
+    def add_term(feats, row_losses_and_grads):
+        """Forward a (B, C) batch, add its mean row loss and backpropagate."""
+        nonlocal total
+        z1 = dm.matmul(feats, d.w1) + d.b1
+        r = dm.relu(z1)
+        losses, d_z2 = row_losses_and_grads(dm.matmul(r, d.w2) + d.b2)
+        n = feats.shape[0]
+        total += float(losses.sum()) / n
+        d_z2 = d_z2 / n
+        d_r, d_w2 = dm.matmul_backward(r, d.w2, d_z2)
+        grads["w2"] += d_w2
         grads["b2"] += d_z2.sum(axis=0)
-        d_z1 = (d_z2 @ d.w2.T) * (z1 > 0)
-        grads["w1"] += feats.T @ d_z1
+        d_z1 = dm.relu_backward(z1, d_r)
+        grads["w1"] += dm.matmul_backward(feats, d.w1, d_z1)[1]
         grads["b1"] += d_z1.sum(axis=0)
 
     if id_feats is not None and len(id_feats):
         feats = np.asarray(id_feats, dtype=np.float64)
-        labels = [d.local_label(int(y)) for y in np.asarray(id_labels).ravel()]
-        if len(labels) != feats.shape[0]:
+        labels = d.local_labels(np.ravel(id_labels))
+        if labels.shape[0] != feats.shape[0]:
             raise ValueError("ID labels do not match the feature batch")
-        z1 = feats @ d.w1 + d.b1
-        z2 = np.maximum(z1, 0.0) @ d.w2 + d.b2
-        n = feats.shape[0]
-        d_z2 = np.zeros_like(z2)
-        for i, lab in enumerate(labels):
-            total += dm.cross_entropy_from_logits(z2[i], lab) / n
-            d_z2[i] = dm.cross_entropy_grad(z2[i], lab) / n
-        backward(feats, z1, d_z2)
+        add_term(feats, lambda z2: (dm.cross_entropy_from_logits(z2, labels),
+                                    dm.cross_entropy_grad(z2, labels)))
 
     if ood_feats is not None and len(ood_feats):
         feats = np.asarray(ood_feats, dtype=np.float64)
-        z1 = feats @ d.w1 + d.b1
-        z2 = np.maximum(z1, 0.0) @ d.w2 + d.b2
-        n = feats.shape[0]
-        d_z2 = np.zeros_like(z2)
-        for i in range(n):
-            total += dm.kl_to_uniform(dm.softmax(z2[i])) / n
-            d_z2[i] = dm.kl_to_uniform_grad_logits(z2[i]) / n
-        backward(feats, z1, d_z2)
+        add_term(feats, lambda z2: (dm.kl_to_uniform(dm.softmax(z2)),
+                                    dm.kl_to_uniform_grad_logits(z2)))
 
-    return float(total), grads
+    return total, grads
 
 
 def confidence(d: SubDdm, feat: np.ndarray) -> float:

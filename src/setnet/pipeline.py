@@ -33,11 +33,6 @@ class GzslSystem:
             raise ValueError("unseen-class table must be a strict subset of the full table")
 
 
-def classify_zsl(model: SetNetModel, fmap: np.ndarray, unseen_table: SemanticTable) -> int:
-    """Predict among unseen classes only."""
-    return predict(model, fmap, unseen_table)
-
-
 def classify_gzsl(sys: GzslSystem, fmap: np.ndarray) -> int:
     """Detector-gated prediction over the appropriate label set."""
     if detect(sys.detector, spatial_mean(fmap)) is Domain.UNSEEN:

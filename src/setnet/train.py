@@ -1,10 +1,11 @@
 """Seeded minibatch SGD for the attention model and the detector ensemble,
 plus the binary checkpoint format.
 
-Training is plain SGD (no momentum, no weight decay). A minibatch gradient
-is the mean of per-sample gradients, the per-epoch order is a seeded
-shuffle, and the last partial batch is kept, so a (bundle, config) pair
-fully determines the result bitwise.
+Training is plain SGD (no momentum, no weight decay). Each step makes one
+batched loss call that returns the minibatch-mean loss and its gradient,
+the per-epoch order is a seeded shuffle, and the last partial batch is
+kept, so a (bundle, config) pair fully determines the result bitwise. A
+step whose loss is not finite stops training with a ``FloatingPointError``.
 
 Checkpoint layout (little-endian):
 
@@ -15,12 +16,15 @@ Checkpoint layout (little-endian):
 
 Integer payloads such as fold class ids travel as float64 tensors; the
 calibrated threshold is a 0-d tensor named "theta" present only once set.
+Readers reject truncated data, non-finite values and missing tensors with a
+``FormatError``, and ignore tensors they do not need.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -79,6 +83,11 @@ def _sgd_step(params: dict[str, np.ndarray], grads, lr: float) -> None:
         params[name] -= lr * grads[name]
 
 
+def _require_finite_loss(loss: float, where: str) -> None:
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"non-finite training loss {loss!r} at {where}")
+
+
 # ---------------------------------------------------------------------------
 # SetNet training
 
@@ -101,17 +110,13 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     for epoch in range(cfg.epochs):
         order = train_idx[shuffler.permutation(train_idx.size)]
         epoch_loss = 0.0
-        for start in range(0, order.size, cfg.batch_size):
+        for step, start in enumerate(range(0, order.size, cfg.batch_size)):
             batch = order[start:start + cfg.batch_size]
-            mean_grads = {name: np.zeros_like(p) for name, p in params.items()}
-            for idx in batch:
-                loss, grads = total_loss(model, bundle.features[idx],
-                                         int(bundle.labels[idx]), seen_table,
-                                         diversity_sign=cfg.diversity_sign)
-                epoch_loss += loss
-                for name in mean_grads:
-                    mean_grads[name] += grads[name] / batch.size
-            _sgd_step(params, mean_grads, cfg.learning_rate)
+            loss, grads = total_loss(model, bundle.features[batch], bundle.labels[batch],
+                                     seen_table, diversity_sign=cfg.diversity_sign)
+            _require_finite_loss(loss, f"epoch {epoch}, step {step}")
+            epoch_loss += loss * batch.size
+            _sgd_step(params, grads, cfg.learning_rate)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / order.size)
     return model
@@ -138,8 +143,7 @@ def holdout_indices(bundle: DatasetBundle, seed: int) -> np.ndarray:
 
 def pooled_features(bundle: DatasetBundle, indices: np.ndarray) -> np.ndarray:
     """Spatial-mean features, shape (len(indices), C)."""
-    return np.stack([spatial_mean(bundle.features[i]) for i in indices]) if indices.size \
-        else np.empty((0, bundle.map_shape[2]))
+    return spatial_mean(bundle.features[indices])
 
 
 def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> DdmEnsemble:
@@ -173,9 +177,10 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
             n_steps = max(1, -(-id_order.size // cfg.batch_size))
             id_chunks = np.array_split(id_order, n_steps)
             ood_chunks = np.array_split(ood_order, n_steps)
-            for id_chunk, ood_chunk in zip(id_chunks, ood_chunks):
+            for step, (id_chunk, ood_chunk) in enumerate(zip(id_chunks, ood_chunks)):
                 loss, grads = subddm_loss(sub, feats[id_chunk], labels[id_chunk],
                                           feats[ood_chunk])
+                _require_finite_loss(loss, f"fold {i}, epoch {epoch}, step {step}")
                 epoch_losses[epoch] += loss / cfg.fold_count / len(id_chunks)
                 _sgd_step(params, grads, cfg.learning_rate)
         subs.append(sub)
@@ -218,6 +223,13 @@ def _write_tensors(fh, kind: str, cfg: TrainConfig, tensors: dict[str, np.ndarra
         fh.write(arr.astype("<f8").tobytes())
 
 
+class _Tensors(dict):
+    """Checkpoint tensors by name; a missing name is a format error."""
+
+    def __missing__(self, name: str):
+        raise FormatError(f"checkpoint is missing tensor {name!r}")
+
+
 def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
     from .dataio import _Cursor  # same cursor, same error discipline
     with open(path, "rb") as fh:
@@ -234,13 +246,15 @@ def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
         cfg = TrainConfig(**json.loads(cfg_raw))
     except (TypeError, ValueError) as e:
         raise FormatError(f"invalid train config: {e}", offset=cfg_off) from e
-    tensors: dict[str, np.ndarray] = {}
+    tensors = _Tensors()
     for _ in range(cur.u32("tensor count")):
         name = cur.take(cur.u32("name length"), "tensor name").decode("utf-8")
         ndim = cur.u32("ndim")
         shape = tuple(cur.u32("dim") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = cur.array("<f8", count, f"tensor {name}").astype(np.float64)
+        data_off = cur.pos
+        data = cur.array("<f8", math.prod(shape), f"tensor {name}").astype(np.float64)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"tensor {name} contains non-finite values", offset=data_off)
         tensors[name] = data.reshape(shape)
     if cur.pos != len(cur.data):
         raise FormatError("trailing bytes after tensor block", offset=cur.pos)
@@ -275,7 +289,7 @@ def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
     from .model import AttentionStack, ProjectorEnsemble
     k = cfg.head_count
     attention = AttentionStack(w1=tensors["attn.w1"], b1=tensors["attn.b1"],
-                               w2=tensors["attn.w2"], b2=tensors["attn.b2"])
+                               w2=tensors["attn.w2"])
     projectors = ProjectorEnsemble(
         weights=np.stack([tensors[f"proj.{i}.w"] for i in range(k)]),
         biases=np.stack([tensors[f"proj.{i}.b"] for i in range(k)]),

@@ -43,17 +43,21 @@ def random_model(rng, c=8, ch=6, k=3, s=5, lam=0.2):
     return init_setnet(c, ch, k, s, lam, rng)
 
 
-def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3):
+def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3,
+                  batch=None):
     """Model + feature map + table whose hidden pre-activations stay away
     from the ReLU kink, keeping the loss twice differentiable at the probe
-    (grad_check precondition). Redraws deterministically until safe."""
+    (grad_check precondition). Redraws deterministically until safe.
+
+    With ``batch=B`` the map is a (B, H, W, C) stack and the label a (B,)
+    array of class ids."""
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt, 0xC4EC])
         model = random_model(rng, c, ch, k, s, lam)
-        fmap = rng.normal(size=(h, w, c))
+        fmap = rng.normal(size=(h, w, c) if batch is None else (batch, h, w, c))
         z1 = fmap.reshape(-1, c) @ model.attention.w1 + model.attention.b1
         if np.abs(z1).min() > margin:
             table = random_table(rng, d, s)
-            label = int(rng.integers(d))
+            label = int(rng.integers(d)) if batch is None else rng.integers(d, size=batch)
             return model, fmap, table, label
     raise AssertionError("could not draw a kink-free instance")

@@ -43,7 +43,7 @@ def diversity_brute(maps):
     return total
 
 
-def attention_maps_straightline(w1, b1, w2, b2, fmap):
+def attention_maps_straightline(w1, b1, w2, fmap):
     """Per-cell loops through the two-layer stack and a per-head softmax."""
     h, w, c = fmap.shape
     ch = w1.shape[1]
@@ -54,7 +54,7 @@ def attention_maps_straightline(w1, b1, w2, b2, fmap):
             hidden = [max(0.0, sum(fmap[y, x, i] * w1[i, j] for i in range(c)) + b1[j])
                       for j in range(ch)]
             for head in range(k):
-                logits[head, y, x] = sum(hidden[j] * w2[j, head] for j in range(ch)) + b2[head]
+                logits[head, y, x] = sum(hidden[j] * w2[j, head] for j in range(ch))
     maps = np.zeros_like(logits)
     for head in range(k):
         weights = softmax_two_pass(logits[head].ravel())
@@ -145,3 +145,60 @@ def ridge_prototype_acc(bundle):
         preds.append(int(ut.class_ids[int(np.argmax(scores))]))
     return per_class_top1_brute(preds, [int(bundle.labels[i]) for i in idx],
                                 ut.class_ids.tolist()), idx
+
+
+def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
+    """One sample's ``L_cls + diversity_sign * lambda * L_div`` and its
+    gradient dict, written out per sample with plain numpy.
+
+    The batched ``model.total_loss`` must equal the mean of this over a
+    batch, for the loss and for every gradient.
+    """
+    att = model.attention
+    h, w, c = fmap.shape
+    k = model.head_count
+    x = fmap.reshape(h * w, c)
+    label_idx = int(np.nonzero(table.class_ids == label)[0][0])
+
+    # forward
+    z1 = x @ att.w1 + att.b1
+    r = np.maximum(z1, 0.0)
+    z2 = (r @ att.w2).T                                  # (K, cells)
+    e = np.exp(z2 - z2.max(axis=1, keepdims=True))
+    maps = e / e.sum(axis=1, keepdims=True)
+    feats = maps @ x                                     # (K, C)
+    projected = np.stack([feats[i] @ model.projectors.weights[i] + model.projectors.biases[i]
+                          for i in range(k)])
+    scores = table.vectors @ projected.mean(axis=0)
+    shifted = scores - scores.max()
+    log_probs = shifted - math.log(np.exp(shifted).sum())
+    l_cls = -log_probs[label_idx]
+    roots = np.sqrt(np.maximum(maps, 0.0))
+    l_div = sum(1.0 - roots[i] @ roots[j] for i in range(k) for j in range(k) if i != j)
+    lam = model.diversity_weight
+    total = l_cls + diversity_sign * lam * l_div
+
+    # backward: classification path
+    d_scores = np.exp(log_probs)
+    d_scores[label_idx] -= 1.0
+    d_projected = (table.vectors.T @ d_scores) / k       # same for every head
+    grads = {}
+    d_maps = np.zeros_like(maps)
+    for i in range(k):
+        grads[f"proj.{i}.w"] = np.outer(feats[i], d_projected)
+        grads[f"proj.{i}.b"] = d_projected.copy()
+        d_maps[i] = (model.projectors.weights[i] @ d_projected) @ x.T
+
+    # backward: diversity path, sqrt arguments clamped at 1e-12
+    clamped = np.sqrt(np.maximum(maps, 1e-12))
+    for i in range(k):
+        other = sum(clamped[j] for j in range(k) if j != i)
+        d_maps[i] += diversity_sign * lam * (-other / clamped[i])
+
+    # through the per-head softmax and the conv stack
+    d_z2 = np.stack([maps[i] * (d_maps[i] - maps[i] @ d_maps[i]) for i in range(k)]).T
+    d_z1 = (d_z2 @ att.w2.T) * (z1 > 0)
+    grads["attn.w1"] = x.T @ d_z1
+    grads["attn.b1"] = d_z1.sum(axis=0)
+    grads["attn.w2"] = r.T @ d_z2
+    return float(total), grads

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import setnet
 from setnet.cli import main
 from setnet.dataio import load_bundle
 from setnet.metrics import EvalReport
@@ -125,6 +128,20 @@ def test_train_missing_section(workdir, tmp_path, capsys):
                "--out", str(tmp_path / "x.sdnc")])
     err = capsys.readouterr().err
     assert rc != 0 and "train" in err
+
+
+@pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])
+def test_train_non_finite_loss_fails_without_checkpoint(workdir, tmp_path, capsys, command):
+    out = tmp_path / "x.sdnc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be one more stderr line
+        rc = main([command, "--bundle", str(workdir["bundle"]), "--config", str(workdir["cfg"]),
+                   "--out", str(out), "--learning-rate", "1e308"])
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert rc != 0
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert "non-finite training loss" in err_lines[0] and "epoch" in err_lines[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +274,12 @@ def test_missing_flag_fails_with_prefix(capsys):
 
 def test_console_script_entry_point(workdir, tmp_path):
     out = tmp_path / "script.sdnb"
+    # the child imports the same package the tests do, installed or not
+    package_root = os.path.dirname(os.path.dirname(setnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "setnet.cli", "gen-synth",
                            "--config", str(workdir["cfg"]), "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.read_bytes() == workdir["bundle"].read_bytes()

@@ -194,7 +194,57 @@ def test_kl_grad_logits_matches_fd(seed):
 
 
 # ---------------------------------------------------------------------------
-# supporting ops: analytic gradients over 20 seeds each
+# row-wise batches: one call over (B, D) equals B calls over (D,)
+
+@pytest.mark.parametrize("seed", range(5))
+def test_losses_rowwise_match_per_row_calls(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=3, size=(6, 5))
+    labels = rng.integers(5, size=6)
+    p = dm.softmax(z)
+    p[0] = [0.5, 0.5, 0.0, 0.0, 0.0]  # exercise 0 log 0
+    batched = {
+        "ce": dm.cross_entropy_from_logits(z, labels),
+        "ce_grad": dm.cross_entropy_grad(z, labels),
+        "entropy": dm.entropy(p),
+        "kl": dm.kl_to_uniform(p),
+        "kl_grad": dm.kl_to_uniform_grad_logits(z),
+    }
+    rows = {
+        "ce": [dm.cross_entropy_from_logits(z[i], labels[i]) for i in range(6)],
+        "ce_grad": [dm.cross_entropy_grad(z[i], labels[i]) for i in range(6)],
+        "entropy": [dm.entropy(p[i]) for i in range(6)],
+        "kl": [dm.kl_to_uniform(p[i]) for i in range(6)],
+        "kl_grad": [dm.kl_to_uniform_grad_logits(z[i]) for i in range(6)],
+    }
+    for name, got in batched.items():
+        want = np.asarray(rows[name])
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-15, name
+    assert isinstance(dm.cross_entropy_from_logits(z[0], labels[0]), float)
+    assert isinstance(dm.entropy(p[0]), float)
+
+
+def test_cross_entropy_rowwise_label_checks():
+    with pytest.raises(ValueError):
+        dm.cross_entropy_from_logits(np.zeros((3, 4)), [0, 1])
+    with pytest.raises(IndexError):
+        dm.cross_entropy_grad(np.zeros((2, 4)), [0, 4])
+
+
+def test_spatial_mean_batch_matches_single_maps():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, 3, 4, 2))
+    got = dm.spatial_mean(x)
+    assert got.shape == (5, 2)
+    for i in range(5):
+        np.testing.assert_array_equal(got[i], dm.spatial_mean(x[i]))
+    with pytest.raises(ValueError):
+        dm.spatial_mean(np.zeros((3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# layers: analytic gradients over 20 seeds each
 
 @pytest.mark.parametrize("seed", range(20))
 def test_matmul_grads(seed):
@@ -241,37 +291,28 @@ def test_relu_grads(seed):
     assert dm.grad_check(loss_fn, {"x": x}, eps=1e-4) < 1e-4
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_spatial_mean_grads(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(3, 4, 2))
-    coeff = rng.normal(size=2)
-
-    def loss_fn(params):
-        out = dm.spatial_mean(params["x"])
-        return float(out @ coeff), {"x": dm.spatial_mean_backward(params["x"].shape, coeff)}
-
-    assert dm.grad_check(loss_fn, {"x": x}, eps=1e-4) < 1e-4
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_add_scale_grads(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=4), rng.normal(size=4)
-    coeff = rng.normal(size=4)
-    s = float(rng.normal())
-
-    def loss_fn(params):
-        out = dm.scale(dm.add(params["a"], params["b"]), s)
-        ga, gb = dm.add_backward(dm.scale_backward(s, coeff))
-        return float(out @ coeff), {"a": ga, "b": gb}
-
-    assert dm.grad_check(loss_fn, {"a": a, "b": b}, eps=1e-4) < 1e-4
-
-
 def test_conv1x1_channel_mismatch():
     with pytest.raises(ValueError):
         dm.conv1x1(np.zeros((2, 2, 3)), np.zeros((4, 2)), np.zeros(2))
+
+def test_layer_backwards_on_a_batch_match_single_stacks():
+    rng = np.random.default_rng(4)
+    maps = dm.softmax(rng.normal(size=(3, 2, 12))).reshape(3, 2, 3, 4)
+    coeff = rng.normal(size=(3, 2, 3, 4))
+    x = rng.normal(size=(3, 3, 4, 5))
+    w = rng.normal(size=(5, 2))
+    b = rng.normal(size=2)
+    g = rng.normal(size=(3, 3, 4, 2))
+    batched = dm.spatial_softmax_backward(maps, coeff)
+    gx, gw, gb = dm.conv1x1_backward(x, w, g)
+    np.testing.assert_array_equal(dm.conv1x1(x, w, b)[1], dm.conv1x1(x[1], w, b))
+    singles = [dm.conv1x1_backward(x[i], w, g[i]) for i in range(3)]
+    for i in range(3):
+        np.testing.assert_allclose(batched[i], dm.spatial_softmax_backward(maps[i], coeff[i]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gx[i], singles[i][0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(gw, sum(s[1] for s in singles), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gb, sum(s[2] for s in singles), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from oracles import (attention_maps_straightline, attentive_features_brute,
 
 def identity_model(v, lam=0.0):
     """K=1 model whose projector is the identity (V = S), zero biases."""
-    attention = AttentionStack(w1=np.zeros((v, 2)), b1=np.zeros(2),
-                               w2=np.zeros((2, 1)), b2=np.zeros(1))
+    attention = AttentionStack(w1=np.zeros((v, 2)), b1=np.zeros(2), w2=np.zeros((2, 1)))
     projectors = ProjectorEnsemble(weights=np.eye(v)[None], biases=np.zeros((1, v)))
     return SetNetModel(attention=attention, projectors=projectors, diversity_weight=lam)
 
@@ -27,7 +26,6 @@ def test_attention_maps_uniform_for_zero_input():
     rng = np.random.default_rng(0)
     model = random_model(rng, c=8, ch=6, k=3)
     model.attention.b1[:] = 0
-    model.attention.b2[:] = 0
     maps = attention_maps(model, np.zeros((4, 4, 8)))
     np.testing.assert_allclose(maps, 1 / 16, atol=1e-15)
 
@@ -48,7 +46,7 @@ def test_attention_maps_match_straightline_oracle(seed):
     fmap = rng.normal(size=(4, 4, 8))
     got = attention_maps(model, fmap)
     att = model.attention
-    want = attention_maps_straightline(att.w1, att.b1, att.w2, att.b2, fmap)
+    want = attention_maps_straightline(att.w1, att.b1, att.w2, fmap)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -192,7 +190,7 @@ def test_ensemble_logits_dim_mismatch():
 def test_total_loss_reduces_to_cls_when_weight_zero():
     model, fmap, table, label = safe_instance(0)
     model.diversity_weight = 0.0
-    total, _ = total_loss(model, fmap, label, table)
+    total, _ = total_loss(model, fmap[None], [label], table)
     maps = attention_maps(model, fmap)
     feats = attentive_features(fmap, maps)
     expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats, table),
@@ -205,12 +203,11 @@ def test_total_loss_identical_maps_zero_diversity():
     model = random_model(rng, c=8, ch=6, k=3, s=5, lam=0.7)
     # identical columns make every head produce the same logits
     model.attention.w2[:] = model.attention.w2[:, :1]
-    model.attention.b2[:] = model.attention.b2[0]
     table = random_table(rng, 5, 5)
     fmap = rng.normal(size=(4, 4, 8))
-    with_reg, _ = total_loss(model, fmap, 2, table)
+    with_reg, _ = total_loss(model, fmap[None], [2], table)
     model.diversity_weight = 0.0
-    without_reg, _ = total_loss(model, fmap, 2, table)
+    without_reg, _ = total_loss(model, fmap[None], [2], table)
     assert with_reg == pytest.approx(without_reg, abs=1e-10)
 
 
@@ -220,7 +217,7 @@ def test_total_loss_grad_check(seed):
     params = model.parameters()
 
     def loss_fn(_):
-        return total_loss(model, fmap, label, table)
+        return total_loss(model, fmap[None], [label], table)
 
     assert dm.grad_check(loss_fn, params, eps=1e-4) <= 1e-4
 
@@ -230,22 +227,22 @@ def test_total_loss_decreasing_in_weight():
     totals = []
     for lam in (0.0, 0.1, 0.3, 1.0):
         model.diversity_weight = lam
-        totals.append(total_loss(model, fmap, label, table)[0])
+        totals.append(total_loss(model, fmap[None], [label], table)[0])
     assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
 
 
 def test_total_loss_label_missing():
     model, fmap, table, _ = safe_instance(2)
     with pytest.raises(IndexError):
-        total_loss(model, fmap, 999, table)
+        total_loss(model, fmap[None], [999], table)
 
 
 def test_total_loss_positive_sign_penalizes_diversity():
     model, fmap, table, label = safe_instance(3)
-    neg, _ = total_loss(model, fmap, label, table, diversity_sign=-1)
-    pos, _ = total_loss(model, fmap, label, table, diversity_sign=+1)
+    neg, _ = total_loss(model, fmap[None], [label], table, diversity_sign=-1)
+    pos, _ = total_loss(model, fmap[None], [label], table, diversity_sign=+1)
     model.diversity_weight = 0.0
-    base, _ = total_loss(model, fmap, label, table)
+    base, _ = total_loss(model, fmap[None], [label], table)
     assert neg <= base + 1e-12 <= pos + 2e-12
 
 

@@ -4,7 +4,7 @@ import pytest
 from setnet import pipeline
 from setnet.model import predict
 from setnet.ood import Domain
-from setnet.pipeline import GzslSystem, classify_gzsl, classify_zsl
+from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import TrainConfig, train_ddm, train_setnet
 
 from conftest import random_model, random_table
@@ -63,17 +63,9 @@ def test_oracle_detector_matches_zsl_accuracy(small_system, tiny_bundle, monkeyp
 
     monkeypatch.setattr(pipeline, "detect", oracle)
     routed = [classify_gzsl(small_system, tiny_bundle.features[i]) for i in idx]
-    direct = [classify_zsl(small_system.zsl_model, tiny_bundle.features[i],
-                           small_system.unseen_table) for i in idx]
+    direct = [predict(small_system.zsl_model, tiny_bundle.features[i],
+                      small_system.unseen_table) for i in idx]
     assert routed == direct
-
-
-def test_classify_zsl_delegates(small_system, tiny_bundle):
-    for i in tiny_bundle.test_indices()[:10]:
-        assert classify_zsl(small_system.zsl_model, tiny_bundle.features[i],
-                            small_system.unseen_table) == \
-            predict(small_system.zsl_model, tiny_bundle.features[i],
-                    small_system.unseen_table)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -92,7 +84,7 @@ def test_restricted_argmax_consistent_with_full(seed):
 def test_single_unseen_class(small_system, tiny_bundle):
     only = small_system.unseen_table.subset([int(tiny_bundle.split.unseen_ids[0])])
     fmap = tiny_bundle.features[tiny_bundle.test_indices()[0]]
-    assert classify_zsl(small_system.zsl_model, fmap, only) == int(tiny_bundle.split.unseen_ids[0])
+    assert predict(small_system.zsl_model, fmap, only) == int(tiny_bundle.split.unseen_ids[0])
 
 
 def test_system_requires_strict_subset(small_system, tiny_bundle):

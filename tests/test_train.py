@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from setnet.dataio import SyntheticSpec, gen_synthetic
+from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
 from setnet.errors import FormatError
 from setnet.model import total_loss
 from setnet.ood import disagreement_degree
@@ -12,6 +15,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           save_checkpoint, train_ddm, train_setnet)
 
 from conftest import safe_instance
+from oracles import total_loss_per_sample
 
 
 def params_equal(a: dict, b: dict) -> bool:
@@ -54,7 +58,6 @@ def test_train_deterministic(tiny_bundle):
 
 
 def test_train_requires_training_samples(tiny_bundle):
-    from setnet.dataio import DatasetBundle, SplitSpec
     empty = DatasetBundle(
         features=tiny_bundle.features, labels=tiny_bundle.labels, table=tiny_bundle.table,
         split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
@@ -75,42 +78,48 @@ def test_training_progress_at_spec_defaults(default_bundle):
     assert losses[-1] < losses[0]
 
 
-def test_minibatch_gradient_is_mean_of_per_sample(tiny_bundle):
-    # one epoch, one batch: the SGD step must apply the per-sample mean gradient
-    idx = tiny_bundle.train_indices()[:4]
-    from setnet.dataio import DatasetBundle, SplitSpec
-    flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
-    flags[idx] = True
-    small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
-                          table=tiny_bundle.table,
-                          split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                                          unseen_ids=tiny_bundle.split.unseen_ids,
-                                          train_flags=flags))
+def test_batched_loss_is_mean_of_per_sample_oracle(tiny_bundle):
+    # the batched loss and every gradient equal the per-sample oracle's mean,
+    # and one SGD step over a single batch applies exactly that gradient
+    table = tiny_bundle.seen_table()
+    idx = tiny_bundle.train_indices()
     lr = 0.5
-    cfg = TrainConfig(seed=2, learning_rate=lr, epochs=1, batch_size=4,
-                      head_count=2, hidden_channels=4)
-    init = train_setnet(small, TrainConfig(seed=2, learning_rate=lr, epochs=0,
-                                           batch_size=4, head_count=2, hidden_channels=4))
-    table = small.seen_table()
-    mean_grads = {name: np.zeros_like(p) for name, p in init.parameters().items()}
-    for i in idx:
-        _, g = total_loss(init, small.features[i], int(small.labels[i]), table)
-        for name in mean_grads:
-            mean_grads[name] += g[name] / idx.size
-    stepped = train_setnet(small, cfg)
-    for name, p in stepped.parameters().items():
-        expected = init.parameters()[name] - lr * mean_grads[name]
-        assert np.abs(p - expected).max() < 1e-10
+    for b, sign in ((1, -1), (3, 1), (8, -1)):
+        batch = idx[:b]
+        cfg = dict(seed=b, learning_rate=lr, batch_size=b, head_count=3, hidden_channels=4,
+                   diversity_sign=sign)
+        init = train_setnet(tiny_bundle, TrainConfig(epochs=0, **cfg))
+        loss, grads = total_loss(init, tiny_bundle.features[batch], tiny_bundle.labels[batch],
+                                 table, diversity_sign=sign)
+        per_sample = [total_loss_per_sample(init, tiny_bundle.features[i],
+                                            int(tiny_bundle.labels[i]), table, sign)
+                      for i in batch]
+        assert abs(loss - np.mean([l for l, _ in per_sample])) <= 1e-12
+        assert set(grads) == set(init.parameters())
+        for name, g in grads.items():
+            want = np.mean([gs[name] for _, gs in per_sample], axis=0)
+            assert np.abs(g - want).max() <= 1e-12, name
+
+        flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
+        flags[batch] = True
+        small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
+                              table=tiny_bundle.table,
+                              split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
+                                              unseen_ids=tiny_bundle.split.unseen_ids,
+                                              train_flags=flags))
+        stepped = train_setnet(small, TrainConfig(epochs=1, **cfg))
+        for name, p in stepped.parameters().items():
+            assert np.abs(p - (init.parameters()[name] - lr * grads[name])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_single_sgd_step_decreases_loss(seed):
     model, fmap, table, label = safe_instance(seed)
-    before, grads = total_loss(model, fmap, label, table)
+    before, grads = total_loss(model, fmap[None], [label], table)
     lr = 1e-5
     for name, p in model.parameters().items():
         p -= lr * grads[name]
-    after, _ = total_loss(model, fmap, label, table)
+    after, _ = total_loss(model, fmap[None], [label], table)
     assert after < before
 
 
@@ -223,6 +232,42 @@ def test_checkpoint_bad_magic(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_setnet_checkpoint(path)
     assert exc.value.offset == 0
+
+
+def checkpoint_bytes(cfg, entries) -> bytes:
+    """A 'setnet' checkpoint from (name, dims, payload) entries, written
+    straight from the documented layout."""
+    cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+    out = [b"SDNC", struct.pack("<II", 1, 6), b"setnet",
+           struct.pack("<I", len(cfg_json)), cfg_json, struct.pack("<I", len(entries))]
+    for name, dims, payload in entries:
+        out += [struct.pack("<I", len(name)), name.encode("utf-8"),
+                struct.pack(f"<I{len(dims)}I", len(dims), *dims), payload]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("huge_dims", "truncated file while reading tensor attn.w1"),
+    ("missing_tensor", "missing tensor 'proj.1.w'"),
+    ("non_finite", "tensor attn.w1 contains non-finite values"),
+], ids=["huge_dims", "missing_tensor", "non_finite"])
+def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, message):
+    cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
+    model = train_setnet(tiny_bundle, cfg)
+    tensors = dict(model.parameters(), diversity_weight=np.asarray(model.diversity_weight))
+    if defect == "non_finite":
+        tensors["attn.w1"] = tensors["attn.w1"].copy()
+        tensors["attn.w1"][1, 2] = np.inf
+    if defect == "missing_tensor":
+        del tensors["proj.1.w"]
+    entries = [(name, arr.shape, np.asarray(arr, dtype="<f8").tobytes())
+               for name, arr in tensors.items()]
+    if defect == "huge_dims":
+        entries = [("attn.w1", (2**31, 2**31, 4), b"")]
+    path = tmp_path / "bad.sdnc"
+    path.write_bytes(checkpoint_bytes(cfg, entries))
+    with pytest.raises(FormatError, match=message):
+        load_setnet_checkpoint(path)
 
 
 def test_checkpoint_identical_bytes(tiny_bundle, tmp_path):
