@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
 from .diffmath import spatial_mean
-from .metrics import EvalReport, per_class_accuracy, harmonic_mean, save_curves_csv, save_report, tnr_at_fnr
+from .metrics import (EvalReport, harmonic_mean, per_class_accuracy, per_class_top1,
+                      save_curves_csv, save_report, tnr_at_fnr)
 from .model import attention_maps, export_attention, predict
 from .ood import disagreement_degree, export_degrees_csv
 from .pipeline import GzslSystem, classify_gzsl
@@ -102,6 +103,12 @@ def _print_epoch(epoch: int, loss: float) -> None:
     print(f"{epoch},{repr(float(loss))}")
 
 
+def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL; only the commands that bind a detector to a bundle pay for it
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -134,16 +141,22 @@ def _cmd_train_setnet(args) -> None:
 def _cmd_train_ddm(args) -> None:
     config = _load_config(args.config)
     cfg = _build(TrainConfig, _section(config, "train"), "train", _train_overrides(args))
-    bundle = load_bundle(_require(config, "bundle", args.bundle, "--bundle"))
+    bundle_path = _require(config, "bundle", args.bundle, "--bundle")
+    bundle = load_bundle(bundle_path)
     out = _require(config, "out", args.out, "--out")
     print("epoch,loss")
     ensemble = train_ddm(bundle, cfg, epoch_callback=_print_epoch)
+    ensemble.bundle_sha256 = _sha256(bundle_path)
     save_checkpoint(out, ensemble, cfg)
 
 
 def _cmd_calibrate(args) -> None:
     ensemble, cfg = load_ddm_checkpoint(args.ddm)
     bundle = load_bundle(args.bundle)
+    if ensemble.bundle_sha256 is None:
+        raise CliError("detector checkpoint does not record its training bundle; retrain it with train-ddm")
+    if _sha256(args.bundle) != ensemble.bundle_sha256:
+        raise CliError(f"bundle {args.bundle} is not the bundle the detector was trained on")
     calibrate_ensemble(ensemble, bundle, cfg.seed, args.fnr)
     save_checkpoint(args.out, ensemble, cfg)
     print(f"theta={repr(float(ensemble.theta))}")
@@ -173,9 +186,9 @@ def _cmd_eval_zsl(args) -> None:
     idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
-    preds = [predict(model, bundle.features[i], table) for i in idx]
-    per_class = per_class_accuracy(preds, bundle.labels[idx], table.class_ids)
-    acc = float(np.mean(list(per_class.values())))
+    preds, labels = predict(model, bundle.features[idx], table), bundle.labels[idx]
+    per_class = per_class_accuracy(preds, labels, table.class_ids)
+    acc = per_class_top1(preds, labels, table.class_ids)
     save_report(EvalReport(acc=acc, per_class=per_class), args.report)
     _maybe_export_attention(args, model, bundle)
     print(f"unseen acc = {_pct(acc)}")
@@ -191,7 +204,7 @@ def _cmd_eval_gzsl(args) -> None:
     idx = bundle.test_indices()
     if idx.size == 0:
         raise CliError("bundle has no test samples")
-    preds = [classify_gzsl(system, bundle.features[i]) for i in idx]
+    preds = classify_gzsl(system, bundle.features[idx])
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, bundle.table.class_ids)
     seen_ids = set(bundle.split.seen_ids.tolist())
@@ -201,7 +214,7 @@ def _cmd_eval_gzsl(args) -> None:
     acc_seen = float(np.mean(seen)) if seen else 0.0
     acc_unseen = float(np.mean(unseen)) if unseen else 0.0
     h = harmonic_mean(acc_unseen, acc_seen)
-    report = EvalReport(acc=float(np.mean(list(per_class.values()))),
+    report = EvalReport(acc=per_class_top1(preds, labels, bundle.table.class_ids),
                         acc_seen=acc_seen, acc_unseen=acc_unseen, h=h,
                         per_class=per_class)
     save_report(report, args.report)
@@ -220,8 +233,8 @@ def _cmd_eval_ood(args) -> None:
     unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:
         raise CliError("bundle needs both seen-class and unseen-class test samples")
-    seen_deg = [disagreement_degree(ensemble, spatial_mean(bundle.features[i])) for i in seen_idx]
-    unseen_deg = [disagreement_degree(ensemble, spatial_mean(bundle.features[i])) for i in unseen_idx]
+    seen_deg = disagreement_degree(ensemble, spatial_mean(bundle.features[seen_idx]))
+    unseen_deg = disagreement_degree(ensemble, spatial_mean(bundle.features[unseen_idx]))
     pairs = tnr_at_fnr(seen_deg, unseen_deg, grid)
     save_report(EvalReport(tnr_at_fnr=pairs), args.report)
     if args.curves is not None:

@@ -9,6 +9,10 @@ class scores are dot products against the rows of a semantic table. The
 diversity regularizer is the sum of pairwise squared Hellinger distances
 between the attention maps, pushing the heads to attend to different
 regions.
+
+The training loss and inference (``class_scores``, ``predict``) take a
+(B, H, W, C) batch and run one shared forward for it; a single (H, W, C) map
+runs as a batch of one and gives an unbatched result.
 """
 
 from __future__ import annotations
@@ -117,9 +121,6 @@ class SemanticTable:
         if missing.any():
             raise IndexError(f"class id {ids[missing][0]} not in table")
         return hits.argmax(axis=-1)
-
-    def index_of(self, class_id: int) -> int:
-        return int(self.indices_of(class_id))
 
     def subset(self, class_ids) -> "SemanticTable":
         """Rows for the given ids, ordered by ascending class id."""
@@ -266,21 +267,32 @@ def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable)
     return logits[0] if feats.ndim == 2 else logits
 
 
-def class_scores(model: SetNetModel, fmap: np.ndarray, table: SemanticTable) -> np.ndarray:
-    """Summed (not averaged) projector scores per table class, used for prediction."""
-    feats = _pool(model, np.asarray(fmap)[None])[4]
-    return ensemble_logits(model, feats, table)[0] * model.head_count
+def class_scores(model: SetNetModel, fmaps: np.ndarray, table: SemanticTable) -> np.ndarray:
+    """Summed (not averaged) projector scores per table class, used for prediction.
+
+    Takes one (H, W, C) map, giving (D,) scores, or a (B, H, W, C) batch,
+    giving (B, D) from one forward.
+    """
+    fmaps = np.asarray(fmaps)
+    feats = _pool(model, fmaps if fmaps.ndim == 4 else fmaps[None])[4]
+    scores = ensemble_logits(model, feats, table) * model.head_count
+    return scores if fmaps.ndim == 4 else scores[0]
 
 
-def predict(model: SetNetModel, fmap: np.ndarray, table: SemanticTable) -> int:
+def predict(model: SetNetModel, fmaps: np.ndarray, table: SemanticTable):
     """Class id with the highest summed projector score; ties go to the
-    smallest class id."""
+    smallest class id.
+
+    Takes one (H, W, C) map, giving an int, or a (B, H, W, C) batch, giving
+    the (B,) class ids.
+    """
     if len(table) == 0:
         raise ValueError("semantic table is empty")
-    scores = class_scores(model, fmap, table)
-    best = scores.max()
-    winners = table.class_ids[scores == best]
-    return int(winners.min())
+    scores = class_scores(model, fmaps, table)
+    winners = np.where(scores == scores.max(axis=-1, keepdims=True), table.class_ids,
+                       np.iinfo(np.int64).max)
+    best = winners.min(axis=-1)
+    return int(best) if scores.ndim == 1 else best
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ scores minus the smallest. Seen-class inputs are ID data for most
 sub-detectors and OOD for one, so they produce large disagreement; inputs
 from classes nobody saw score uniformly low and produce small disagreement.
 A degree below the calibrated threshold flags the input as unseen.
+
+Confidences and degrees are computed row-wise for a (B, C) batch of pooled
+features, with one forward per sub-detector; a single (C,) feature gives
+scalars.
 """
 
 from __future__ import annotations
@@ -167,22 +171,32 @@ def subddm_loss(d: SubDdm, id_feats: np.ndarray | None, id_labels=None,
     return total, grads
 
 
-def confidence(d: SubDdm, feat: np.ndarray) -> float:
-    """Max softmax probability minus prediction entropy; 1 iff one-hot."""
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.ndim != 1:
-        raise ValueError("confidence takes a single (C,) feature vector")
-    p = dm.softmax(d.logits(feat[None, :])[0])
-    return float(p.max() - dm.entropy(p))
+def confidence(d: SubDdm, feats: np.ndarray):
+    """Max softmax probability minus prediction entropy; 1 iff one-hot.
+
+    Takes one (C,) feature, giving a float, or a (B, C) batch, giving the
+    (B,) row scores from one forward.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim not in (1, 2):
+        raise ValueError("confidence takes a (C,) feature vector or a (B, C) batch")
+    p = dm.softmax(d.logits(np.atleast_2d(feats)))
+    scores = p.max(axis=-1) - dm.entropy(p)
+    return float(scores[0]) if feats.ndim == 1 else scores
 
 
-def disagreement(scores) -> float:
-    """Mean of the largest I-1 confidence scores minus the smallest; >= 0."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if s.shape[0] < 2:
+def disagreement(scores):
+    """Mean of the largest I-1 confidence scores minus the smallest; >= 0.
+
+    Takes the (I,) scores of one input, giving a float, or a (B, I) batch,
+    giving (B,) degrees.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim not in (1, 2) or s.shape[-1] < 2:
         raise ValueError("disagreement needs at least 2 confidence scores")
-    ordered = np.sort(s, kind="stable")[::-1]
-    return float(ordered[:-1].mean() - ordered[-1])
+    ordered = np.sort(s, axis=-1, kind="stable")[..., ::-1]
+    degrees = ordered[..., :-1].mean(axis=-1) - ordered[..., -1]
+    return float(degrees) if s.ndim == 1 else degrees
 
 
 def calibrate_theta(seen_degrees, target_fnr: float) -> float:
@@ -201,10 +215,15 @@ def calibrate_theta(seen_degrees, target_fnr: float) -> float:
 
 @dataclass
 class DdmEnsemble:
-    """All fold sub-detectors plus the calibrated disagreement threshold."""
+    """All fold sub-detectors plus the calibrated disagreement threshold.
+
+    ``bundle_sha256`` is the hex SHA-256 of the bundle file the detector was
+    trained on, when known; calibration refuses any other bundle.
+    """
 
     sub_ddms: list[SubDdm]
     theta: float | None = None
+    bundle_sha256: str | None = None
 
     def __post_init__(self):
         if len(self.sub_ddms) < 2:
@@ -216,19 +235,31 @@ class DdmEnsemble:
     def fold_count(self) -> int:
         return len(self.sub_ddms)
 
-    def confidences(self, feat: np.ndarray) -> np.ndarray:
-        return np.array([confidence(d, feat) for d in self.sub_ddms])
+    def confidences(self, feats: np.ndarray) -> np.ndarray:
+        """Every sub-detector's confidence: (I,) for one (C,) feature, (B, I)
+        for a (B, C) batch; one forward per fold."""
+        return np.stack([confidence(d, feats) for d in self.sub_ddms], axis=-1)
+
+    def calibrated_theta(self) -> float:
+        if self.theta is None:
+            raise NotCalibratedError("ensemble threshold is unset; calibrate first")
+        return self.theta
 
 
-def disagreement_degree(e: DdmEnsemble, feat: np.ndarray) -> float:
-    return disagreement(e.confidences(feat))
+def disagreement_degree(e: DdmEnsemble, feats: np.ndarray):
+    """Disagreement of the fold confidences: a float for one (C,) feature,
+    (B,) degrees for a (B, C) batch."""
+    return disagreement(e.confidences(feats))
 
 
 def detect(e: DdmEnsemble, feat: np.ndarray) -> Domain:
-    """Unseen iff the disagreement degree falls strictly below theta."""
-    if e.theta is None:
-        raise NotCalibratedError("ensemble threshold is unset; calibrate first")
-    return Domain.UNSEEN if disagreement_degree(e, feat) < e.theta else Domain.SEEN
+    """Unseen iff the disagreement degree of one (C,) feature falls strictly
+    below theta. Batches are gated with ``disagreement_degree(e, feats) <
+    theta`` instead."""
+    theta = e.calibrated_theta()
+    if np.ndim(feat) != 1:
+        raise ValueError("detect takes a single (C,) feature vector")
+    return Domain.UNSEEN if disagreement_degree(e, feat) < theta else Domain.SEEN
 
 
 def export_degrees_csv(degrees, path) -> None:

@@ -14,7 +14,8 @@ Checkpoint layout (little-endian):
     u32 tensor count | per tensor: u32 name length | name bytes |
     u32 ndim | u32 dims... | float64 data
 
-Integer payloads such as fold class ids travel as float64 tensors; the
+Integer payloads such as fold class ids and the 32 bytes of the training
+bundle's SHA-256 ("bundle_sha256") travel as float64 tensors; the
 calibrated threshold is a 0-d tensor named "theta" present only once set.
 Readers reject truncated data, non-finite values and missing tensors with a
 ``FormatError``, and ignore tensors they do not need.
@@ -197,8 +198,7 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle, seed: int,
     held = holdout_indices(bundle, seed)
     if held.size == 0:
         raise ValueError("no calibration samples available")
-    feats = pooled_features(bundle, held)
-    degrees = [disagreement_degree(ensemble, f) for f in feats]
+    degrees = disagreement_degree(ensemble, pooled_features(bundle, held))
     ensemble.theta = calibrate_theta(degrees, target_fnr)
     return ensemble
 
@@ -273,6 +273,9 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
             tensors.update(sub.parameters(prefix=f"ddm.{i}."))
             tensors[f"ddm.{i}.ids"] = sub.id_class_ids.astype(np.float64)
         tensors["fold_count"] = np.asarray(float(len(model.sub_ddms)))
+        if model.bundle_sha256 is not None:
+            tensors["bundle_sha256"] = np.frombuffer(bytes.fromhex(model.bundle_sha256),
+                                                     np.uint8).astype(np.float64)
         if model.theta is not None:
             tensors["theta"] = np.asarray(model.theta)
         kind = "ddm"
@@ -311,4 +314,10 @@ def load_ddm_checkpoint(path) -> tuple[DdmEnsemble, TrainConfig]:
                            w1=tensors[f"ddm.{i}.w1"], b1=tensors[f"ddm.{i}.b1"],
                            w2=tensors[f"ddm.{i}.w2"], b2=tensors[f"ddm.{i}.b2"]))
     theta = float(tensors["theta"]) if "theta" in tensors else None
-    return DdmEnsemble(sub_ddms=subs, theta=theta), cfg
+    digest = None
+    if "bundle_sha256" in tensors:
+        raw = tensors["bundle_sha256"]
+        if raw.shape != (32,) or np.any((raw < 0) | (raw > 255) | (raw != np.round(raw))):
+            raise FormatError("tensor bundle_sha256 is not a 32-byte digest")
+        digest = raw.astype(np.uint8).tobytes().hex()
+    return DdmEnsemble(sub_ddms=subs, theta=theta, bundle_sha256=digest), cfg

@@ -151,9 +151,45 @@ def test_calibrate_flags_floor_fraction(workdir):
     ensemble, cfg = load_ddm_checkpoint(workdir["calibrated"])
     bundle = load_bundle(workdir["bundle"])
     held = holdout_indices(bundle, cfg.seed)
-    degrees = np.array([disagreement_degree(ensemble, f)
-                        for f in pooled_features(bundle, held)])
+    # the same batched call calibration makes: a per-sample degree can differ
+    # in the last bits and flip the strict comparison at the k-th point
+    degrees = disagreement_degree(ensemble, pooled_features(bundle, held))
     assert int((degrees < ensemble.theta).sum()) == math.floor(held.size * 0.11)
+
+
+def test_calibrate_refuses_a_bundle_the_detector_was_not_trained_on(workdir, tmp_path, capsys):
+    bundles = {}
+    for seed in (1, 2):
+        bundles[seed] = tmp_path / f"seed{seed}.sdnb"
+        assert main(["gen-synth", "--config", str(workdir["cfg"]), "--out", str(bundles[seed]),
+                     "--seed", str(seed)]) == 0
+    ddm = tmp_path / "ddm1.sdnc"
+    assert main(["train-ddm", "--bundle", str(bundles[1]), "--config", str(workdir["cfg"]),
+                 "--out", str(ddm), "--learning-rate", "0.2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cal.sdnc"
+    rc = main(["calibrate", "--ddm", str(ddm), "--bundle", str(bundles[2]),
+               "--fnr", "0.11", "--out", str(out)])
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert rc != 0 and not out.exists() and "theta=" not in captured.out
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert "not the bundle the detector was trained on" in err_lines[0]
+    assert main(["calibrate", "--ddm", str(ddm), "--bundle", str(bundles[1]),
+                 "--fnr", "0.11", "--out", str(out)]) == 0
+
+
+def test_calibrate_refuses_a_detector_without_bundle_digest(workdir, tmp_path, capsys):
+    from setnet.train import save_checkpoint
+    ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
+    ensemble.bundle_sha256 = None
+    bare = tmp_path / "bare.sdnc"
+    save_checkpoint(bare, ensemble, cfg)
+    rc = main(["calibrate", "--ddm", str(bare), "--bundle", str(workdir["bundle"]),
+               "--fnr", "0.11", "--out", str(tmp_path / "x.sdnc")])
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert rc != 0 and len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert "retrain it with train-ddm" in err_lines[0]
 
 
 def test_calibrate_bad_fnr(workdir, tmp_path, capsys):

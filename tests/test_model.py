@@ -194,7 +194,7 @@ def test_total_loss_reduces_to_cls_when_weight_zero():
     maps = attention_maps(model, fmap)
     feats = attentive_features(fmap, maps)
     expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats, table),
-                                            table.index_of(label))
+                                            int(table.indices_of(label)))
     assert total == pytest.approx(expected, abs=1e-12)
 
 
@@ -282,6 +282,34 @@ def test_predict_matches_exhaustive_loop(seed):
     scores = class_scores(model, fmap, table)
     best = max(range(8), key=lambda d: (scores[d], -int(table.class_ids[d])))
     assert predict(model, fmap, table) == int(table.class_ids[best])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_batched_predict_matches_per_sample(batch):
+    rng = np.random.default_rng([batch, 0xBA7])
+    model = random_model(rng, c=6, ch=4, k=3, s=5)
+    table = random_table(rng, 8, 5)
+    fmaps = rng.normal(size=(batch, 3, 4, 6))
+    scores = class_scores(model, fmaps, table)
+    assert scores.shape == (batch, 8)
+    for i in range(batch):
+        np.testing.assert_allclose(scores[i], class_scores(model, fmaps[i], table),
+                                   rtol=0, atol=1e-12)
+    preds = predict(model, fmaps, table)
+    assert preds.shape == (batch,)
+    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
+
+
+def test_batched_predict_ties_break_to_smallest_id_per_row():
+    model = identity_model(4)
+    table = SemanticTable(class_ids=np.array([30, 10, 40, 20]), vectors=np.eye(4))
+    fmaps = np.zeros((4, 2, 2, 4))   # row 0: all four classes tie
+    fmaps[1, :, :, 2] = 1.0          # row 1: class 40 alone
+    fmaps[2, :, :, [0, 2]] = 1.0     # row 2: 30 ties 40
+    fmaps[3, :, :, [0, 3]] = 1.0     # row 3: 30 ties 20
+    preds = predict(model, fmaps, table)
+    assert preds.tolist() == [10, 40, 30, 20]
+    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
 
 
 def test_predict_empty_table():

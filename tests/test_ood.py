@@ -173,6 +173,16 @@ def test_confidence_at_most_one(seed):
     assert got == pytest.approx(confidence_brute(probs), abs=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_batched_confidence_matches_per_row(batch):
+    rng = np.random.default_rng([batch, 0xC0F])
+    sub = make_sub(rng)
+    feats = rng.normal(scale=3, size=(batch, 6))
+    got = confidence(sub, feats)
+    assert got.shape == (batch,)
+    np.testing.assert_allclose(got, [confidence(sub, f) for f in feats], rtol=0, atol=1e-12)
+
+
 def test_confidence_dim_mismatch():
     sub = make_sub(np.random.default_rng(5))
     with pytest.raises(ValueError):
@@ -197,6 +207,16 @@ def test_disagreement_two_scores_is_range():
 def test_disagreement_needs_two():
     with pytest.raises(ValueError):
         disagreement([0.5])
+    with pytest.raises(ValueError):
+        disagreement([[0.5], [0.4]])
+
+
+def test_disagreement_of_a_batch_is_per_row():
+    rng = np.random.default_rng(11)
+    scores = rng.uniform(-2, 1, size=(9, 5))
+    got = disagreement(scores)
+    assert got.shape == (9,)
+    assert got.tolist() == [disagreement(row) for row in scores]
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,6 +302,23 @@ def test_detect_equal_confidences_flag_unseen():
     feat = np.random.default_rng(8).normal(size=6)
     assert disagreement_degree(e, feat) == pytest.approx(0.0, abs=1e-12)
     assert detect(e, feat) is Domain.UNSEEN
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_batched_degree_matches_per_sample(batch):
+    e = fixed_ensemble()
+    feats = np.random.default_rng([batch, 0xDE6]).normal(scale=2, size=(batch, 6))
+    assert e.confidences(feats).shape == (batch, 3)
+    degrees = disagreement_degree(e, feats)
+    assert degrees.shape == (batch,)
+    np.testing.assert_allclose(degrees, [disagreement_degree(e, f) for f in feats],
+                               rtol=0, atol=1e-12)
+
+
+def test_detect_takes_one_feature_only():
+    e = fixed_ensemble(theta=0.1)
+    with pytest.raises(ValueError):
+        detect(e, np.zeros((2, 6)))
 
 
 def test_detect_uncalibrated_raises():

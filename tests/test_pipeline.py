@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from setnet import pipeline
+from setnet.diffmath import spatial_mean
+from setnet.errors import NotCalibratedError
 from setnet.model import predict
-from setnet.ood import Domain
+from setnet.ood import disagreement_degree
 from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import TrainConfig, train_ddm, train_setnet
 
@@ -25,15 +27,20 @@ def small_system(tiny_bundle):
                       full_table=tiny_bundle.table)
 
 
+def constant_gate(degree):
+    """Stand-in for the batched degree: the same value for every row."""
+    return lambda e, feats: np.full(np.shape(feats)[:-1], degree)
+
+
 def test_routing_unseen_stub(small_system, tiny_bundle, monkeypatch):
-    monkeypatch.setattr(pipeline, "detect", lambda e, f: Domain.UNSEEN)
+    monkeypatch.setattr(pipeline, "disagreement_degree", constant_gate(-np.inf))
     unseen = set(tiny_bundle.split.unseen_ids.tolist())
     for i in tiny_bundle.test_indices()[:20]:
         assert classify_gzsl(small_system, tiny_bundle.features[i]) in unseen
 
 
 def test_routing_seen_stub(small_system, tiny_bundle, monkeypatch):
-    monkeypatch.setattr(pipeline, "detect", lambda e, f: Domain.SEEN)
+    monkeypatch.setattr(pipeline, "disagreement_degree", constant_gate(np.inf))
     for i in tiny_bundle.test_indices()[:20]:
         got = classify_gzsl(small_system, tiny_bundle.features[i])
         want = predict(small_system.gzsl_model, tiny_bundle.features[i],
@@ -54,18 +61,47 @@ def test_degenerate_threshold_never_flags(small_system, tiny_bundle):
 def test_oracle_detector_matches_zsl_accuracy(small_system, tiny_bundle, monkeypatch):
     unseen = set(tiny_bundle.split.unseen_ids.tolist())
     idx = [i for i in tiny_bundle.test_indices() if int(tiny_bundle.labels[i]) in unseen]
-    truth = {}
-    for i in idx:
-        truth[tuple(np.round(tiny_bundle.features[i].mean(axis=(0, 1)), 12))] = Domain.UNSEEN
+    truth = {tuple(np.round(tiny_bundle.features[i].mean(axis=(0, 1)), 12)) for i in idx}
 
-    def oracle(e, feat):
-        return truth.get(tuple(np.round(feat, 12)), Domain.SEEN)
+    def oracle(e, feats):
+        # below any theta for unseen-class rows, above it for the rest
+        return np.array([-np.inf if tuple(np.round(f, 12)) in truth else np.inf for f in feats])
 
-    monkeypatch.setattr(pipeline, "detect", oracle)
+    monkeypatch.setattr(pipeline, "disagreement_degree", oracle)
     routed = [classify_gzsl(small_system, tiny_bundle.features[i]) for i in idx]
     direct = [predict(small_system.zsl_model, tiny_bundle.features[i],
                       small_system.unseen_table) for i in idx]
     assert routed == direct
+
+
+@pytest.mark.parametrize("gate", ["none", "half", "all"])
+def test_batched_classify_matches_single_maps(small_system, tiny_bundle, monkeypatch, gate):
+    fmaps = tiny_bundle.features[tiny_bundle.test_indices()]
+    ordered = np.sort(disagreement_degree(small_system.detector, spatial_mean(fmaps)))
+    half = ordered.size // 2
+    # "half" sits midway between two degrees, away from any row's own value
+    theta = {"none": -1e300, "half": (ordered[half - 1] + ordered[half]) / 2, "all": 1e300}[gate]
+    monkeypatch.setattr(small_system.detector, "theta", theta)
+    preds = classify_gzsl(small_system, fmaps)
+    assert preds.shape == (fmaps.shape[0],)
+    assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
+
+
+def test_batched_classify_routes_each_row(small_system, tiny_bundle, monkeypatch):
+    fmaps = tiny_bundle.features[tiny_bundle.test_indices()]
+    degrees = np.where(np.arange(fmaps.shape[0]) % 3 == 0, -np.inf, np.inf)
+    monkeypatch.setattr(pipeline, "disagreement_degree", lambda e, feats: degrees[:len(feats)])
+    routed = classify_gzsl(small_system, fmaps)
+    want = np.where(degrees < 0,
+                    predict(small_system.zsl_model, fmaps, small_system.unseen_table),
+                    predict(small_system.gzsl_model, fmaps, small_system.full_table))
+    assert routed.tolist() == want.tolist()
+
+
+def test_classify_uncalibrated_raises(small_system, tiny_bundle, monkeypatch):
+    monkeypatch.setattr(small_system.detector, "theta", None)
+    with pytest.raises(NotCalibratedError):
+        classify_gzsl(small_system, tiny_bundle.features[:3])
 
 
 @pytest.mark.parametrize("seed", range(10))
