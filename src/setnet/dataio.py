@@ -12,7 +12,9 @@ In memory everything is float64; a valid bundle only holds values that are
 exactly representable in float32, which is what makes save -> load a
 bitwise round trip. Randomness comes from numpy's default_rng (PCG64
 seeded through SeedSequence), so identical seeds give bitwise-identical
-bundles within this implementation.
+bundles within this implementation. A loaded bundle keeps the SHA-256 of
+the file bytes it was read from, so a detector can be bound to the bundle it
+was trained on.
 """
 
 from __future__ import annotations
@@ -53,12 +55,17 @@ class SplitSpec:
 
 @dataclass
 class DatasetBundle:
-    """Feature maps + labels + semantic table + split, jointly validated."""
+    """Feature maps + labels + semantic table + split, jointly validated.
+
+    ``sha256`` is the hex SHA-256 of the file the bundle was loaded from;
+    None for a bundle built in memory.
+    """
 
     features: np.ndarray  # (N, H, W, C) float64, f32-representable
     labels: np.ndarray    # (N,) int64
     table: SemanticTable
     split: SplitSpec
+    sha256: str | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -148,7 +155,8 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
 
 def load_bundle(path) -> DatasetBundle:
     with open(path, "rb") as fh:
-        cur = _Cursor(fh.read())
+        data = fh.read()
+    cur = _Cursor(data)
     if cur.take(4, "magic") != MAGIC:
         raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
     version = cur.u32("version")
@@ -187,10 +195,13 @@ def load_bundle(path) -> DatasetBundle:
     except ValueError as e:
         raise FormatError(f"invalid split: {e}", offset=seen_off) from e
     try:
-        return DatasetBundle(features=features.reshape(n, h, w, c),
-                             labels=labels, table=table, split=split)
+        bundle = DatasetBundle(features=features.reshape(n, h, w, c),
+                               labels=labels, table=table, split=split)
     except ValueError as e:
         raise FormatError(f"invalid bundle: {e}", offset=labels_off) from e
+    import hashlib  # loads OpenSSL; gen-synth, which loads no bundle, does not pay for it
+    bundle.sha256 = hashlib.sha256(data).hexdigest()
+    return bundle
 
 
 # ---------------------------------------------------------------------------

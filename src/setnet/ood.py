@@ -218,7 +218,8 @@ class DdmEnsemble:
     """All fold sub-detectors plus the calibrated disagreement threshold.
 
     ``bundle_sha256`` is the hex SHA-256 of the bundle file the detector was
-    trained on, when known; calibration refuses any other bundle.
+    trained on, when known; ``train.calibrate_ensemble`` refuses any other
+    bundle.
     """
 
     sub_ddms: list[SubDdm]

@@ -150,8 +150,9 @@ def pooled_features(bundle: DatasetBundle, indices: np.ndarray) -> np.ndarray:
 def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> DdmEnsemble:
     """Train one sub-detector per fold on its ID/virtual-OOD split.
 
-    Returns an uncalibrated ensemble (theta unset); the calibration holdout
-    derived from cfg.seed never reaches any sub-detector.
+    Returns an uncalibrated ensemble (theta unset) that carries the bundle's
+    file digest; the calibration holdout derived from cfg.seed never reaches
+    any sub-detector.
     """
     partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
     held = set(holdout_indices(bundle, cfg.seed).tolist())
@@ -188,13 +189,20 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     if epoch_callback is not None:
         for epoch, loss in enumerate(epoch_losses):
             epoch_callback(epoch, float(loss))
-    return DdmEnsemble(sub_ddms=subs, theta=None)
+    return DdmEnsemble(sub_ddms=subs, theta=None, bundle_sha256=bundle.sha256)
 
 
 def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle, seed: int,
                        target_fnr: float) -> DdmEnsemble:
     """Set theta from the holdout's disagreement degrees; returns the same
-    ensemble with theta filled in."""
+    ensemble with theta filled in.
+
+    Refuses a bundle whose file digest differs from the one the ensemble was
+    trained on; the check is skipped when either digest is unknown.
+    """
+    known = ensemble.bundle_sha256 is not None and bundle.sha256 is not None
+    if known and ensemble.bundle_sha256 != bundle.sha256:
+        raise ValueError("bundle is not the bundle the detector was trained on")
     held = holdout_indices(bundle, seed)
     if held.size == 0:
         raise ValueError("no calibration samples available")

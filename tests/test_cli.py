@@ -179,17 +179,21 @@ def test_calibrate_refuses_a_bundle_the_detector_was_not_trained_on(workdir, tmp
                  "--fnr", "0.11", "--out", str(out)]) == 0
 
 
-def test_calibrate_refuses_a_detector_without_bundle_digest(workdir, tmp_path, capsys):
+def test_calibrate_warns_for_a_detector_without_bundle_digest(workdir, tmp_path, capsys):
+    # checkpoints written before the digest existed still calibrate
     from setnet.train import save_checkpoint
     ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
+    assert ensemble.bundle_sha256 is not None
     ensemble.bundle_sha256 = None
     bare = tmp_path / "bare.sdnc"
     save_checkpoint(bare, ensemble, cfg)
-    rc = main(["calibrate", "--ddm", str(bare), "--bundle", str(workdir["bundle"]),
-               "--fnr", "0.11", "--out", str(tmp_path / "x.sdnc")])
+    capsys.readouterr()
+    out = tmp_path / "x.sdnc"
+    assert main(["calibrate", "--ddm", str(bare), "--bundle", str(workdir["bundle"]),
+                 "--fnr", "0.11", "--out", str(out)]) == 0
     err_lines = capsys.readouterr().err.strip().splitlines()
-    assert rc != 0 and len(err_lines) == 1 and err_lines[0].startswith("error:")
-    assert "retrain it with train-ddm" in err_lines[0]
+    assert len(err_lines) == 1 and err_lines[0].startswith("warning:")
+    assert load_ddm_checkpoint(out)[0].theta == load_ddm_checkpoint(workdir["calibrated"])[0].theta
 
 
 def test_calibrate_bad_fnr(workdir, tmp_path, capsys):

@@ -227,6 +227,24 @@ def test_ddm_checkpoint_round_trip_with_bundle_digest(tiny_bundle, tmp_path):
     assert load_ddm_checkpoint(tmp_path / "e1.sdnc")[0].theta is None
 
 
+def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bundle, tmp_path):
+    from setnet.dataio import load_bundle, save_bundle
+    cfg = TrainConfig(seed=5, epochs=1, fold_count=2, ddm_hidden=8, learning_rate=0.2)
+    assert train_ddm(tiny_bundle, cfg).bundle_sha256 is None  # built in memory
+    path = tmp_path / "b.sdnb"
+    save_bundle(tiny_bundle, path)
+    loaded = load_bundle(path)
+    e = train_ddm(loaded, cfg)
+    assert e.bundle_sha256 == loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    other = load_bundle(path)
+    other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
+    with pytest.raises(ValueError, match="not the bundle the detector was trained on"):
+        calibrate_ensemble(e, other, cfg.seed, 0.13)
+    assert e.theta is None
+    calibrate_ensemble(e, loaded, cfg.seed, 0.13)
+    calibrate_ensemble(e, tiny_bundle, cfg.seed, 0.13)  # unknown digest: not checked
+
+
 @pytest.mark.parametrize("digest", [np.full(31, 7.0), np.full(32, 256.0), np.full(32, 0.5)],
                          ids=["short", "out_of_range", "fractional"])
 def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest):
