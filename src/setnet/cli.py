@@ -22,7 +22,7 @@ from .metrics import (EvalReport, harmonic_mean, per_class_accuracy, per_class_t
 from .model import attention_maps, export_attention, predict
 from .ood import disagreement_degree, export_degrees_csv
 from .pipeline import GzslSystem, classify_gzsl
-from .train import (TrainConfig, calibrate_ensemble, load_ddm_checkpoint,
+from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, load_ddm_checkpoint,
                     load_setnet_checkpoint, save_checkpoint, train_ddm, train_setnet)
 
 DEFAULT_FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
@@ -142,12 +142,21 @@ def _cmd_train_ddm(args) -> None:
     save_checkpoint(out, ensemble, cfg)
 
 
-def _cmd_calibrate(args) -> None:
+def _load_detector(args):
+    """The --ddm detector, its config and the --bundle bundle, refused unless
+    the detector was trained on that bundle. A checkpoint that does not
+    record its training bundle is used with a warning."""
     ensemble, cfg = load_ddm_checkpoint(args.ddm)
     bundle = load_bundle(args.bundle)
     if ensemble.bundle_sha256 is None:
         print("warning: detector checkpoint does not record its training bundle; "
               "the bundle is not checked", file=sys.stderr)
+    check_training_bundle(ensemble, bundle)
+    return ensemble, cfg, bundle
+
+
+def _cmd_calibrate(args) -> None:
+    ensemble, cfg, bundle = _load_detector(args)
     calibrate_ensemble(ensemble, bundle, cfg.seed, args.fnr)
     save_checkpoint(args.out, ensemble, cfg)
     print(f"theta={repr(float(ensemble.theta))}")
@@ -188,8 +197,7 @@ def _cmd_eval_zsl(args) -> None:
 def _cmd_eval_gzsl(args) -> None:
     zsl_model, _ = load_setnet_checkpoint(args.zsl)
     gzsl_model = zsl_model if args.gzsl is None else load_setnet_checkpoint(args.gzsl)[0]
-    ensemble, _ = load_ddm_checkpoint(args.ddm)
-    bundle = load_bundle(args.bundle)
+    ensemble, _, bundle = _load_detector(args)
     system = GzslSystem(detector=ensemble, zsl_model=zsl_model, gzsl_model=gzsl_model,
                         unseen_table=bundle.unseen_table(), full_table=bundle.table)
     idx = bundle.test_indices()
@@ -218,8 +226,7 @@ def _cmd_eval_ood(args) -> None:
     grid = config.get("fnr_grid", DEFAULT_FNR_GRID)
     if not isinstance(grid, list) or not grid:
         raise CliError("config key 'fnr_grid' must be a nonempty list")
-    ensemble, _ = load_ddm_checkpoint(args.ddm)
-    bundle = load_bundle(args.bundle)
+    ensemble, _, bundle = _load_detector(args)
     seen_idx = _test_indices_in(bundle, bundle.split.seen_ids)
     unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:

@@ -143,26 +143,34 @@ def entropy(p: np.ndarray):
     return _per_row(-plogp.sum(axis=-1), p.ndim)
 
 
-def kl_to_uniform(p: np.ndarray):
-    """KL(p || uniform) = log C - entropy(p) = sum p log(p*C) per row, nats."""
+def kl_to_uniform(p: np.ndarray, classes=None):
+    """KL(p || uniform) = log C - entropy(p) = sum p log(p*C) per row, nats.
+
+    C is the last axis length unless ``classes`` gives it: the class count
+    of each row, broadcasting against the per-row values, for rows padded
+    past it with zero-probability entries.
+    """
     p = _as_f64(p)
-    c = p.shape[-1]
-    if c == 0:
+    c = p.shape[-1] if classes is None else classes
+    if p.shape[-1] == 0:
         raise ValueError("empty distribution")
     return np.log(c) - entropy(p)
 
 
-def kl_to_uniform_grad_logits(logits: np.ndarray) -> np.ndarray:
+def kl_to_uniform_grad_logits(logits: np.ndarray, classes=None) -> np.ndarray:
     """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row.
 
-    With p = softmax(z) and g = log p + log C this is p * (g - p.g).
+    With p = softmax(z) and g = log p + log C this is p * (g - p.g), and 0
+    where p is 0, so logits masked with -inf get a zero gradient. ``classes``
+    is C per row, as in ``kl_to_uniform``.
     """
     z = _as_f64(logits)
-    c = z.shape[-1]
-    if c == 0:
+    if z.shape[-1] == 0:
         raise ValueError("empty logits")
-    p = softmax(z)
-    g = log_softmax(z) + np.log(c)
+    c = z.shape[-1] if classes is None else np.asarray(classes)[..., None]
+    log_p = log_softmax(z)
+    p = np.exp(log_p)
+    g = np.where(p > 0, log_p + np.log(c), 0.0)
     return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 

@@ -11,16 +11,19 @@ sub-detectors and OOD for one, so they produce large disagreement; inputs
 from classes nobody saw score uniformly low and produce small disagreement.
 A degree below the calibrated threshold flags the input as unseen.
 
-Confidences and degrees are computed row-wise for a (B, C) batch of pooled
-features, with one forward per sub-detector; a single (C,) feature gives
-scalars.
+Training stacks the I sub-detectors on a leading fold axis (output columns
+zero-padded to the widest fold and masked out of the loss), so one
+``subddm_loss`` call gives every fold's loss and gradient for a training
+step. Confidences and degrees are computed row-wise for a (B, C) batch of
+pooled features, with one forward per sub-detector; a single (C,) feature
+gives scalars.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,44 +134,67 @@ def init_subddm(fold_index: int, id_class_ids, in_dim: int, hidden: int,
                   w2=u(hidden, hidden, ids.shape[0]), b2=u(hidden, ids.shape[0]))
 
 
-def subddm_loss(d: SubDdm, id_feats: np.ndarray | None, id_labels=None,
-                ood_feats: np.ndarray | None = None) -> tuple[float, GradientSet]:
-    """Mean cross-entropy on the ID batch plus mean KL-to-uniform on the
-    virtual OOD batch, with parameter gradients. Either batch may be empty
-    or None, dropping that term."""
-    grads: GradientSet = {name: np.zeros_like(p) for name, p in d.parameters().items()}
-    total = 0.0
+def stack_subddms(subs: list[SubDdm]) -> tuple[GradientSet, np.ndarray]:
+    """Fold-stacked copies of the sub-detectors' parameters, as
+    ``subddm_loss`` takes them, and each fold's ID class count. Output
+    columns are zero-padded to the widest fold."""
+    counts = np.array([s.id_class_ids.shape[0] for s in subs])
 
-    def add_term(feats, row_losses_and_grads):
-        """Forward a (B, C) batch, add its mean row loss and backpropagate."""
-        nonlocal total
-        z1 = dm.matmul(feats, d.w1) + d.b1
-        r = dm.relu(z1)
-        losses, d_z2 = row_losses_and_grads(dm.matmul(r, d.w2) + d.b2)
-        n = feats.shape[0]
-        total += float(losses.sum()) / n
-        d_z2 = d_z2 / n
-        d_r, d_w2 = dm.matmul_backward(r, d.w2, d_z2)
-        grads["w2"] += d_w2
-        grads["b2"] += d_z2.sum(axis=0)
-        d_z1 = dm.relu_backward(z1, d_r)
-        grads["w1"] += dm.matmul_backward(feats, d.w1, d_z1)[1]
-        grads["b1"] += d_z1.sum(axis=0)
+    def pad(a):
+        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, counts.max() - a.shape[-1])])
 
-    if id_feats is not None and len(id_feats):
-        feats = np.asarray(id_feats, dtype=np.float64)
-        labels = d.local_labels(np.ravel(id_labels))
-        if labels.shape[0] != feats.shape[0]:
-            raise ValueError("ID labels do not match the feature batch")
-        add_term(feats, lambda z2: (dm.cross_entropy_from_logits(z2, labels),
-                                    dm.cross_entropy_grad(z2, labels)))
+    return {"w1": np.stack([s.w1 for s in subs]), "b1": np.stack([s.b1 for s in subs]),
+            "w2": np.stack([pad(s.w2) for s in subs]),
+            "b2": np.stack([pad(s.b2) for s in subs])}, counts
 
-    if ood_feats is not None and len(ood_feats):
-        feats = np.asarray(ood_feats, dtype=np.float64)
-        add_term(feats, lambda z2: (dm.kl_to_uniform(dm.softmax(z2)),
-                                    dm.kl_to_uniform_grad_logits(z2)))
 
-    return total, grads
+def unstack_subddms(params: GradientSet, subs: list[SubDdm]) -> list[SubDdm]:
+    """Copies of ``subs`` that hold the stacked parameters, padding trimmed."""
+    return [replace(s, w1=params["w1"][i].copy(), b1=params["b1"][i].copy(),
+                    w2=params["w2"][i, :, :s.b2.shape[0]].copy(),
+                    b2=params["b2"][i, :s.b2.shape[0]].copy())
+            for i, s in enumerate(subs)]
+
+
+def subddm_loss(params: GradientSet, class_counts, feats: np.ndarray, labels,
+                weights) -> tuple[np.ndarray, GradientSet]:
+    """Every fold's sub-detector loss and gradients from one stacked forward.
+
+    ``params`` holds ``w1`` (I, C, hidden), ``b1`` (I, hidden), ``w2``
+    (I, hidden, N) and ``b2`` (I, N), as ``stack_subddms`` builds them: fold
+    i uses its first ``class_counts[i]`` output columns, and the padding
+    columns are masked out of the softmax, the CE and the KL. ``feats`` is an
+    (I, B, C) stack of rows; ``labels`` (I, B) holds each row's local ID
+    label, or -1 for a virtual OOD row; ``weights`` (I, B) is each row's
+    share of its fold's loss, 1/chunk size for an ID or OOD row and 0 on
+    padding. A fold's loss is then its ID-mean cross-entropy plus its
+    OOD-mean KL-to-uniform (log C with its own class count C), and a fold
+    whose weights are all 0 gets a loss and gradient of exactly 0.
+
+    Returns the (I,) per-fold losses and the stacked gradients.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=np.float64)
+    counts = np.asarray(class_counts)[:, None]
+    if (labels >= counts).any():
+        raise IndexError("a local label is not an ID class of its fold")
+    w2 = params["w2"]
+    z1 = dm.matmul(feats, params["w1"]) + params["b1"][:, None]
+    r = dm.relu(z1)
+    live = np.arange(w2.shape[-1]) < counts  # (I, N) real output columns
+    z2 = np.where(live[:, None], dm.matmul(r, w2) + params["b2"][:, None], -np.inf)
+    ood = labels < 0
+    id_labels = np.where(ood, 0, labels)
+    row_losses = np.where(ood, dm.kl_to_uniform(dm.softmax(z2), counts),
+                          dm.cross_entropy_from_logits(z2, id_labels))
+    d_z2 = weights[..., None] * np.where(ood[..., None], dm.kl_to_uniform_grad_logits(z2, counts),
+                                         dm.cross_entropy_grad(z2, id_labels))
+    d_r, d_w2 = dm.matmul_backward(r, w2, d_z2)
+    d_z1 = dm.relu_backward(z1, d_r)
+    grads = {"w1": np.swapaxes(feats, 1, 2) @ d_z1, "b1": d_z1.sum(axis=1),
+             "w2": d_w2, "b2": d_z2.sum(axis=1)}
+    return (weights * row_losses).sum(axis=1), grads
 
 
 def confidence(d: SubDdm, feats: np.ndarray):
@@ -218,7 +244,7 @@ class DdmEnsemble:
     """All fold sub-detectors plus the calibrated disagreement threshold.
 
     ``bundle_sha256`` is the hex SHA-256 of the bundle file the detector was
-    trained on, when known; ``train.calibrate_ensemble`` refuses any other
+    trained on, when known; ``train.check_training_bundle`` refuses any other
     bundle.
     """
 

@@ -1,11 +1,15 @@
 """Seeded minibatch SGD for the attention model and the detector ensemble,
 plus the binary checkpoint format.
 
-Training is plain SGD (no momentum, no weight decay). Each step makes one
-batched loss call that returns the minibatch-mean loss and its gradient,
-the per-epoch order is a seeded shuffle, and the last partial batch is
-kept, so a (bundle, config) pair fully determines the result bitwise. A
-step whose loss is not finite stops training with a ``FloatingPointError``.
+Both models train through one loop, ``_sgd``: plain SGD (no momentum, no
+weight decay), one batched loss call and one ``_sgd_step`` per step, a
+seeded per-epoch shuffle, and the last partial batch kept, so a (bundle,
+config) pair fully determines the result bitwise. The detector's I folds
+train as one fold-stacked model: each step gathers every fold's minibatch
+into one padded stack, and a fold that has run out of steps for the epoch
+gets all-zero row weights, so it does not move. A step whose loss is not
+finite stops training with a ``FloatingPointError`` that names the epoch
+and step, and the fold for the detector.
 
 Checkpoint layout (little-endian):
 
@@ -35,7 +39,8 @@ from .dataio import DatasetBundle, make_folds
 from .diffmath import spatial_mean
 from .errors import FormatError
 from .model import SetNetModel, init_setnet, total_loss
-from .ood import DdmEnsemble, SubDdm, calibrate_theta, disagreement_degree, init_subddm, subddm_loss
+from .ood import (DdmEnsemble, SubDdm, calibrate_theta, disagreement_degree, init_subddm,
+                  stack_subddms, subddm_loss, unstack_subddms)
 
 CKPT_MAGIC = b"SDNC"
 CKPT_VERSION = 1
@@ -84,9 +89,39 @@ def _sgd_step(params: dict[str, np.ndarray], grads, lr: float) -> None:
         params[name] -= lr * grads[name]
 
 
-def _require_finite_loss(loss: float, where: str) -> None:
-    if not math.isfinite(loss):
-        raise FloatingPointError(f"non-finite training loss {loss!r} at {where}")
+def _require_finite_loss(loss, epoch: int, step: int) -> None:
+    """Raise on a non-finite step loss: a float, or one per detector fold."""
+    finite = np.isfinite(loss)
+    if np.all(finite):
+        return
+    bad = int(np.argmin(finite))
+    fold = f"fold {bad}, " if np.ndim(loss) else ""
+    raise FloatingPointError(f"non-finite training loss {float(np.ravel(loss)[bad])!r} "
+                             f"at {fold}epoch {epoch}, step {step}")
+
+
+def _sgd(params: dict[str, np.ndarray], cfg: TrainConfig, plan_epoch, step_loss,
+         epoch_callback=None) -> None:
+    """The SGD loop of both trainers; updates ``params`` in place.
+
+    At the start of every epoch ``plan_epoch()`` draws that epoch's
+    minibatches and returns ``(steps, divisor)``: ``steps`` pairs each
+    minibatch with the weight its loss carries in the epoch loss, which is
+    their weighted sum over ``divisor``. ``step_loss(batch)`` returns the
+    minibatch loss (a float, or an array with one loss per fold) and its
+    gradient set. ``epoch_callback(epoch, loss)`` sees each epoch's loss as
+    the epoch ends.
+    """
+    for epoch in range(cfg.epochs):
+        steps, divisor = plan_epoch()
+        epoch_loss = 0.0
+        for step, (batch, weight) in enumerate(steps):
+            loss, grads = step_loss(batch)
+            _require_finite_loss(loss, epoch, step)
+            epoch_loss += weight * loss
+            _sgd_step(params, grads, cfg.learning_rate)
+        if epoch_callback is not None:
+            epoch_callback(epoch, float(np.sum(epoch_loss)) / divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +141,19 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     model = init_setnet(c, cfg.hidden_channels, cfg.head_count,
                         seen_table.semantic_dim, cfg.diversity_weight,
                         _rng(cfg.seed, 0x11))
-    params = model.parameters()
     shuffler = _rng(cfg.seed, 0x12)
-    for epoch in range(cfg.epochs):
+
+    def plan_epoch():
         order = train_idx[shuffler.permutation(train_idx.size)]
-        epoch_loss = 0.0
-        for step, start in enumerate(range(0, order.size, cfg.batch_size)):
-            batch = order[start:start + cfg.batch_size]
-            loss, grads = total_loss(model, bundle.features[batch], bundle.labels[batch],
-                                     seen_table, diversity_sign=cfg.diversity_sign)
-            _require_finite_loss(loss, f"epoch {epoch}, step {step}")
-            epoch_loss += loss * batch.size
-            _sgd_step(params, grads, cfg.learning_rate)
-        if epoch_callback is not None:
-            epoch_callback(epoch, epoch_loss / order.size)
+        batches = [order[start:start + cfg.batch_size]
+                   for start in range(0, order.size, cfg.batch_size)]
+        return [(batch, batch.size) for batch in batches], order.size
+
+    def step_loss(batch):
+        return total_loss(model, bundle.features[batch], bundle.labels[batch],
+                          seen_table, diversity_sign=cfg.diversity_sign)
+
+    _sgd(model.parameters(), cfg, plan_epoch, step_loss, epoch_callback)
     return model
 
 
@@ -147,49 +181,89 @@ def pooled_features(bundle: DatasetBundle, indices: np.ndarray) -> np.ndarray:
     return spatial_mean(bundle.features[indices])
 
 
+def _split_slots(n: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``np.array_split`` puts n ordered rows in ``steps`` chunks: each
+    row's chunk and offset in it, and the chunk sizes."""
+    sizes = np.full(steps, n // steps)
+    sizes[:n % steps] += 1
+    step = np.repeat(np.arange(steps), sizes)
+    return step, np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes), sizes
+
+
 def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> DdmEnsemble:
     """Train one sub-detector per fold on its ID/virtual-OOD split.
+
+    Every fold keeps its own schedule: its init draws, its shuffler stream,
+    and an epoch of ceil(ID rows / batch size) steps (at least one), over
+    which its shuffled ID and OOD rows are spread with ``np.array_split``.
+    All folds step together on one stacked model, and a fold past its last
+    step waits with all-zero weights. ``epoch_callback(epoch, loss)`` sees
+    the mean over folds of each fold's mean step loss.
 
     Returns an uncalibrated ensemble (theta unset) that carries the bundle's
     file digest; the calibration holdout derived from cfg.seed never reaches
     any sub-detector.
     """
     partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
-    held = set(holdout_indices(bundle, cfg.seed).tolist())
-    train_idx = np.array([i for i in bundle.train_indices() if i not in held], dtype=np.int64)
+    train_idx = bundle.train_indices()
+    train_idx = train_idx[~np.isin(train_idx, holdout_indices(bundle, cfg.seed))]
     if train_idx.size == 0:
         raise ValueError("bundle has no training samples left after the calibration holdout")
-    feats = pooled_features(bundle, train_idx)
     labels = bundle.labels[train_idx]
+    n, folds = train_idx.size, cfg.fold_count
+    feats = np.vstack([pooled_features(bundle, train_idx), np.zeros((1, bundle.map_shape[2]))])
+    subs = [init_subddm(i, partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
+                        _rng(cfg.seed, 0xDD, i)) for i in range(folds)]
+    params, counts = stack_subddms(subs)
+    shufflers = [_rng(cfg.seed, 0xDE, i) for i in range(folds)]
 
-    subs: list[SubDdm] = []
-    epoch_losses = np.zeros(cfg.epochs)
-    for i in range(cfg.fold_count):
-        fold_classes = set(partition.folds[i])
-        ood_mask = np.isin(labels, list(fold_classes))
-        id_rows = np.nonzero(~ood_mask)[0]
-        ood_rows = np.nonzero(ood_mask)[0]
-        sub = init_subddm(i, partition.id_classes(i), feats.shape[1],
-                          cfg.ddm_hidden, _rng(cfg.seed, 0xDD, i))
-        params = sub.parameters()
-        shuffler = _rng(cfg.seed, 0xDE, i)
-        for epoch in range(cfg.epochs):
-            id_order = id_rows[shuffler.permutation(id_rows.size)]
-            ood_order = ood_rows[shuffler.permutation(ood_rows.size)]
-            n_steps = max(1, -(-id_order.size // cfg.batch_size))
-            id_chunks = np.array_split(id_order, n_steps)
-            ood_chunks = np.array_split(ood_order, n_steps)
-            for step, (id_chunk, ood_chunk) in enumerate(zip(id_chunks, ood_chunks)):
-                loss, grads = subddm_loss(sub, feats[id_chunk], labels[id_chunk],
-                                          feats[ood_chunk])
-                _require_finite_loss(loss, f"fold {i}, epoch {epoch}, step {step}")
-                epoch_losses[epoch] += loss / cfg.fold_count / len(id_chunks)
-                _sgd_step(params, grads, cfg.learning_rate)
-        subs.append(sub)
-    if epoch_callback is not None:
-        for epoch, loss in enumerate(epoch_losses):
-            epoch_callback(epoch, float(loss))
-    return DdmEnsemble(sub_ddms=subs, theta=None, bundle_sha256=bundle.sha256)
+    # Row n of feats is the zero padding row. local[i, row] is the row's
+    # local label in fold i, -1 for virtual OOD rows and padding.
+    local = np.full((folds, n + 1), -1)
+    layout = []  # per fold: ID rows, OOD rows, and (step, slot, weight) of each in order
+    for i, sub in enumerate(subs):
+        is_ood = np.isin(labels, partition.folds[i])
+        id_rows, ood_rows = np.flatnonzero(~is_ood), np.flatnonzero(is_ood)
+        local[i, id_rows] = sub.local_labels(labels[id_rows])
+        n_steps = max(1, -(-id_rows.size // cfg.batch_size))
+        id_step, id_off, id_sizes = _split_slots(id_rows.size, n_steps)
+        ood_step, ood_off, ood_sizes = _split_slots(ood_rows.size, n_steps)
+        layout.append((id_rows, ood_rows, n_steps,
+                       np.concatenate([id_step, ood_step]),
+                       np.concatenate([id_off, id_sizes[ood_step] + ood_off]),
+                       np.concatenate([1.0 / id_sizes[id_step], 1.0 / ood_sizes[ood_step]])))
+    n_steps = np.array([fold[2] for fold in layout])
+    width = max(int(slot.max(initial=-1)) + 1 for *_, slot, _ in layout)
+    weights = np.zeros((n_steps.max(), folds, width))
+    for i, (*_, step, slot, weight) in enumerate(layout):
+        weights[step, i, slot] = weight
+    # a fold's share of the epoch loss: the mean of its own steps
+    shares = (np.arange(n_steps.max())[:, None] < n_steps) / n_steps
+    fold_axis = np.arange(folds)[:, None]
+
+    def plan_epoch():
+        rows = np.full(weights.shape, n)
+        for i, (id_rows, ood_rows, _, step, slot, _) in enumerate(layout):
+            id_order = id_rows[shufflers[i].permutation(id_rows.size)]
+            ood_order = ood_rows[shufflers[i].permutation(ood_rows.size)]
+            rows[step, i, slot] = np.concatenate([id_order, ood_order])
+        return list(zip(zip(rows, weights), shares)), folds
+
+    def step_loss(batch):
+        rows, row_weights = batch
+        return subddm_loss(params, counts, feats[rows], local[fold_axis, rows], row_weights)
+
+    _sgd(params, cfg, plan_epoch, step_loss, epoch_callback)
+    return DdmEnsemble(sub_ddms=unstack_subddms(params, subs), theta=None,
+                       bundle_sha256=bundle.sha256)
+
+
+def check_training_bundle(ensemble: DdmEnsemble, bundle: DatasetBundle) -> None:
+    """Refuse a bundle whose file digest differs from the one the ensemble
+    was trained on; the check is skipped when either digest is unknown."""
+    known = ensemble.bundle_sha256 is not None and bundle.sha256 is not None
+    if known and ensemble.bundle_sha256 != bundle.sha256:
+        raise ValueError("bundle is not the bundle the detector was trained on")
 
 
 def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle, seed: int,
@@ -197,12 +271,9 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle, seed: int,
     """Set theta from the holdout's disagreement degrees; returns the same
     ensemble with theta filled in.
 
-    Refuses a bundle whose file digest differs from the one the ensemble was
-    trained on; the check is skipped when either digest is unknown.
+    Refuses a bundle other than the training bundle (``check_training_bundle``).
     """
-    known = ensemble.bundle_sha256 is not None and bundle.sha256 is not None
-    if known and ensemble.bundle_sha256 != bundle.sha256:
-        raise ValueError("bundle is not the bundle the detector was trained on")
+    check_training_bundle(ensemble, bundle)
     held = holdout_indices(bundle, seed)
     if held.size == 0:
         raise ValueError("no calibration samples available")

@@ -61,3 +61,29 @@ def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3
             label = int(rng.integers(d)) if batch is None else rng.integers(d, size=batch)
             return model, fmap, table, label
     raise AssertionError("could not draw a kink-free instance")
+
+
+def stacked_batch(subs, chunks, pad=0):
+    """The (I, B, C) feature stack, (I, B) local labels and (I, B) row
+    weights that ``ood.subddm_loss`` takes, from one ``(id_feats,
+    id_class_ids, ood_feats)`` chunk per fold, ID rows first. A ``None``
+    chunk is a fold with no rows this step. Every fold is padded to the
+    widest fold plus ``pad`` rows; padding rows hold nonzero features, label
+    -1 and weight 0, so they must not count."""
+    rows = [0 if ch is None else len(ch[0]) + len(ch[2]) for ch in chunks]
+    width = max(rows) + pad
+    folds = len(subs)
+    feats = np.full((folds, width, subs[0].in_dim), 0.5)
+    labels = np.full((folds, width), -1)
+    weights = np.zeros((folds, width))
+    for i, (sub, ch) in enumerate(zip(subs, chunks)):
+        if ch is None:
+            continue
+        id_feats, id_ids, ood_feats = ch
+        n_id, n_ood = len(id_feats), len(ood_feats)
+        feats[i, :n_id] = id_feats
+        feats[i, n_id:n_id + n_ood] = ood_feats
+        labels[i, :n_id] = sub.local_labels(np.asarray(id_ids, dtype=np.int64))
+        weights[i, :n_id] = 1.0 / max(n_id, 1)
+        weights[i, n_id:n_id + n_ood] = 1.0 / max(n_ood, 1)
+    return feats, labels, weights

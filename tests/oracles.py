@@ -202,3 +202,82 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     grads["attn.b1"] = d_z1.sum(axis=0)
     grads["attn.w2"] = r.T @ d_z2
     return float(total), grads
+
+
+def subddm_loss_per_fold(sub, id_feats, id_labels, ood_feats):
+    """One sub-detector's mean cross-entropy on its ID batch (class ids) plus
+    mean KL-to-uniform on its virtual OOD batch, and the gradient dict,
+    written per fold with plain numpy. An empty or None batch drops its term.
+
+    The fold-stacked ``ood.subddm_loss`` must equal this fold by fold.
+    """
+    grads = {name: np.zeros_like(p) for name, p in sub.parameters().items()}
+    total = 0.0
+    c = sub.b2.shape[0]
+    for feats, labels in ((id_feats, id_labels), (ood_feats, None)):
+        if feats is None or len(feats) == 0:
+            continue
+        x = np.asarray(feats, dtype=np.float64)
+        n = x.shape[0]
+        z1 = x @ sub.w1 + sub.b1
+        r = np.maximum(z1, 0.0)
+        z2 = r @ sub.w2 + sub.b2
+        shifted = z2 - z2.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        p = np.exp(log_p)
+        if labels is not None:
+            rows = [int(np.nonzero(sub.id_class_ids == y)[0][0]) for y in np.ravel(labels)]
+            total += -sum(log_p[k, j] for k, j in enumerate(rows)) / n
+            d_z2 = p.copy()
+            for k, j in enumerate(rows):
+                d_z2[k, j] -= 1.0
+        else:
+            g = log_p + math.log(c)
+            total += float((p * g).sum()) / n
+            d_z2 = p * (g - (p * g).sum(axis=1, keepdims=True))
+        d_z2 /= n
+        d_z1 = (d_z2 @ sub.w2.T) * (z1 > 0)
+        grads["w2"] += r.T @ d_z2
+        grads["b2"] += d_z2.sum(axis=0)
+        grads["w1"] += x.T @ d_z1
+        grads["b1"] += d_z1.sum(axis=0)
+    return float(total), grads
+
+
+def train_ddm_per_fold(bundle, cfg):
+    """The detector ensemble trained one fold after another, one
+    ``subddm_loss_per_fold`` step at a time: each fold's init draws and
+    shuffler stream, ``np.array_split`` chunks of its shuffled ID and OOD
+    rows, and plain SGD. Returns the sub-detectors and the epoch losses (the
+    mean over folds of each fold's mean step loss).
+    """
+    from setnet.dataio import make_folds
+    from setnet.ood import init_subddm
+    from setnet.train import holdout_indices, pooled_features
+
+    partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
+    held = set(holdout_indices(bundle, cfg.seed).tolist())
+    train_idx = np.array([i for i in bundle.train_indices() if i not in held], dtype=np.int64)
+    feats = pooled_features(bundle, train_idx)
+    labels = bundle.labels[train_idx]
+    subs = []
+    epoch_losses = np.zeros(cfg.epochs)
+    for i in range(cfg.fold_count):
+        is_ood = np.isin(labels, partition.folds[i])
+        id_rows, ood_rows = np.nonzero(~is_ood)[0], np.nonzero(is_ood)[0]
+        sub = init_subddm(i, partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
+                          np.random.default_rng([cfg.seed, 0xDD, i]))
+        shuffler = np.random.default_rng([cfg.seed, 0xDE, i])
+        for epoch in range(cfg.epochs):
+            id_order = id_rows[shuffler.permutation(id_rows.size)]
+            ood_order = ood_rows[shuffler.permutation(ood_rows.size)]
+            n_steps = max(1, -(-id_order.size // cfg.batch_size))
+            for id_chunk, ood_chunk in zip(np.array_split(id_order, n_steps),
+                                           np.array_split(ood_order, n_steps)):
+                loss, grads = subddm_loss_per_fold(sub, feats[id_chunk], labels[id_chunk],
+                                                   feats[ood_chunk])
+                epoch_losses[epoch] += loss / cfg.fold_count / n_steps
+                for name, p in sub.parameters().items():
+                    p -= cfg.learning_rate * grads[name]
+        subs.append(sub)
+    return subs, epoch_losses.tolist()

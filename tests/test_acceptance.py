@@ -16,13 +16,13 @@ from setnet.metrics import harmonic_mean, per_class_accuracy, per_class_top1, tn
 from setnet.model import (attention_maps, diversity_loss, ensemble_logits,
                           predict, total_loss)
 from setnet.ood import (calibrate_theta, confidence, disagreement, init_subddm,
-                        partition_classes, subddm_loss)
+                        partition_classes, stack_subddms, subddm_loss)
 from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import (TrainConfig, calibrate_ensemble, load_setnet_checkpoint,
                           save_checkpoint, train_ddm, train_setnet)
 
 import conftest
-from conftest import random_model, random_table, safe_instance
+from conftest import random_model, random_table, safe_instance, stacked_batch
 from oracles import (confidence_brute, disagreement_brute, diversity_brute,
                      ensemble_logits_brute, hellinger_sq_brute, per_class_top1_brute,
                      ridge_prototype_acc, tnr_at_fnr_brute)
@@ -79,27 +79,34 @@ def test_criterion_1_gradient_fidelity():
                                 model.parameters(), eps=1e-4)
             worst_total[batch] = max(worst_total[batch], err)
 
+    # the fold-stacked detector loss at I=3: 5 classes in folds of 2, 2 and 1
+    # give 3, 3 and 4 ID classes, so two folds have a padded output column,
+    # and the folds' row counts differ, so the stack has padding rows
     worst_sub = 0.0
     classes = list(range(5))
     for seed in range(20):
         rng = np.random.default_rng([seed, 0xACC1])
         part = partition_classes(classes, 3, seed)
-        sub = init_subddm(0, part.id_classes(0), 8, 16, rng)
-        maps = rng.normal(size=(7, 4, 4, 8))
-        feats = maps.mean(axis=(1, 2))
-        id_labels = rng.choice(sub.id_class_ids, size=4)
-        z1 = feats @ sub.w1 + sub.b1
-        if np.abs(z1).min() < 1e-3:
-            sub.b1[:] += 2e-3  # keep the probe off the ReLU kink
-        err = dm.grad_check(
-            lambda p: subddm_loss(sub, feats[:4], id_labels, feats[4:]),
-            sub.parameters(), eps=1e-4)
-        worst_sub = max(worst_sub, err)
+        subs = [init_subddm(i, part.id_classes(i), 8, 16, rng) for i in range(3)]
+        chunks = []
+        for sub, (n_id, n_ood) in zip(subs, [(4, 3), (3, 2), (2, 1)]):
+            feats = rng.normal(size=(n_id + n_ood, 4, 4, 8)).mean(axis=(1, 2))
+            if np.abs(feats @ sub.w1 + sub.b1).min() < 1e-3:
+                sub.b1[:] += 2e-3  # keep the probe off the ReLU kink
+            chunks.append((feats[:n_id], rng.choice(sub.id_class_ids, size=n_id), feats[n_id:]))
+        params, counts = stack_subddms(subs)
+        batch = stacked_batch(subs, chunks)
+
+        def fold_sum(p):
+            losses, grads = subddm_loss(p, counts, *batch)
+            return float(losses.sum()), grads
+
+        worst_sub = max(worst_sub, dm.grad_check(fold_sum, params, eps=1e-4))
 
     elapsed = time.perf_counter() - t0
     report(1, max(worst_total.values()) <= 1e-4 and worst_sub <= 1e-4 and elapsed < 30,
            f"grad_check max rel err: total_loss B=1 {worst_total[1]:.2e}, "
-           f"B=3 {worst_total[3]:.2e}, subddm_loss {worst_sub:.2e} (<=1e-4), "
+           f"B=3 {worst_total[3]:.2e}, stacked subddm_loss I=3 {worst_sub:.2e} (<=1e-4), "
            f"{elapsed:.1f}s (<30s)")
 
 

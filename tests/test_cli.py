@@ -281,6 +281,60 @@ def test_eval_ood_curves(workdir, tmp_path):
     assert len(lines) == 1 + 8
 
 
+@pytest.fixture(scope="module")
+def foreign(workdir, tmp_path_factory):
+    """A detector trained and calibrated on a seed-1 bundle, and a seed-2
+    bundle it was not trained on."""
+    root = tmp_path_factory.mktemp("foreign")
+    bundles = {seed: root / f"seed{seed}.sdnb" for seed in (1, 2)}
+    for seed, path in bundles.items():
+        assert main(["gen-synth", "--config", str(workdir["cfg"]), "--out", str(path),
+                     "--seed", str(seed)]) == 0
+    ddm, calibrated = root / "ddm1.sdnc", root / "ddm1-cal.sdnc"
+    assert main(["train-ddm", "--bundle", str(bundles[1]), "--config", str(workdir["cfg"]),
+                 "--out", str(ddm), "--learning-rate", "0.2"]) == 0
+    assert main(["calibrate", "--ddm", str(ddm), "--bundle", str(bundles[1]),
+                 "--fnr", "0.11", "--out", str(calibrated)]) == 0
+    return {"bundles": bundles, "ddm": calibrated}
+
+
+def eval_argv(command, setnet, ddm, bundle, report):
+    models = ["--zsl", str(setnet)] if command == "eval-gzsl" else []
+    return [command, *models, "--ddm", str(ddm), "--bundle", str(bundle), "--report", str(report)]
+
+
+@pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
+def test_eval_refuses_a_bundle_the_detector_was_not_trained_on(workdir, foreign, tmp_path,
+                                                               capsys, command):
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    rc = main(eval_argv(command, workdir["setnet"], foreign["ddm"], foreign["bundles"][2], report))
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert rc == 1 and not report.exists() and captured.out == ""
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert "not the bundle the detector was trained on" in err_lines[0]
+    assert main(eval_argv(command, workdir["setnet"], foreign["ddm"], foreign["bundles"][1], report)) == 0
+
+
+@pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
+def test_eval_warns_for_a_detector_without_bundle_digest(workdir, tmp_path, capsys, command):
+    from setnet.train import save_checkpoint
+    ensemble, cfg = load_ddm_checkpoint(workdir["calibrated"])
+    ensemble.bundle_sha256 = None
+    bare = tmp_path / "bare.sdnc"
+    save_checkpoint(bare, ensemble, cfg)
+    reports = {ddm: tmp_path / f"{ddm.stem}.json" for ddm in (bare, workdir["calibrated"])}
+    capsys.readouterr()
+    assert main(eval_argv(command, workdir["setnet"], bare, workdir["bundle"], reports[bare])) == 0
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("warning:")
+    assert main(eval_argv(command, workdir["setnet"], workdir["calibrated"], workdir["bundle"],
+                          reports[workdir["calibrated"]])) == 0
+    assert capsys.readouterr().err == ""
+    assert reports[bare].read_bytes() == reports[workdir["calibrated"]].read_bytes()
+
+
 def test_eval_reports_idempotent(workdir, tmp_path):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for p in (p1, p2):

@@ -1,0 +1,64 @@
+"""Golden digests: the determinism contract as a test.
+
+A fixed tiny config runs every CLI stage in process, and the SHA-256 of
+every bundle, checkpoint and report it writes is pinned below. Identical
+seeds must give identical bytes across changes as well as within one run.
+The digests depend on the floating-point build (numpy and its BLAS), so a
+different build may need its own baseline. Change a digest only on purpose,
+and log every re-baseline in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from setnet.cli import main
+
+SYNTH = {"seen_classes": 5, "unseen_classes": 2, "samples_per_class": 10,
+         "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
+         "attrs_per_class": 2, "noise": 0.1, "jitter": 1, "seed": 7}
+TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
+         "head_count": 2, "hidden_channels": 4, "fold_count": 3, "ddm_hidden": 8}
+
+GOLDEN = {
+    "data.sdnb": "c2dfb00b49e7db75abd1c207ced6b8dab1c94ccbd8f451f612f5640f25c048d2",
+    "zsl.sdnc": "22ce795868d7fb430172e641a37d06712938f9d8d3bb14d81a42d9060d72ef4d",
+    "gzsl.sdnc": "edbbac7858d30739826ca60350a6ff21ae1ddb07cc084f3ee160c34e692886a1",
+    "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
+    "ddm.sdnc": "2313eb445985414ccfdd57dd8a303eac5a231ae40d89f4a3e768528dd0327a5a",
+    "ddm-cal.sdnc": "67647538c5af33b5072d683636cb33e4d8fb890c3a55de57b1caebca2532c188",
+    "gzsl.json": "8e5248739ac59d54aa576c068ea99989159e3bff59a77a578763e9f6c0bce55c",
+    "ood.json": "3dd849a961806e24f9b39d7b6302ec88511a4309708403f1ea57fbbf3dfcd055",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("gen-synth", "--config", cfg, "--out", root / "data.sdnb")
+    train = ("--bundle", root / "data.sdnb", "--config", cfg)
+    run("train-setnet", *train, "--out", root / "zsl.sdnc")
+    run("train-setnet", *train, "--seed", 1000, "--out", root / "gzsl.sdnc")
+    run("train-ddm", *train, "--learning-rate", 0.2, "--out", root / "ddm.sdnc")
+    run("calibrate", "--ddm", root / "ddm.sdnc", "--bundle", root / "data.sdnb",
+        "--fnr", 0.11, "--out", root / "ddm-cal.sdnc")
+    run("eval-zsl", "--setnet", root / "zsl.sdnc", "--bundle", root / "data.sdnb",
+        "--report", root / "zsl.json")
+    run("eval-gzsl", "--zsl", root / "zsl.sdnc", "--gzsl", root / "gzsl.sdnc",
+        "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
+        "--report", root / "gzsl.json")
+    run("eval-ood", "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
+        "--report", root / "ood.json")
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(artifacts, name):
+    assert artifacts[name] == GOLDEN[name]

@@ -9,10 +9,13 @@ from setnet import diffmath as dm
 from setnet.errors import NotCalibratedError
 from setnet.ood import (DdmEnsemble, Domain, FoldPartition, calibrate_theta,
                         confidence, detect, disagreement, disagreement_degree,
-                        export_degrees_csv, init_subddm, partition_classes, subddm_loss)
+                        export_degrees_csv, init_subddm, partition_classes, stack_subddms,
+                        subddm_loss, unstack_subddms)
 
+from conftest import stacked_batch
 from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_pass,
-                     disagreement_brute, kl_to_uniform_brute, softmax_two_pass)
+                     disagreement_brute, kl_to_uniform_brute, softmax_two_pass,
+                     subddm_loss_per_fold)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,12 @@ def make_sub(rng, in_dim=6, hidden=8, ids=(0, 1, 2)):
     return init_subddm(0, ids, in_dim, hidden, rng)
 
 
+def stacked_loss(subs, chunks, pad=0):
+    """subddm_loss on the stack of ``subs`` for one chunk per fold."""
+    params, counts = stack_subddms(subs)
+    return subddm_loss(params, counts, *stacked_batch(subs, chunks, pad))
+
+
 def test_subddm_loss_saturated_ce():
     rng = np.random.default_rng(0)
     sub = make_sub(rng, ids=(4, 9))
@@ -79,8 +88,9 @@ def test_subddm_loss_saturated_ce():
     sub.w2[:] = 0
     sub.b2[:] = [50.0, 0.0]
     feats = rng.normal(size=(3, 6))
-    loss, _ = subddm_loss(sub, feats, [4, 4, 4], None)
-    assert loss < 1e-6
+    losses, _ = stacked_loss([sub], [(feats, [4, 4, 4], np.empty((0, 6)))])
+    assert losses.shape == (1,)
+    assert losses[0] < 1e-6
 
 
 def test_subddm_loss_uniform_ood_is_zero():
@@ -88,8 +98,8 @@ def test_subddm_loss_uniform_ood_is_zero():
     sub = make_sub(rng)
     sub.w2[:] = 0
     sub.b2[:] = 0
-    loss, grads = subddm_loss(sub, None, None, rng.normal(size=(4, 6)))
-    assert loss == pytest.approx(0.0, abs=1e-12)
+    losses, grads = stacked_loss([sub], [(np.empty((0, 6)), [], rng.normal(size=(4, 6)))])
+    assert losses[0] == pytest.approx(0.0, abs=1e-12)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
@@ -100,7 +110,8 @@ def test_subddm_loss_matches_per_sample_oracle(seed):
     id_feats = rng.normal(size=(5, 6))
     id_labels = rng.choice([0, 1, 2], size=5)
     ood_feats = rng.normal(size=(3, 6))
-    loss, _ = subddm_loss(sub, id_feats, id_labels, ood_feats)
+    losses, _ = stacked_loss([sub], [(id_feats, id_labels, ood_feats)])
+    loss = losses[0]
 
     def forward(x):
         hidden = [max(0.0, sum(x[i] * sub.w1[i, j] for i in range(6)) + sub.b1[j])
@@ -116,6 +127,61 @@ def test_subddm_loss_matches_per_sample_oracle(seed):
     assert loss == pytest.approx(want, abs=1e-10)
 
 
+def ragged_subs(rng, in_dim=6, hidden=8):
+    """Three sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID classes."""
+    part = partition_classes(range(5), 3, seed=0)
+    return [init_subddm(i, part.id_classes(i), in_dim, hidden, rng) for i in range(3)]
+
+
+def ragged_chunks(rng, subs, finished=None):
+    """One chunk per fold with differing ID/OOD row counts, one of them with
+    an empty OOD chunk; ``finished`` names a fold with no rows at all."""
+    sizes = [(4, 2), (3, 0), (2, 3)]
+    chunks = [(rng.normal(size=(n_id, 6)), rng.choice(sub.id_class_ids, size=n_id),
+               rng.normal(size=(n_ood, 6))) for sub, (n_id, n_ood) in zip(subs, sizes)]
+    if finished is not None:
+        chunks[finished] = None
+    return chunks
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("finished", [None, 0, 2])
+def test_stacked_loss_matches_per_fold_oracle(seed, finished):
+    rng = np.random.default_rng([seed, 0x57AC])
+    subs = ragged_subs(rng)
+    chunks = ragged_chunks(rng, subs, finished)
+    losses, grads = stacked_loss(subs, chunks, pad=2)
+    params, counts = stack_subddms(subs)
+    assert sorted(counts.tolist()) == [3, 3, 4]
+    assert losses.shape == (3,)
+    assert set(grads) == set(params)
+    for i, (sub, chunk) in enumerate(zip(subs, chunks)):
+        n = sub.b2.shape[0]
+        if chunk is None:  # a finished fold does not move
+            assert losses[i] == 0.0
+            assert all(not np.any(g[i]) for g in grads.values())
+            continue
+        want, want_grads = subddm_loss_per_fold(sub, *chunk)
+        assert abs(losses[i] - want) <= 1e-12
+        for name, g in want_grads.items():
+            got = grads[name][i][..., :n] if name in ("w2", "b2") else grads[name][i]
+            assert np.abs(got - g).max() <= 1e-12, name
+        # padded output columns get exactly no gradient
+        assert not np.any(grads["w2"][i][:, n:]) and not np.any(grads["b2"][i][n:])
+
+
+def test_stack_round_trip_trims_padding():
+    subs = ragged_subs(np.random.default_rng(12))
+    params, counts = stack_subddms(subs)
+    assert params["w2"].shape == (3, 8, 4) and params["b2"].shape == (3, 4)
+    back = unstack_subddms(params, subs)
+    for a, b in zip(subs, back):
+        assert b.fold_index == a.fold_index
+        np.testing.assert_array_equal(b.id_class_ids, a.id_class_ids)
+        for name, p in a.parameters().items():
+            np.testing.assert_array_equal(b.parameters()[name], p)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_subddm_loss_grad_check(seed):
     rng = np.random.default_rng([seed, 0xBD])
@@ -127,8 +193,14 @@ def test_subddm_loss_grad_check(seed):
     z1 = np.concatenate([id_feats, ood_feats]) @ sub.w1 + sub.b1
     if np.abs(z1).min() < 1e-3:
         sub.b1[:] += 2e-3
-    err = dm.grad_check(lambda p: subddm_loss(sub, id_feats, id_labels, ood_feats),
-                        sub.parameters(), eps=1e-4)
+    params, counts = stack_subddms([sub])
+    batch = stacked_batch([sub], [(id_feats, id_labels, ood_feats)])
+
+    def loss_fn(p):
+        losses, grads = subddm_loss(p, counts, *batch)
+        return float(losses.sum()), grads
+
+    err = dm.grad_check(loss_fn, params, eps=1e-4)
     assert err <= 1e-4
 
 
@@ -136,7 +208,12 @@ def test_subddm_loss_label_outside_id_set():
     rng = np.random.default_rng(2)
     sub = make_sub(rng, ids=(1, 2))
     with pytest.raises(IndexError):
-        subddm_loss(sub, rng.normal(size=(1, 6)), [5], None)
+        stacked_loss([sub], [(rng.normal(size=(1, 6)), [5], np.empty((0, 6)))])
+    params, counts = stack_subddms(ragged_subs(rng))
+    feats = rng.normal(size=(3, 1, 6))
+    labels = np.array([[0], [counts[1]], [0]])  # one past fold 1's last class
+    with pytest.raises(IndexError):
+        subddm_loss(params, counts, feats, labels, np.ones((3, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           save_checkpoint, train_ddm, train_setnet)
 
 from conftest import safe_instance
-from oracles import total_loss_per_sample
+from oracles import total_loss_per_sample, train_ddm_per_fold
 
 
 def params_equal(a: dict, b: dict) -> bool:
@@ -135,6 +135,27 @@ def test_train_ddm_structure():
     assert len(e.sub_ddms) == 2
     assert all(sub.b2.shape == (2,) for sub in e.sub_ddms)
     assert e.theta is None
+
+
+@pytest.mark.parametrize("batch_size", [4, 8])
+def test_stacked_train_ddm_matches_per_fold_oracle(tiny_bundle, batch_size):
+    # 4 seen classes in 3 folds: 2, 3 and 3 ID classes, and folds with
+    # different step counts, so padding columns, padding rows and finished
+    # folds all occur
+    cfg = TrainConfig(seed=2, epochs=3, fold_count=3, ddm_hidden=8, learning_rate=0.2,
+                      batch_size=batch_size)
+    losses = []
+    e = train_ddm(tiny_bundle, cfg, epoch_callback=lambda ep, l: losses.append((ep, l)))
+    subs, want_losses = train_ddm_per_fold(tiny_bundle, cfg)
+    assert sorted(sub.b2.shape[0] for sub in e.sub_ddms) == [2, 3, 3]
+    assert [ep for ep, _ in losses] == [0, 1, 2]
+    assert np.abs(np.array([l for _, l in losses]) - want_losses).max() <= 1e-12
+    for got, want in zip(e.sub_ddms, subs):
+        assert got.fold_index == want.fold_index
+        np.testing.assert_array_equal(got.id_class_ids, want.id_class_ids)
+        for name, p in want.parameters().items():
+            assert got.parameters()[name].shape == p.shape
+            assert np.abs(got.parameters()[name] - p).max() <= 1e-12, name
 
 
 def test_train_ddm_zero_lr_keeps_init(tiny_bundle):
