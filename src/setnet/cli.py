@@ -100,7 +100,7 @@ def _pct(x: float) -> str:
 
 
 def _print_epoch(epoch: int, loss: float) -> None:
-    print(f"{epoch},{repr(float(loss))}")
+    print(f"{epoch},{repr(float(loss))}", flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +122,15 @@ def _train_overrides(args) -> dict:
             "fold_count": args.folds}
 
 
-def _cmd_train_setnet(args) -> None:
+def _cmd_train(args) -> None:
+    """train-setnet and train-ddm: stream the epoch,loss CSV, then save."""
     config = _load_config(args.config)
     cfg = _build(TrainConfig, _section(config, "train"), "train", _train_overrides(args))
     bundle = load_bundle(_require(config, "bundle", args.bundle, "--bundle"))
     out = _require(config, "out", args.out, "--out")
     print("epoch,loss")
-    model = train_setnet(bundle, cfg, epoch_callback=_print_epoch)
-    save_checkpoint(out, model, cfg)
-
-
-def _cmd_train_ddm(args) -> None:
-    config = _load_config(args.config)
-    cfg = _build(TrainConfig, _section(config, "train"), "train", _train_overrides(args))
-    bundle = load_bundle(_require(config, "bundle", args.bundle, "--bundle"))
-    out = _require(config, "out", args.out, "--out")
-    print("epoch,loss")
-    ensemble = train_ddm(bundle, cfg, epoch_callback=_print_epoch)
-    save_checkpoint(out, ensemble, cfg)
+    trainer = train_setnet if args.command == "train-setnet" else train_ddm
+    save_checkpoint(out, trainer(bundle, cfg, epoch_callback=_print_epoch), cfg)
 
 
 def _load_detector(args):
@@ -260,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override synthetic.seed")
     p.set_defaults(func=_cmd_gen_synth)
 
-    for name, handler, desc in (("train-setnet", _cmd_train_setnet, "train a classification model"),
-                                ("train-ddm", _cmd_train_ddm, "train a detector ensemble")):
+    for name, desc in (("train-setnet", "train a classification model"),
+                       ("train-ddm", "train a detector ensemble")):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--bundle", help="input bundle path")
         p.add_argument("--config", required=True, help="run config JSON with a 'train' section")
@@ -273,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heads", type=int, help="attention/projector head count")
         p.add_argument("--diversity-weight", type=float)
         p.add_argument("--folds", type=int, help="detector fold count")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("calibrate", help="set the detector threshold from held-out seen data")
     p.add_argument("--ddm", required=True, help="trained detector checkpoint")

@@ -3,17 +3,20 @@
 Tensors are plain C-order ``numpy`` arrays in float64. The losses and their
 gradients work row-wise on the last axis, so a ``(B, D)`` batch of logits or
 distributions costs one call: a 1-D input gives a ``float`` and a batch gives
-the ``(B,)`` per-row values. The layers (``matmul``, ``relu``, ``conv1x1``,
-the spatial softmax) take whole batches too and come with ``*_backward``
-companions, so the training losses in ``model`` and ``ood`` chain them into
-one batched backward pass per model, and ``grad_check`` verifies any such
-composition against central finite differences.
+the ``(B,)`` per-row values; ``softmax_with_log`` feeds a training loss and
+its gradient from one softmax pass. The layers (``matmul``, ``relu``,
+``conv1x1``, the spatial softmax) take whole batches too and come with
+``*_backward`` companions, so the training losses in ``model`` and ``ood``
+chain them into one batched backward pass per model, and ``grad_check``
+verifies any such composition against central finite differences.
 
 A gradient set is a ``dict`` mapping parameter name -> gradient array of the
 same shape as the parameter.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,14 +27,7 @@ GradientSet = dict[str, np.ndarray]
 HELLINGER_CLAMP = 1e-12
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def require_finite(name: str, x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return x
+_as_f64 = functools.partial(np.asarray, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -45,25 +41,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
+def softmax_with_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and log-softmax over the last axis from one max/exp/sum pass;
+    the softmax is bitwise equal to ``softmax``'s."""
     z = _as_f64(logits)
     z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, z - np.log(s)
 
 
 def spatial_softmax(logits: np.ndarray) -> np.ndarray:
-    """Per-head softmax over all H*W positions of a (K, H, W) logit stack.
-
-    Each output slice is nonnegative and sums to 1; stabilized by per-map
-    max subtraction.
-    """
+    """Per-head softmax over all H*W positions of a (K, H, W) logit stack;
+    each output slice is nonnegative and sums to 1."""
     z = _as_f64(logits)
     if z.ndim != 3:
         raise ValueError(f"expected (K, H, W) logits, got shape {z.shape}")
-    require_finite("logits", z)
-    k, h, w = z.shape
-    flat = softmax(z.reshape(k, h * w))
-    return flat.reshape(k, h, w)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits contains non-finite values")
+    return softmax(z.reshape(z.shape[0], -1)).reshape(z.shape)
 
 
 def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndarray:
@@ -92,13 +88,12 @@ def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
     return float(1.0 - np.sqrt(p * q).sum())
 
 
-def hellinger_sq_grad(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise gradients of hellinger_sq w.r.t. p and q, which broadcast
-    against each other; sqrt arguments are clamped to >= HELLINGER_CLAMP."""
-    p = np.maximum(_as_f64(p), HELLINGER_CLAMP)
-    q = np.maximum(_as_f64(q), HELLINGER_CLAMP)
-    ratio = np.sqrt(q / p)
-    return -0.5 * ratio, -0.5 / ratio
+def hellinger_sq_grad(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise gradient -sqrt(q / p) / 2 of hellinger_sq w.r.t. p, for p
+    and q that broadcast against each other, with both clamped to >=
+    HELLINGER_CLAMP; by symmetry the q-gradient is hellinger_sq_grad(q, p)."""
+    p, q = (np.maximum(_as_f64(a), HELLINGER_CLAMP) for a in (p, q))
+    return -0.5 * np.sqrt(q / p)
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +109,28 @@ def _onehot(z: np.ndarray, label) -> np.ndarray:
     labels = np.asarray(label)
     if labels.shape != z.shape[:-1]:
         raise ValueError(f"expected labels of shape {z.shape[:-1]}, got {labels.shape}")
-    n = z.shape[-1]
-    bad = (labels < 0) | (labels >= n)
-    if bad.any():
-        raise IndexError(f"label {labels[bad][0]} out of range for {n} logits")
-    return np.arange(n) == labels[..., None]
+    hot = np.arange(z.shape[-1]) == labels[..., None]
+    if np.count_nonzero(hot) != labels.size:  # a row without its one True
+        bad = labels[~hot.any(axis=-1)][0]
+        raise IndexError(f"label {bad} out of range for {z.shape[-1]} logits")
+    return hot
+
+
+def cross_entropy(p: np.ndarray, log_p: np.ndarray, label) -> tuple:
+    """Per-row CE -log_p[label] and dCE/dlogits = p - onehot(label), from
+    ``softmax_with_log(logits)``."""
+    hot = _onehot(log_p, label)
+    return _per_row(-log_p[hot].reshape(log_p.shape[:-1]), log_p.ndim), p - hot
 
 
 def cross_entropy_from_logits(logits: np.ndarray, label):
     """-log softmax(logits)[label] per row, log-sum-exp stabilized."""
-    z = _as_f64(logits)
-    picked = log_softmax(z)[_onehot(z, label)].reshape(z.shape[:-1])
-    return _per_row(-picked, z.ndim)
+    return cross_entropy(*softmax_with_log(logits), label)[0]
 
 
 def cross_entropy_grad(logits: np.ndarray, label) -> np.ndarray:
     """dCE/dlogits = softmax(logits) - onehot(label), per row."""
-    z = _as_f64(logits)
-    return softmax(z) - _onehot(z, label)
+    return cross_entropy(*softmax_with_log(logits), label)[1]
 
 
 def entropy(p: np.ndarray):
@@ -158,17 +157,16 @@ def kl_to_uniform(p: np.ndarray, classes=None):
 
 
 def kl_to_uniform_grad_logits(logits: np.ndarray, classes=None) -> np.ndarray:
-    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row.
+    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row."""
+    return kl_to_uniform_grad_log(softmax_with_log(logits)[1], classes)
 
-    With p = softmax(z) and g = log p + log C this is p * (g - p.g), and 0
-    where p is 0, so logits masked with -inf get a zero gradient. ``classes``
-    is C per row, as in ``kl_to_uniform``.
-    """
-    z = _as_f64(logits)
-    if z.shape[-1] == 0:
-        raise ValueError("empty logits")
-    c = z.shape[-1] if classes is None else np.asarray(classes)[..., None]
-    log_p = log_softmax(z)
+
+def kl_to_uniform_grad_log(log_p: np.ndarray, classes=None) -> np.ndarray:
+    """``kl_to_uniform_grad_logits`` from log_p = log softmax(z): with p = e^log_p
+    and g = log p + log C it is p * (g - p.g), and 0 where p is 0, so logits
+    masked with -inf get a zero gradient. ``classes`` is C per row, as in
+    ``kl_to_uniform``."""
+    c = log_p.shape[-1] if classes is None else np.asarray(classes)[..., None]
     p = np.exp(log_p)
     g = np.where(p > 0, log_p + np.log(c), 0.0)
     return p * (g - (p * g).sum(axis=-1, keepdims=True))
@@ -185,7 +183,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matmul_backward(a: np.ndarray, b: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (dL/da, dL/db) for matmul, given grad = dL/d(a @ b)."""
     g = _as_f64(grad)
-    return g @ np.swapaxes(_as_f64(b), -1, -2), np.swapaxes(_as_f64(a), -1, -2) @ g
+    return g @ _as_f64(b).swapaxes(-1, -2), _as_f64(a).swapaxes(-1, -2) @ g
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -208,14 +206,14 @@ def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conv1x1_backward(x: np.ndarray, w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dL/dx, dL/dw, dL/db) for conv1x1; dw and db sum over every cell."""
+    return _as_f64(grad) @ _as_f64(w).T, *conv1x1_param_grads(x, grad)
+
+
+def conv1x1_param_grads(x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dw, dL/db) of ``conv1x1_backward``, for an input needing no gradient."""
     x = _as_f64(x)
-    g = _as_f64(grad)
-    cin = x.shape[-1]
-    cout = g.shape[-1]
-    gx = g @ _as_f64(w).T
-    gw = x.reshape(-1, cin).T @ g.reshape(-1, cout)
-    gb = g.reshape(-1, cout).sum(axis=0)
-    return gx, gw, gb
+    g = _as_f64(grad).reshape(-1, np.shape(grad)[-1])
+    return x.reshape(-1, x.shape[-1]).T @ g, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

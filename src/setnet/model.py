@@ -10,9 +10,12 @@ diversity regularizer is the sum of pairwise squared Hellinger distances
 between the attention maps, pushing the heads to attend to different
 regions.
 
-The training loss and inference (``class_scores``, ``predict``) take a
-(B, H, W, C) batch and run one shared forward for it; a single (H, W, C) map
-runs as a batch of one and gives an unbatched result.
+The training loss and inference (``attention_maps``, ``class_scores``,
+``predict``) take a (B, H, W, C) batch and run one shared forward for it; a
+single (H, W, C) map runs as a batch of one and gives an unbatched result.
+``total_loss`` checks its labels and runs ``loss_and_grads``, which the
+trainer calls directly: one softmax pass gives the CE loss and its gradient,
+and only the p half of each pairwise Hellinger gradient is formed.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ class AttentionStack:
             raise ValueError("hidden channel mismatch between the two layers")
         if self.head_count < 1 or self.hidden_channels < 1:
             raise ValueError("head and hidden channel counts must be >= 1")
-
-    @property
-    def in_channels(self) -> int:
-        return self.w1.shape[0]
 
     @property
     def hidden_channels(self) -> int:
@@ -198,14 +197,16 @@ def _pool(model: SetNetModel, fmaps: np.ndarray):
     x = fmaps.reshape(b, h * w, c)
     z1 = dm.conv1x1(fmaps, att.w1, att.b1).reshape(b, h * w, -1)
     r = dm.relu(z1)
-    maps = dm.softmax(np.swapaxes(dm.matmul(r, att.w2), 1, 2))
+    maps = dm.softmax(dm.matmul(r, att.w2).swapaxes(1, 2))
     return x, z1, r, maps, maps @ x
 
 
-def attention_maps(model: SetNetModel, fmap: np.ndarray) -> np.ndarray:
-    """K spatial attention maps of an (H, W, C) map; each (H, W) slice sums to 1."""
-    maps = _pool(model, np.asarray(fmap)[None])[3][0]
-    return maps.reshape(model.head_count, *np.shape(fmap)[:2])
+def attention_maps(model: SetNetModel, fmaps: np.ndarray) -> np.ndarray:
+    """K spatial attention maps per feature map, each (H, W) slice summing to
+    1: (K, H, W) for one (H, W, C) map, (B, K, H, W) for a batch."""
+    fmaps = np.asarray(fmaps)
+    maps = _pool(model, fmaps if fmaps.ndim == 4 else fmaps[None])[3]
+    return maps.reshape(*fmaps.shape[:-3], model.head_count, *fmaps.shape[-3:-1])
 
 
 def attentive_features(fmap: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -232,20 +233,22 @@ def diversity_loss(maps: np.ndarray):
     flat = maps.reshape(-1, k, maps.shape[-2] * maps.shape[-1])
     # Bhattacharyya coefficients for all pairs at once.
     roots = np.sqrt(np.maximum(flat, 0.0))
-    bc = roots @ np.swapaxes(roots, 1, 2)
+    bc = roots @ roots.swapaxes(1, 2)
     off_diag = bc.sum(axis=(1, 2)) - np.trace(bc, axis1=1, axis2=2)
     values = k * (k - 1) - off_diag
     return float(values[0]) if maps.ndim == 3 else values
 
 
 def _diversity_grad(flat: np.ndarray) -> np.ndarray:
-    """dL_div/da for vectorized maps (..., K, T), with clamped sqrt arguments."""
-    k = flat.shape[-2]
-    # grad_p[..., i, j, :] = d hellinger_sq(a_i, a_j) / d a_i; head i is the
-    # first argument of pair (i, j) and, symmetrically, the second of (j, i)
-    grad_p, _ = dm.hellinger_sq_grad(flat[..., :, None, :], flat[..., None, :, :])
-    off_diag = ~np.eye(k, dtype=bool)[:, :, None]
-    return 2.0 * (grad_p * off_diag).sum(axis=-2)
+    """dL_div/da for a (B, K, T) batch of vectorized maps."""
+    # grad_p[j, b, i, :] = d hellinger_sq(a_i, a_j) / d a_i, head i being the
+    # first argument of pair (i, j) and, symmetrically, the second of (j, i).
+    # j leads so its sum is whole-array adds; i == j terms get a mask's -0.0.
+    flat = np.ascontiguousarray(flat)  # _pool's maps are strided; this halves the cost
+    grad_p = dm.hellinger_sq_grad(flat, flat.swapaxes(0, 1)[:, :, None, :])
+    for j in range(flat.shape[1]):
+        grad_p[j, :, j] = -0.0
+    return 2.0 * grad_p.sum(axis=0)
 
 
 def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable) -> np.ndarray:
@@ -261,9 +264,9 @@ def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable)
     if table.semantic_dim != model.projectors.semantic_dim:
         raise ValueError(f"semantic dim mismatch: table {table.semantic_dim} vs projectors {model.projectors.semantic_dim}")
     # heads lead, so all K projectors apply as one stacked product: (K, B, S)
-    per_head = np.swapaxes(feats.reshape(-1, k, feats.shape[-1]), 0, 1)
+    per_head = feats.reshape(-1, k, feats.shape[-1]).swapaxes(0, 1)
     projected = dm.matmul(per_head, model.projectors.weights) + model.projectors.biases[:, None, :]
-    logits = projected.mean(axis=0) @ table.vectors.T
+    logits = (projected.sum(axis=0) / k) @ table.vectors.T  # the head mean
     return logits[0] if feats.ndim == 2 else logits
 
 
@@ -310,44 +313,46 @@ def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
     """
     if diversity_sign not in (1, -1):
         raise ValueError("diversity_sign must be +1 or -1")
+    rows = table.indices_of(labels)
+    if rows.shape != np.shape(fmaps)[:1]:
+        raise ValueError(f"expected {np.shape(fmaps)[0]} labels, got shape {rows.shape}")
+    if rows.size == 0:
+        raise ValueError("empty batch")
+    total, grads = loss_and_grads(model, fmaps, rows, table, diversity_sign)
+    heads = [g for pair in zip(grads[3], grads[4]) for g in pair]  # proj.k.w, proj.k.b
+    return total, dict(zip(model.parameters(), [*grads[:3], *heads]))
+
+
+def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,
+                   table: SemanticTable, diversity_sign: int) -> tuple[float, tuple]:
+    """``total_loss`` for a nonempty batch whose labels are the table rows
+    ``rows``, unchecked. The gradient is the tuple of attention w1, b1, w2,
+    (K, V, S) projector weights and (K, S) projector biases."""
     x, z1, r, maps, feats = _pool(model, fmaps)
     b, h, w = np.shape(fmaps)[:3]
-    label_idx = table.indices_of(labels)
-    if label_idx.shape != (b,):
-        raise ValueError(f"expected {b} labels, got shape {label_idx.shape}")
-    if b == 0:
-        raise ValueError("empty batch")
-    att = model.attention
+    att, proj = model.attention, model.projectors
     k = model.head_count
 
     scores = ensemble_logits(model, feats, table)  # (B, D)
-    l_cls = dm.cross_entropy_from_logits(scores, label_idx)
+    l_cls, d_scores = dm.cross_entropy(*dm.softmax_with_log(scores), rows)
     l_div = diversity_loss(maps[:, :, None, :])    # as (B, K, 1, T) stacks
     div_scale = diversity_sign * model.diversity_weight
-    total = float(np.mean(l_cls + div_scale * l_div))
+    total = float((l_cls + div_scale * l_div).sum() / b)  # the batch mean
 
     # backward: classification path; every head sees the same d_projected
-    d_scores = dm.cross_entropy_grad(scores, label_idx) / b
-    d_projected = (d_scores @ table.vectors) / k   # (B, S)
-    d_per_head, d_proj_w = dm.matmul_backward(np.swapaxes(feats, 0, 1), model.projectors.weights,
-                                                d_projected)
-    d_proj_b = d_projected.sum(axis=0)
-    d_maps = np.swapaxes(d_per_head, 0, 1) @ np.swapaxes(x, 1, 2)   # (B, K, T)
-
-    # backward: diversity path
-    d_maps += (div_scale / b) * _diversity_grad(maps)
+    d_projected = ((d_scores / b) @ table.vectors) / k   # (B, S)
+    d_per_head, d_proj_w = dm.matmul_backward(feats.swapaxes(0, 1), proj.weights, d_projected)
+    d_proj_b = d_projected.sum(axis=0)[None].repeat(k, axis=0)
+    d_maps = d_per_head.swapaxes(0, 1) @ x.swapaxes(1, 2)   # (B, K, T)
+    d_maps += (div_scale / b) * _diversity_grad(maps)       # the diversity path
 
     # through the per-head softmax and the conv stack
     d_logits = dm.spatial_softmax_backward(maps.reshape(b, k, h, w), d_maps.reshape(b, k, h, w))
-    d_z2 = np.swapaxes(d_logits.reshape(b, k, h * w), 1, 2)   # (B, T, K)
+    d_z2 = d_logits.reshape(b, k, h * w).swapaxes(1, 2)   # (B, T, K)
     d_r, d_w2 = dm.matmul_backward(r.reshape(b * h * w, -1), att.w2, d_z2.reshape(b * h * w, k))
     d_z1 = dm.relu_backward(z1, d_r.reshape(z1.shape))
-    _, d_w1, d_b1 = dm.conv1x1_backward(x, att.w1, d_z1)
-    grads: GradientSet = {"attn.w1": d_w1, "attn.b1": d_b1, "attn.w2": d_w2}
-    for i in range(k):
-        grads[f"proj.{i}.w"] = d_proj_w[i]
-        grads[f"proj.{i}.b"] = d_proj_b
-    return total, grads
+    d_w1, d_b1 = dm.conv1x1_param_grads(x, d_z1)
+    return total, (d_w1, d_b1, d_w2, d_proj_w, d_proj_b)
 
 
 # ---------------------------------------------------------------------------

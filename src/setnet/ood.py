@@ -14,9 +14,10 @@ A degree below the calibrated threshold flags the input as unseen.
 Training stacks the I sub-detectors on a leading fold axis (output columns
 zero-padded to the widest fold and masked out of the loss), so one
 ``subddm_loss`` call gives every fold's loss and gradient for a training
-step. Confidences and degrees are computed row-wise for a (B, C) batch of
-pooled features, with one forward per sub-detector; a single (C,) feature
-gives scalars.
+step, from one softmax pass shared by the CE, the KL and their gradients.
+Confidences and degrees are computed row-wise for a (B, C) batch of pooled
+features, with one forward per sub-detector; a single (C,) feature gives
+scalars.
 """
 
 from __future__ import annotations
@@ -106,15 +107,6 @@ class SubDdm:
             raise ValueError(f"expected (B, {self.in_dim}) features, got {feats.shape}")
         return np.maximum(feats @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
 
-    def local_labels(self, class_ids) -> np.ndarray:
-        """Output index of every given ID class id, in the given order."""
-        ids = np.asarray(class_ids, dtype=np.int64)
-        hits = ids[..., None] == self.id_class_ids
-        missing = ~hits.any(axis=-1)
-        if missing.any():
-            raise IndexError(f"class id {ids[missing][0]} is not an ID class of fold {self.fold_index}")
-        return hits.argmax(axis=-1)
-
     def parameters(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
                 f"{prefix}w2": self.w2, f"{prefix}b2": self.b2}
@@ -185,14 +177,14 @@ def subddm_loss(params: GradientSet, class_counts, feats: np.ndarray, labels,
     live = np.arange(w2.shape[-1]) < counts  # (I, N) real output columns
     z2 = np.where(live[:, None], dm.matmul(r, w2) + params["b2"][:, None], -np.inf)
     ood = labels < 0
-    id_labels = np.where(ood, 0, labels)
-    row_losses = np.where(ood, dm.kl_to_uniform(dm.softmax(z2), counts),
-                          dm.cross_entropy_from_logits(z2, id_labels))
-    d_z2 = weights[..., None] * np.where(ood[..., None], dm.kl_to_uniform_grad_logits(z2, counts),
-                                         dm.cross_entropy_grad(z2, id_labels))
+    p, log_p = dm.softmax_with_log(z2)  # one softmax pass for the CE and the KL
+    ce, d_ce = dm.cross_entropy(p, log_p, np.where(ood, 0, labels))
+    row_losses = np.where(ood, dm.kl_to_uniform(p, counts), ce)
+    d_z2 = weights[..., None] * np.where(ood[..., None], dm.kl_to_uniform_grad_log(log_p, counts),
+                                         d_ce)
     d_r, d_w2 = dm.matmul_backward(r, w2, d_z2)
     d_z1 = dm.relu_backward(z1, d_r)
-    grads = {"w1": np.swapaxes(feats, 1, 2) @ d_z1, "b1": d_z1.sum(axis=1),
+    grads = {"w1": feats.swapaxes(1, 2) @ d_z1, "b1": d_z1.sum(axis=1),
              "w2": d_w2, "b2": d_z2.sum(axis=1)}
     return (weights * row_losses).sum(axis=1), grads
 

@@ -4,12 +4,14 @@ plus the binary checkpoint format.
 Both models train through one loop, ``_sgd``: plain SGD (no momentum, no
 weight decay), one batched loss call and one ``_sgd_step`` per step, a
 seeded per-epoch shuffle, and the last partial batch kept, so a (bundle,
-config) pair fully determines the result bitwise. The detector's I folds
-train as one fold-stacked model: each step gathers every fold's minibatch
-into one padded stack, and a fold that has run out of steps for the epoch
-gets all-zero row weights, so it does not move. A step whose loss is not
-finite stops training with a ``FloatingPointError`` that names the epoch
-and step, and the fold for the detector.
+config) pair fully determines the result bitwise. Labels are checked once
+per run, and the model's arrays become views of one flat buffer that each
+step updates in place with a gradient in the same layout. The detector's I
+folds train as one fold-stacked model: each step gathers every fold's
+minibatch into one padded stack, and a fold that has run out of steps for
+the epoch gets all-zero row weights, so it does not move. A step whose loss
+is not finite stops training with a ``FloatingPointError`` that names the
+epoch and step, and the fold for the detector.
 
 Checkpoint layout (little-endian):
 
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetBundle, make_folds
+from .dataio import DatasetBundle, _Cursor, make_folds
 from .diffmath import spatial_mean
 from .errors import FormatError
-from .model import SetNetModel, init_setnet, total_loss
+from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, SubDdm, calibrate_theta, disagreement_degree, init_subddm,
                   stack_subddms, subddm_loss, unstack_subddms)
 
@@ -84,15 +86,21 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *tags])
 
 
-def _sgd_step(params: dict[str, np.ndarray], grads, lr: float) -> None:
-    for name in params:
-        params[name] -= lr * grads[name]
+def _flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat buffer holding copies of ``arrays``, and views of it shaped like them."""
+    flat = np.concatenate(arrays, axis=None)
+    ends = np.cumsum([a.size for a in arrays])
+    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    params -= lr * grads
 
 
 def _require_finite_loss(loss, epoch: int, step: int) -> None:
     """Raise on a non-finite step loss: a float, or one per detector fold."""
     finite = np.isfinite(loss)
-    if np.all(finite):
+    if finite.all():
         return
     bad = int(np.argmin(finite))
     fold = f"fold {bad}, " if np.ndim(loss) else ""
@@ -100,17 +108,16 @@ def _require_finite_loss(loss, epoch: int, step: int) -> None:
                              f"at {fold}epoch {epoch}, step {step}")
 
 
-def _sgd(params: dict[str, np.ndarray], cfg: TrainConfig, plan_epoch, step_loss,
+def _sgd(params: np.ndarray, cfg: TrainConfig, plan_epoch, step_loss,
          epoch_callback=None) -> None:
-    """The SGD loop of both trainers; updates ``params`` in place.
+    """The SGD loop of both trainers; updates the flat ``params`` in place.
 
     At the start of every epoch ``plan_epoch()`` draws that epoch's
     minibatches and returns ``(steps, divisor)``: ``steps`` pairs each
-    minibatch with the weight its loss carries in the epoch loss, which is
-    their weighted sum over ``divisor``. ``step_loss(batch)`` returns the
-    minibatch loss (a float, or an array with one loss per fold) and its
-    gradient set. ``epoch_callback(epoch, loss)`` sees each epoch's loss as
-    the epoch ends.
+    minibatch with the weight its loss carries in the epoch loss, their
+    weighted sum over ``divisor``. ``step_loss(batch)`` returns the loss (a
+    float, or one per fold) and its gradient, flat like ``params``.
+    ``epoch_callback(epoch, loss)`` sees each epoch's loss as it ends.
     """
     for epoch in range(cfg.epochs):
         steps, divisor = plan_epoch()
@@ -142,6 +149,11 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
                         seen_table.semantic_dim, cfg.diversity_weight,
                         _rng(cfg.seed, 0x11))
     shuffler = _rng(cfg.seed, 0x12)
+    rows = np.zeros(bundle.sample_count, dtype=np.int64)
+    rows[train_idx] = seen_table.indices_of(bundle.labels[train_idx])
+    att, proj = model.attention, model.projectors
+    flat, (att.w1, att.b1, att.w2, proj.weights, proj.biases) = _flatten(
+        [att.w1, att.b1, att.w2, proj.weights, proj.biases])
 
     def plan_epoch():
         order = train_idx[shuffler.permutation(train_idx.size)]
@@ -150,10 +162,11 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
         return [(batch, batch.size) for batch in batches], order.size
 
     def step_loss(batch):
-        return total_loss(model, bundle.features[batch], bundle.labels[batch],
-                          seen_table, diversity_sign=cfg.diversity_sign)
+        loss, grads = loss_and_grads(model, bundle.features[batch], rows[batch], seen_table,
+                                     cfg.diversity_sign)
+        return loss, np.concatenate(grads, axis=None)
 
-    _sgd(model.parameters(), cfg, plan_epoch, step_loss, epoch_callback)
+    _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
     return model
 
 
@@ -215,6 +228,8 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     subs = [init_subddm(i, partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
                         _rng(cfg.seed, 0xDD, i)) for i in range(folds)]
     params, counts = stack_subddms(subs)
+    flat, views = _flatten(list(params.values()))
+    params = dict(zip(params, views))
     shufflers = [_rng(cfg.seed, 0xDE, i) for i in range(folds)]
 
     # Row n of feats is the zero padding row. local[i, row] is the row's
@@ -224,7 +239,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     for i, sub in enumerate(subs):
         is_ood = np.isin(labels, partition.folds[i])
         id_rows, ood_rows = np.flatnonzero(~is_ood), np.flatnonzero(is_ood)
-        local[i, id_rows] = sub.local_labels(labels[id_rows])
+        local[i, id_rows] = np.searchsorted(sub.id_class_ids, labels[id_rows])  # sorted ids
         n_steps = max(1, -(-id_rows.size // cfg.batch_size))
         id_step, id_off, id_sizes = _split_slots(id_rows.size, n_steps)
         ood_step, ood_off, ood_sizes = _split_slots(ood_rows.size, n_steps)
@@ -251,9 +266,10 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
 
     def step_loss(batch):
         rows, row_weights = batch
-        return subddm_loss(params, counts, feats[rows], local[fold_axis, rows], row_weights)
+        loss, grads = subddm_loss(params, counts, feats[rows], local[fold_axis, rows], row_weights)
+        return loss, np.concatenate([grads[name] for name in params], axis=None)
 
-    _sgd(params, cfg, plan_epoch, step_loss, epoch_callback)
+    _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
     return DdmEnsemble(sub_ddms=unstack_subddms(params, subs), theta=None,
                        bundle_sha256=bundle.sha256)
 
@@ -310,7 +326,6 @@ class _Tensors(dict):
 
 
 def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
-    from .dataio import _Cursor  # same cursor, same error discipline
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read())
     if cur.take(4, "magic") != CKPT_MAGIC:
@@ -368,7 +383,6 @@ def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
     kind, cfg, tensors = _read_checkpoint(path)
     if kind != "setnet":
         raise FormatError(f"checkpoint holds a {kind!r} model, not 'setnet'")
-    from .model import AttentionStack, ProjectorEnsemble
     k = cfg.head_count
     attention = AttentionStack(w1=tensors["attn.w1"], b1=tensors["attn.b1"],
                                w2=tensors["attn.w2"])

@@ -83,7 +83,7 @@ def stacked_batch(subs, chunks, pad=0):
         n_id, n_ood = len(id_feats), len(ood_feats)
         feats[i, :n_id] = id_feats
         feats[i, n_id:n_id + n_ood] = ood_feats
-        labels[i, :n_id] = sub.local_labels(np.asarray(id_ids, dtype=np.int64))
+        labels[i, :n_id] = np.searchsorted(sub.id_class_ids, id_ids)
         weights[i, :n_id] = 1.0 / max(n_id, 1)
         weights[i, n_id:n_id + n_ood] = 1.0 / max(n_ood, 1)
     return feats, labels, weights

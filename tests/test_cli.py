@@ -103,6 +103,45 @@ def test_train_epoch_csv(workdir, tmp_path, capsys):
     float(data[0].split(",")[1])
 
 
+class _FlushRecorder:
+    """A stdout stand-in that records every write and flush."""
+
+    def __init__(self):
+        self.events = []
+
+    def write(self, text):
+        self.events.append(text)
+        return len(text)
+
+    def flush(self):
+        self.events.append(None)
+
+
+@pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])
+def test_train_flushes_each_epoch_row(workdir, tmp_path, capsys, monkeypatch, command):
+    # each epoch,loss row is flushed as its epoch ends, whatever the stdout
+    # buffering, and the CSV text is unchanged
+    argv = [command, "--bundle", str(workdir["bundle"]), "--config", str(workdir["cfg"]),
+            "--out", str(tmp_path / "m.sdnc"), "--epochs", "4"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    recorder = _FlushRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    text, flushed = "", []  # the output written so far at each flush
+    for event in recorder.events:
+        if event is None:
+            flushed.append(text)
+        else:
+            text += event
+    assert text == want
+    rows = want.splitlines()[1:]
+    assert len(rows) == 4
+    assert [t.splitlines()[-1] for t in flushed] == rows  # one flush per row, as it ends
+    assert all(t.endswith("\n") for t in flushed)
+
+
 def test_train_rerun_identical_bytes(workdir, tmp_path):
     out = tmp_path / "m.sdnc"
     main(["train-setnet", "--bundle", str(workdir["bundle"]), "--config",

@@ -111,7 +111,7 @@ def test_hellinger_grad_matches_fd(seed):
     q = rng.uniform(0.05, 1.0, size=6)
 
     def loss_fn(params):
-        gp, gq = dm.hellinger_sq_grad(params["p"], params["q"])
+        gp, gq = dm.hellinger_sq_grad(params["p"], params["q"]), dm.hellinger_sq_grad(params["q"], params["p"])
         return dm.hellinger_sq(params["p"], params["q"]), {"p": gp, "q": gq}
 
     assert dm.grad_check(loss_fn, {"p": p, "q": q}, eps=1e-4) < 1e-4

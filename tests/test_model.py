@@ -50,6 +50,17 @@ def test_attention_maps_match_straightline_oracle(seed):
     assert np.abs(got - want).max() < 1e-12
 
 
+def test_attention_maps_batch_matches_single_maps():
+    rng = np.random.default_rng(12)
+    model = random_model(rng, c=8, ch=5, k=3)
+    fmaps = rng.normal(size=(4, 5, 3, 8))
+    batch = attention_maps(model, fmaps)
+    assert batch.shape == (4, 3, 5, 3)
+    # one forward runs the same per-map products as B single calls
+    np.testing.assert_array_equal(batch, np.stack([attention_maps(model, f) for f in fmaps]))
+    np.testing.assert_array_equal(attention_maps(model, fmaps[:1])[0], attention_maps(model, fmaps[0]))
+
+
 def test_attention_maps_channel_mismatch():
     model = random_model(np.random.default_rng(1), c=8)
     with pytest.raises(ValueError):
@@ -235,6 +246,19 @@ def test_total_loss_label_missing():
     model, fmap, table, _ = safe_instance(2)
     with pytest.raises(IndexError):
         total_loss(model, fmap[None], [999], table)
+
+
+def test_total_loss_rejects_bad_inputs():
+    # the trainer checks labels once per run; a direct call checks every batch
+    model, fmap, table, label = safe_instance(2)
+    with pytest.raises(ValueError, match="diversity_sign"):
+        total_loss(model, fmap[None], [label], table, diversity_sign=0)
+    with pytest.raises(ValueError, match="empty batch"):
+        total_loss(model, fmap[None][:0], [], table)
+    with pytest.raises(ValueError, match="labels"):
+        total_loss(model, np.stack([fmap, fmap]), [label], table)
+    with pytest.raises(IndexError):
+        total_loss(model, np.stack([fmap, fmap]), [label, -1], table)
 
 
 def test_total_loss_positive_sign_penalizes_diversity():

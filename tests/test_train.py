@@ -113,6 +113,37 @@ def test_batched_loss_is_mean_of_per_sample_oracle(tiny_bundle):
             assert np.abs(p - (init.parameters()[name] - lr * grads[name])).max() <= 1e-12
 
 
+def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
+    # one epoch of one batch: every parameter view moves by exactly -lr * g,
+    # the views still alias the model, and the trained model saves and loads
+    # back byte for byte
+    idx = tiny_bundle.train_indices()[:5]
+    flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
+    flags[idx] = True
+    small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
+                          table=tiny_bundle.table,
+                          split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
+                                          unseen_ids=tiny_bundle.split.unseen_ids,
+                                          train_flags=flags))
+    cfg = dict(seed=3, learning_rate=0.7, batch_size=8, head_count=3, hidden_channels=4)
+    init = train_setnet(small, TrainConfig(epochs=0, **cfg))
+    order = idx[np.random.default_rng([3, 0x12]).permutation(idx.size)]  # the trainer's shuffle
+    _, grads = total_loss(init, small.features[order], small.labels[order], small.seen_table())
+    trained = train_setnet(small, TrainConfig(epochs=1, **cfg))
+    for name, p in trained.parameters().items():
+        assert np.array_equal(p, init.parameters()[name] - 0.7 * grads[name]), name
+
+    before = trained.projectors.biases[1, 0]
+    trained.parameters()["proj.1.b"][0] += 1.0
+    assert trained.projectors.biases[1, 0] == before + 1.0
+    trained.attention.w1[0, 0] = 2.5
+    assert trained.parameters()["attn.w1"][0, 0] == 2.5
+    first, second = tmp_path / "a.sdnc", tmp_path / "b.sdnc"
+    save_checkpoint(first, trained, TrainConfig(epochs=1, **cfg))
+    save_checkpoint(second, load_setnet_checkpoint(first)[0], TrainConfig(epochs=1, **cfg))
+    assert first.read_bytes() == second.read_bytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_single_sgd_step_decreases_loss(seed):
     model, fmap, table, label = safe_instance(seed)
