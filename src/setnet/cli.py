@@ -148,7 +148,7 @@ def _load_detector(args):
 
 def _cmd_calibrate(args) -> None:
     ensemble, cfg, bundle = _load_detector(args)
-    calibrate_ensemble(ensemble, bundle, cfg.seed, args.fnr)
+    calibrate_ensemble(ensemble, bundle, args.fnr)
     save_checkpoint(args.out, ensemble, cfg)
     print(f"theta={repr(float(ensemble.theta))}")
 

@@ -49,7 +49,7 @@ class SplitSpec:
         self.seen_ids = np.sort(np.asarray(self.seen_ids, dtype=np.int64))
         self.unseen_ids = np.sort(np.asarray(self.unseen_ids, dtype=np.int64))
         self.train_flags = np.asarray(self.train_flags, dtype=bool)
-        if np.intersect1d(self.seen_ids, self.unseen_ids).size:
+        if np.isin(self.seen_ids, self.unseen_ids).any():
             raise ValueError("seen and unseen class sets must be disjoint")
 
 
@@ -129,6 +129,13 @@ class _Cursor:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, what: str) -> str:
+        raw = self.take(self.u32(f"{what} length"), what)  # then that many bytes of UTF-8
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not UTF-8", offset=self.pos - len(raw) + e.start) from e
+
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         raw = self.take(count * np.dtype(dtype).itemsize, what)
         return np.frombuffer(raw, dtype=dtype, count=count)
@@ -188,10 +195,9 @@ def load_bundle(path) -> DatasetBundle:
         table = SemanticTable(class_ids=class_ids, vectors=semantics)
     except ValueError as e:
         raise FormatError(f"invalid semantic table: {e}", offset=sem_off) from e
-    unseen_ids = np.setdiff1d(class_ids, seen_ids)
     try:
-        split = SplitSpec(seen_ids=seen_ids, unseen_ids=unseen_ids,
-                          train_flags=flags_raw.astype(bool))
+        split = SplitSpec(seen_ids=seen_ids, unseen_ids=class_ids[~np.isin(class_ids, seen_ids)],
+                          train_flags=flags_raw.astype(bool))  # SplitSpec sorts the ids
     except ValueError as e:
         raise FormatError(f"invalid split: {e}", offset=seen_off) from e
     try:
@@ -248,7 +254,9 @@ def _round_f32(x: np.ndarray) -> np.ndarray:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
-    """Deterministic synthetic bundle; identical seeds give identical bytes."""
+    """Deterministic synthetic bundle; identical seeds give identical bytes. Per
+    sample, the draws are a row then a column ``integers(-jitter, jitter + 1)`` per
+    active attribute in subset order (jitter > 0), then one ``normal`` map (noise > 0)."""
     rng = np.random.default_rng([int(spec.seed), 0xDA7A])
     total_classes = spec.seen_classes + spec.unseen_classes
     if math.comb(spec.semantic_dim, spec.attrs_per_class) < total_classes:
@@ -256,25 +264,22 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 
     # (1) per-attribute channel signature + home cell
     signatures = np.empty((spec.semantic_dim, spec.channels))
-    homes = np.empty((spec.semantic_dim, 2), dtype=np.int64)
+    homes: list[tuple[int, int]] = []
     for a in range(spec.semantic_dim):
         v = rng.normal(size=spec.channels)
         signatures[a] = v / np.linalg.norm(v)
-        homes[a] = (rng.integers(spec.height), rng.integers(spec.width))
+        homes.append((int(rng.integers(spec.height)), int(rng.integers(spec.width))))
 
     # (2) distinct attribute subsets and unit-norm binary semantics
-    subsets: list[np.ndarray] = []
-    chosen: set[frozenset[int]] = set()
+    subsets: list[list[int]] = []
     attempts = 0
     while len(subsets) < total_classes:
-        pick = np.sort(rng.choice(spec.semantic_dim, size=spec.attrs_per_class, replace=False))
-        key = frozenset(pick.tolist())
+        pick = sorted(rng.choice(spec.semantic_dim, spec.attrs_per_class, replace=False).tolist())
         attempts += 1
-        if key in chosen:
+        if pick in subsets:
             if attempts > 1000 * total_classes:
                 raise ValueError("failed to draw distinct attribute subsets")
             continue
-        chosen.add(key)
         subsets.append(pick)
     vectors = np.zeros((total_classes, spec.semantic_dim))
     for cls, pick in enumerate(subsets):
@@ -287,21 +292,20 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     n = total_classes * spec.samples_per_class
     features = np.zeros((n, spec.height, spec.width, spec.channels))
     labels = np.repeat(np.arange(total_classes, dtype=np.int64), spec.samples_per_class)
-    for i in range(n):
+    j = spec.jitter
+    for i, cls in enumerate(labels.tolist()):
         fmap = features[i]
-        for a in subsets[labels[i]]:
+        for a in subsets[cls]:
             hh, ww = homes[a]
-            if spec.jitter > 0:
-                hh = int(np.clip(hh + rng.integers(-spec.jitter, spec.jitter + 1), 0, spec.height - 1))
-                ww = int(np.clip(ww + rng.integers(-spec.jitter, spec.jitter + 1), 0, spec.width - 1))
+            if j > 0:
+                hh = min(max(hh + int(rng.integers(-j, j + 1)), 0), spec.height - 1)
+                ww = min(max(ww + int(rng.integers(-j, j + 1)), 0), spec.width - 1)
             fmap[hh, ww] += signatures[a]
         if spec.noise > 0:
             fmap += rng.normal(scale=spec.noise, size=fmap.shape)
     features = _round_f32(features)
 
     # (4) first seen_classes ids are seen; seen samples split 80/20 per class
-    seen_ids = np.arange(spec.seen_classes, dtype=np.int64)
-    unseen_ids = np.arange(spec.seen_classes, total_classes, dtype=np.int64)
     flags = np.zeros(n, dtype=bool)
     for cls in range(spec.seen_classes):
         block = np.nonzero(labels == cls)[0]
@@ -309,7 +313,8 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         n_test = int(round(block.shape[0] * 0.2))
         if n_test:
             flags[rng.choice(block, size=n_test, replace=False)] = False
-    split = SplitSpec(seen_ids=seen_ids, unseen_ids=unseen_ids, train_flags=flags)
+    split = SplitSpec(seen_ids=np.arange(spec.seen_classes),
+                      unseen_ids=np.arange(spec.seen_classes, total_classes), train_flags=flags)
     return DatasetBundle(features=features, labels=labels, table=table, split=split)
 
 

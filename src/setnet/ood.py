@@ -237,12 +237,13 @@ class DdmEnsemble:
 
     ``bundle_sha256`` is the hex SHA-256 of the bundle file the detector was
     trained on, when known; ``train.check_training_bundle`` refuses any other
-    bundle.
+    bundle. ``holdout_seed`` names the calibration holdout its folds never saw.
     """
 
     sub_ddms: list[SubDdm]
     theta: float | None = None
     bundle_sha256: str | None = None
+    holdout_seed: int | None = None
 
     def __post_init__(self):
         if len(self.sub_ddms) < 2:

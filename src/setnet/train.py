@@ -23,8 +23,8 @@ Checkpoint layout (little-endian):
 Integer payloads such as fold class ids and the 32 bytes of the training
 bundle's SHA-256 ("bundle_sha256") travel as float64 tensors; the
 calibrated threshold is a 0-d tensor named "theta" present only once set.
-Readers reject truncated data, non-finite values and missing tensors with a
-``FormatError``, and ignore tensors they do not need.
+Readers reject truncated data, text that is not UTF-8, non-finite values and
+missing or misshapen tensors with a ``FormatError``, and ignore unneeded ones.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     the mean over folds of each fold's mean step loss.
 
     Returns an uncalibrated ensemble (theta unset) that carries the bundle's
-    file digest; the calibration holdout derived from cfg.seed never reaches
-    any sub-detector.
+    file digest and its holdout seed, cfg.seed; that calibration holdout never
+    reaches any sub-detector.
     """
     partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
     train_idx = bundle.train_indices()
@@ -271,7 +271,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
 
     _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
     return DdmEnsemble(sub_ddms=unstack_subddms(params, subs), theta=None,
-                       bundle_sha256=bundle.sha256)
+                       bundle_sha256=bundle.sha256, holdout_seed=cfg.seed)
 
 
 def check_training_bundle(ensemble: DdmEnsemble, bundle: DatasetBundle) -> None:
@@ -282,15 +282,16 @@ def check_training_bundle(ensemble: DdmEnsemble, bundle: DatasetBundle) -> None:
         raise ValueError("bundle is not the bundle the detector was trained on")
 
 
-def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle, seed: int,
+def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
                        target_fnr: float) -> DdmEnsemble:
-    """Set theta from the holdout's disagreement degrees; returns the same
-    ensemble with theta filled in.
-
-    Refuses a bundle other than the training bundle (``check_training_bundle``).
+    """Set theta from the degrees of the ensemble's own holdout; returns the
+    same ensemble. Refuses an ensemble without a holdout seed and a bundle
+    other than its training bundle (``check_training_bundle``).
     """
     check_training_bundle(ensemble, bundle)
-    held = holdout_indices(bundle, seed)
+    if ensemble.holdout_seed is None:
+        raise ValueError("ensemble does not record its calibration holdout seed")
+    held = holdout_indices(bundle, ensemble.holdout_seed)
     if held.size == 0:
         raise ValueError("no calibration samples available")
     degrees = disagreement_degree(ensemble, pooled_features(bundle, held))
@@ -325,7 +326,7 @@ class _Tensors(dict):
         raise FormatError(f"checkpoint is missing tensor {name!r}")
 
 
-def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
+def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read())
     if cur.take(4, "magic") != CKPT_MAGIC:
@@ -333,17 +334,21 @@ def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
     version = cur.u32("version")
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    kind = cur.take(cur.u32("kind length"), "kind").decode("utf-8")
+    found = cur.text("kind")
+    if found != kind:
+        raise FormatError(f"checkpoint holds a {found!r} model, not {kind!r}")
     cfg_off = cur.pos
-    cfg_raw = cur.take(cur.u32("config length"), "config").decode("utf-8")
+    cfg_raw = cur.text("config")
     try:
         cfg = TrainConfig(**json.loads(cfg_raw))
     except (TypeError, ValueError) as e:
         raise FormatError(f"invalid train config: {e}", offset=cfg_off) from e
     tensors = _Tensors()
     for _ in range(cur.u32("tensor count")):
-        name = cur.take(cur.u32("name length"), "tensor name").decode("utf-8")
+        name = cur.text("tensor name")
         ndim = cur.u32("ndim")
+        if ndim > 32:  # numpy's limit before 2.0; the format's tensors have at most 3
+            raise FormatError(f"tensor {name} has {ndim} dimensions", offset=cur.pos - 4)
         shape = tuple(cur.u32("dim") for _ in range(ndim))
         data_off = cur.pos
         data = cur.array("<f8", math.prod(shape), f"tensor {name}").astype(np.float64)
@@ -352,7 +357,7 @@ def _read_checkpoint(path) -> tuple[str, TrainConfig, dict[str, np.ndarray]]:
         tensors[name] = data.reshape(shape)
     if cur.pos != len(cur.data):
         raise FormatError("trailing bytes after tensor block", offset=cur.pos)
-    return kind, cfg, tensors
+    return cfg, tensors
 
 
 def save_checkpoint(path, model, cfg: TrainConfig) -> None:
@@ -362,6 +367,8 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
         tensors["diversity_weight"] = np.asarray(model.diversity_weight)
         kind = "setnet"
     elif isinstance(model, DdmEnsemble):
+        if model.holdout_seed not in (None, cfg.seed):
+            raise ValueError("config seed differs from the detector's holdout seed")
         tensors = {}
         for i, sub in enumerate(model.sub_ddms):
             tensors.update(sub.parameters(prefix=f"ddm.{i}."))
@@ -380,37 +387,34 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
 
 
 def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
-    kind, cfg, tensors = _read_checkpoint(path)
-    if kind != "setnet":
-        raise FormatError(f"checkpoint holds a {kind!r} model, not 'setnet'")
-    k = cfg.head_count
-    attention = AttentionStack(w1=tensors["attn.w1"], b1=tensors["attn.b1"],
-                               w2=tensors["attn.w2"])
-    projectors = ProjectorEnsemble(
-        weights=np.stack([tensors[f"proj.{i}.w"] for i in range(k)]),
-        biases=np.stack([tensors[f"proj.{i}.b"] for i in range(k)]),
-    )
-    model = SetNetModel(attention=attention, projectors=projectors,
-                        diversity_weight=float(tensors["diversity_weight"]))
-    return model, cfg
+    cfg, tensors = _read_checkpoint(path, "setnet")
+    heads = range(cfg.head_count)
+    try:  # the constructors check that the tensor shapes fit together
+        attention = AttentionStack(w1=tensors["attn.w1"], b1=tensors["attn.b1"],
+                                   w2=tensors["attn.w2"])
+        projectors = ProjectorEnsemble(weights=np.stack([tensors[f"proj.{i}.w"] for i in heads]),
+                                       biases=np.stack([tensors[f"proj.{i}.b"] for i in heads]))
+        return SetNetModel(attention=attention, projectors=projectors,
+                           diversity_weight=float(tensors["diversity_weight"])), cfg
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"invalid setnet checkpoint: {e}") from e
 
 
 def load_ddm_checkpoint(path) -> tuple[DdmEnsemble, TrainConfig]:
-    kind, cfg, tensors = _read_checkpoint(path)
-    if kind != "ddm":
-        raise FormatError(f"checkpoint holds a {kind!r} model, not 'ddm'")
-    count = int(tensors["fold_count"])
-    subs = []
-    for i in range(count):
-        subs.append(SubDdm(fold_index=i,
-                           id_class_ids=tensors[f"ddm.{i}.ids"].astype(np.int64),
-                           w1=tensors[f"ddm.{i}.w1"], b1=tensors[f"ddm.{i}.b1"],
-                           w2=tensors[f"ddm.{i}.w2"], b2=tensors[f"ddm.{i}.b2"]))
-    theta = float(tensors["theta"]) if "theta" in tensors else None
+    cfg, tensors = _read_checkpoint(path, "ddm")
     digest = None
     if "bundle_sha256" in tensors:
         raw = tensors["bundle_sha256"]
         if raw.shape != (32,) or np.any((raw < 0) | (raw > 255) | (raw != np.round(raw))):
             raise FormatError("tensor bundle_sha256 is not a 32-byte digest")
         digest = raw.astype(np.uint8).tobytes().hex()
-    return DdmEnsemble(sub_ddms=subs, theta=theta, bundle_sha256=digest), cfg
+    try:  # the constructors check that the tensor shapes fit together
+        subs = [SubDdm(fold_index=i, id_class_ids=tensors[f"ddm.{i}.ids"].astype(np.int64),
+                       w1=tensors[f"ddm.{i}.w1"], b1=tensors[f"ddm.{i}.b1"],
+                       w2=tensors[f"ddm.{i}.w2"], b2=tensors[f"ddm.{i}.b2"])
+                for i in range(int(tensors["fold_count"]))]
+        theta = float(tensors["theta"]) if "theta" in tensors else None
+        return DdmEnsemble(sub_ddms=subs, theta=theta, bundle_sha256=digest,
+                           holdout_seed=cfg.seed), cfg
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"invalid ddm checkpoint: {e}") from e

@@ -237,7 +237,7 @@ def test_criterion_7_detector_routing_effect(bundle, zsl_models):
     for s in SEEDS:
         gzsl_model = train_setnet(bundle, TrainConfig(seed=s + 1000, **SETNET_CFG))
         ensemble = train_ddm(bundle, TrainConfig(seed=s, **DDM_CFG))
-        calibrate_ensemble(ensemble, bundle, s, 0.11)
+        calibrate_ensemble(ensemble, bundle, 0.11)
         system = GzslSystem(detector=ensemble, zsl_model=models[s], gzsl_model=gzsl_model,
                             unseen_table=bundle.unseen_table(), full_table=bundle.table)
         routed_h.append(gzsl_h([classify_gzsl(system, bundle.features[i]) for i in test_idx]))

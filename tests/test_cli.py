@@ -235,6 +235,23 @@ def test_calibrate_warns_for_a_detector_without_bundle_digest(workdir, tmp_path,
     assert load_ddm_checkpoint(out)[0].theta == load_ddm_checkpoint(workdir["calibrated"])[0].theta
 
 
+@pytest.mark.parametrize("command", ["eval-zsl", "calibrate"])
+def test_checkpoint_text_that_is_not_utf8_fails_with_one_error_line(workdir, tmp_path, capsys,
+                                                                     command):
+    source = workdir["setnet" if command == "eval-zsl" else "ddm"]
+    data = bytearray(source.read_bytes())
+    data[12] = 0xFF  # the first byte of the kind
+    bad = tmp_path / "bad.sdnc"
+    bad.write_bytes(bytes(data))
+    argv = (["eval-zsl", "--setnet", str(bad), "--report", str(tmp_path / "r.json")]
+            if command == "eval-zsl" else
+            ["calibrate", "--ddm", str(bad), "--fnr", "0.11", "--out", str(tmp_path / "c.sdnc")])
+    capsys.readouterr()
+    rc = main([*argv, "--bundle", str(workdir["bundle"])])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: kind is not UTF-8 (at byte offset 12)"]
+
+
 def test_calibrate_bad_fnr(workdir, tmp_path, capsys):
     rc = main(["calibrate", "--ddm", str(workdir["ddm"]), "--bundle", str(workdir["bundle"]),
                "--fnr", "1.5", "--out", str(tmp_path / "x.sdnc")])

@@ -232,3 +232,25 @@ def test_split_rejects_overlap():
     with pytest.raises(ValueError):
         SplitSpec(seen_ids=np.array([0, 1]), unseen_ids=np.array([1, 2]),
                   train_flags=np.zeros(3, dtype=bool))
+
+
+def test_unordered_class_ids_split_as_set_operations_would(tmp_path):
+    class_ids = np.array([7, 2, 9, 0, 5, 11])
+    vecs = np.eye(6)[:, :4] + 0.5
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    table = SemanticTable(class_ids=class_ids, vectors=vecs.astype(np.float32).astype(np.float64))
+    seen = np.array([9, 2, 11])
+    bundle = DatasetBundle(features=np.zeros((4, 2, 2, 3)), labels=np.array([9, 2, 7, 11]),
+                           table=table,
+                           split=SplitSpec(seen_ids=seen, unseen_ids=np.array([0, 5, 7]),
+                                           train_flags=np.array([True, True, False, False])))
+    path = tmp_path / "b.sdnb"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    np.testing.assert_array_equal(loaded.split.unseen_ids, np.setdiff1d(class_ids, seen))
+    assert loaded.split.unseen_ids.dtype == np.setdiff1d(class_ids, seen).dtype
+    np.testing.assert_array_equal(loaded.split.seen_ids, [2, 9, 11])
+    assert bundles_equal(bundle, loaded)
+    for unseen in ([11, 0], [5, 2, 7], [9, 11, 2]):  # partial and full overlaps, out of order
+        with pytest.raises(ValueError, match="disjoint"):
+            SplitSpec(seen_ids=seen, unseen_ids=np.array(unseen), train_flags=np.zeros(4, bool))

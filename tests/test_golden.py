@@ -4,8 +4,10 @@ A fixed tiny config runs every CLI stage in process, and the SHA-256 of
 every bundle, checkpoint and report it writes is pinned below. A second
 config trains at the desk head count (K=4, so the diversity sum runs over
 several head pairs) with a ragged last batch on 4x4 maps, and pins the
-checkpoints of both trainers. Identical seeds must give identical bytes
-across changes as well as within one run. The digests depend on the
+checkpoints of both trainers. Three more configs pin the bundle alone: no
+jitter, no noise, and a jitter of 2 on a 7x7 grid, where the clamp at the
+map border is reached from both sides. Identical seeds must give identical
+bytes across changes as well as within one run. The digests depend on the
 floating-point build (numpy and its BLAS), so a different build may need
 its own baseline. Change a digest only on purpose, and log every
 re-baseline in CHANGES.md.
@@ -13,9 +15,13 @@ re-baseline in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import setnet
 from setnet.cli import main
 
 SYNTH = {"seen_classes": 5, "unseen_classes": 2, "samples_per_class": 10,
@@ -45,30 +51,52 @@ GOLDEN_K4 = {
 }
 
 
+# gen-synth alone: each config differs from SYNTH in the keys named
+SYNTH_VARIANTS = {
+    "jitter0": dict(SYNTH, jitter=0),
+    "noise0": dict(SYNTH, noise=0.0),
+    "jitter2_7x7": dict(SYNTH, jitter=2, height=7, width=7),
+}
+
+GOLDEN_SYNTH = {
+    "jitter0": "2079fddb479dca896e8397371805cd23efcbe56f409fa18ee98f82d57f43fac4",
+    "noise0": "6a9202db382c2e1591cb26eb3197ee5b014c4dbd2d34553e1c70b08c79f95e28",
+    "jitter2_7x7": "9cffbf5d1faf0de6f9c2025595dc62f028cdac699199af21607580740554e971",
+}
+
+
 def _run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
+
+
+def _pipeline(root):
+    """Every CLI stage of the tiny config, as argv lists, writing under root."""
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
+    train = ("--bundle", root / "data.sdnb", "--config", cfg)
+    stages = [
+        ("gen-synth", "--config", cfg, "--out", root / "data.sdnb"),
+        ("train-setnet", *train, "--out", root / "zsl.sdnc"),
+        ("train-setnet", *train, "--seed", 1000, "--out", root / "gzsl.sdnc"),
+        ("train-ddm", *train, "--learning-rate", 0.2, "--out", root / "ddm.sdnc"),
+        ("calibrate", "--ddm", root / "ddm.sdnc", "--bundle", root / "data.sdnb",
+         "--fnr", 0.11, "--out", root / "ddm-cal.sdnc"),
+        ("eval-zsl", "--setnet", root / "zsl.sdnc", "--bundle", root / "data.sdnb",
+         "--report", root / "zsl.json"),
+        ("eval-gzsl", "--zsl", root / "zsl.sdnc", "--gzsl", root / "gzsl.sdnc",
+         "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
+         "--report", root / "gzsl.json"),
+        ("eval-ood", "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
+         "--report", root / "ood.json"),
+    ]
+    return [[str(a) for a in argv] for argv in stages]
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    cfg = root / "run.json"
-    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
-
-    _run("gen-synth", "--config", cfg, "--out", root / "data.sdnb")
-    train = ("--bundle", root / "data.sdnb", "--config", cfg)
-    _run("train-setnet", *train, "--out", root / "zsl.sdnc")
-    _run("train-setnet", *train, "--seed", 1000, "--out", root / "gzsl.sdnc")
-    _run("train-ddm", *train, "--learning-rate", 0.2, "--out", root / "ddm.sdnc")
-    _run("calibrate", "--ddm", root / "ddm.sdnc", "--bundle", root / "data.sdnb",
-         "--fnr", 0.11, "--out", root / "ddm-cal.sdnc")
-    _run("eval-zsl", "--setnet", root / "zsl.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "zsl.json")
-    _run("eval-gzsl", "--zsl", root / "zsl.sdnc", "--gzsl", root / "gzsl.sdnc",
-         "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "gzsl.json")
-    _run("eval-ood", "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "ood.json")
+    for argv in _pipeline(root):
+        _run(*argv)
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in GOLDEN}
 
 
@@ -92,3 +120,29 @@ def artifacts_k4(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN_K4))
 def test_golden_digest_desk_heads(artifacts_k4, name):
     assert artifacts_k4[name] == GOLDEN_K4[name]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SYNTH))
+def test_golden_bundle_digest(tmp_path, variant):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH_VARIANTS[variant]}))
+    _run("gen-synth", "--config", cfg, "--out", tmp_path / "data.sdnb")
+    assert hashlib.sha256((tmp_path / "data.sdnb").read_bytes()).hexdigest() == GOLDEN_SYNTH[variant]
+
+
+def test_no_cli_stage_imports_numpy_ma(tmp_path):
+    """numpy's set operations (np.unique and what calls it) import numpy.ma,
+    12-17 ms of start-up in every process; the stages must not need them."""
+    script = ("import sys\n"
+              "from setnet.cli import main\n"
+              f"for argv in {_pipeline(tmp_path)!r}:\n"
+              "    assert main(argv) == 0, argv\n"
+              "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+              "print('ok')\n")
+    # the child imports the same package the tests do, installed or not
+    package_root = os.path.dirname(os.path.dirname(setnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr.strip().splitlines()[-1:]
+    assert proc.stdout.splitlines()[-1] == "ok"

@@ -6,7 +6,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import setnet.train
 from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
 from setnet.errors import FormatError
 from setnet.model import total_loss
@@ -231,7 +234,7 @@ def test_calibrate_ensemble_matches_target(default_bundle):
     cfg = TrainConfig(seed=0, learning_rate=0.2, epochs=10, fold_count=5)
     e = train_ddm(default_bundle, cfg)
     target = 0.11
-    calibrate_ensemble(e, default_bundle, cfg.seed, target)
+    calibrate_ensemble(e, default_bundle, target)
     held = holdout_indices(default_bundle, cfg.seed)
     # the same batched call calibration makes: a per-sample degree can differ
     # in the last bits and flip the strict comparison at the k-th point
@@ -257,7 +260,7 @@ def test_setnet_checkpoint_round_trip(tiny_bundle, tmp_path):
 def test_ddm_checkpoint_round_trip_with_theta(tiny_bundle, tmp_path):
     cfg = TrainConfig(seed=5, epochs=1, fold_count=2, ddm_hidden=8, learning_rate=0.2)
     e = train_ddm(tiny_bundle, cfg)
-    calibrate_ensemble(e, tiny_bundle, cfg.seed, 0.13)
+    calibrate_ensemble(e, tiny_bundle, 0.13)
     path = tmp_path / "e.sdnc"
     save_checkpoint(path, e, cfg)
     back, cfg_back = load_ddm_checkpoint(path)
@@ -291,10 +294,10 @@ def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bund
     other = load_bundle(path)
     other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
     with pytest.raises(ValueError, match="not the bundle the detector was trained on"):
-        calibrate_ensemble(e, other, cfg.seed, 0.13)
+        calibrate_ensemble(e, other, 0.13)
     assert e.theta is None
-    calibrate_ensemble(e, loaded, cfg.seed, 0.13)
-    calibrate_ensemble(e, tiny_bundle, cfg.seed, 0.13)  # unknown digest: not checked
+    calibrate_ensemble(e, loaded, 0.13)
+    calibrate_ensemble(e, tiny_bundle, 0.13)  # unknown digest: not checked
 
 
 @pytest.mark.parametrize("digest", [np.full(31, 7.0), np.full(32, 256.0), np.full(32, 0.5)],
@@ -314,6 +317,44 @@ def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest)
         load_ddm_checkpoint(path)
 
 
+def test_calibration_never_sees_rows_the_detector_trained_on(tiny_bundle, tmp_path, monkeypatch):
+    """The holdout travels with the ensemble: calibrate_ensemble takes no seed,
+    refuses an ensemble without a holdout seed, and a checkpoint cannot swap
+    the seed for another one."""
+    calibrated_on = []
+
+    def recording(bundle, indices):
+        calibrated_on.append(indices)
+        return pooled_features(bundle, indices)
+
+    for seed in range(4):
+        cfg = TrainConfig(seed=seed, epochs=1, fold_count=2, ddm_hidden=8, learning_rate=0.2)
+        e = train_ddm(tiny_bundle, cfg)
+        trained_on = np.setdiff1d(tiny_bundle.train_indices(), holdout_indices(tiny_bundle, seed))
+        other = holdout_indices(tiny_bundle, seed + 1)
+        assert np.isin(other, trained_on).any()  # another seed's holdout would leak
+        assert e.holdout_seed == seed
+        with pytest.raises(TypeError):
+            calibrate_ensemble(e, tiny_bundle, seed + 1, 0.13)  # the old signature
+        with pytest.raises(ValueError, match="holdout seed"):
+            save_checkpoint(tmp_path / "e.sdnc", e, dataclasses.replace(cfg, seed=seed + 1))
+        save_checkpoint(tmp_path / "e.sdnc", e, cfg)
+        loaded, _ = load_ddm_checkpoint(tmp_path / "e.sdnc")
+        assert loaded.holdout_seed == seed
+        calibrated_on.clear()
+        with monkeypatch.context() as m:
+            m.setattr(setnet.train, "pooled_features", recording)
+            for ensemble in (e, loaded):
+                calibrate_ensemble(ensemble, tiny_bundle, 0.13)
+        assert len(calibrated_on) == 2
+        for rows in calibrated_on:
+            assert rows.size and not np.isin(rows, trained_on).any()
+        assert loaded.theta == e.theta
+    e.holdout_seed = None
+    with pytest.raises(ValueError, match="holdout seed"):
+        calibrate_ensemble(e, tiny_bundle, 0.13)
+
+
 def test_checkpoint_kind_mismatch(tiny_bundle, tmp_path):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
@@ -323,7 +364,7 @@ def test_checkpoint_kind_mismatch(tiny_bundle, tmp_path):
         load_ddm_checkpoint(path)
     e = train_ddm(tiny_bundle, TrainConfig(seed=5, epochs=0, fold_count=2, ddm_hidden=8))
     path2 = tmp_path / "e.sdnc"
-    save_checkpoint(path2, e, TrainConfig(fold_count=2, ddm_hidden=8))
+    save_checkpoint(path2, e, TrainConfig(seed=5, fold_count=2, ddm_hidden=8))
     with pytest.raises(FormatError):
         load_setnet_checkpoint(path2)
 
@@ -352,7 +393,9 @@ def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
     ("huge_dims", "truncated file while reading tensor attn.w1"),
     ("missing_tensor", "missing tensor 'proj.1.w'"),
     ("non_finite", "tensor attn.w1 contains non-finite values"),
-], ids=["huge_dims", "missing_tensor", "non_finite"])
+    ("too_many_dims", "tensor attn.w1 has 258 dimensions"),
+    ("config_head_count", "invalid setnet checkpoint: attention and projector head counts"),
+], ids=["huge_dims", "missing_tensor", "non_finite", "too_many_dims", "config_head_count"])
 def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, message):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
@@ -366,10 +409,71 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
                for name, arr in tensors.items()]
     if defect == "huge_dims":
         entries = [("attn.w1", (2**31, 2**31, 4), b"")]
+    if defect == "too_many_dims":  # one bit flip in an ndim field can give this
+        entries = [("attn.w1", (0,) * 258, b"")]
+    if defect == "config_head_count":
+        cfg = dataclasses.replace(cfg, head_count=1)
     path = tmp_path / "bad.sdnc"
     path.write_bytes(checkpoint_bytes(cfg, entries))
     with pytest.raises(FormatError, match=message):
         load_setnet_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["kind", "config", "tensor name"])
+def test_checkpoint_reader_rejects_text_that_is_not_utf8(tiny_bundle, tmp_path, field):
+    cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
+    path = tmp_path / "m.sdnc"
+    save_checkpoint(path, train_setnet(tiny_bundle, cfg), cfg)
+    data = bytearray(path.read_bytes())
+    cfg_len = struct.unpack_from("<I", data, 18)[0]
+    # the kind starts at byte 12, after magic, version and kind length; the config
+    # JSON at 22; the first tensor name after the config, tensor count and name length
+    offset = {"kind": 12, "config": 22 + 1, "tensor name": 22 + cfg_len + 8 + 2}[field]
+    data[offset] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"{field} is not UTF-8") as exc:
+        load_setnet_checkpoint(path)
+    assert exc.value.offset == offset
+
+
+@pytest.fixture(scope="module")
+def checkpoint_files(tiny_bundle, tmp_path_factory):
+    """A trained SetNet and ddm checkpoint, their bytes and their loaders."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = TrainConfig(seed=5, epochs=1, head_count=2, hidden_channels=4, fold_count=2,
+                      ddm_hidden=8, learning_rate=0.2)
+    out = {}
+    for kind, trainer, loader in (("setnet", train_setnet, load_setnet_checkpoint),
+                                  ("ddm", train_ddm, load_ddm_checkpoint)):
+        save_checkpoint(root / kind, trainer(tiny_bundle, cfg), cfg)
+        out[kind] = ((root / kind).read_bytes(), loader, root / f"{kind}.mutated")
+    return out
+
+
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 399), st.integers(0, 7)),
+                                        min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("kind", ["setnet", "ddm"])
+@settings(max_examples=300, deadline=None)
+@given(mutation=_mutations)
+def test_checkpoint_fuzz_raises_only_format_error(checkpoint_files, kind, mutation):
+    data, load, path = checkpoint_files[kind]
+    how, where = mutation
+    mutated = bytearray(data)
+    if how == "truncate":
+        mutated = mutated[:where % len(data)]
+    else:
+        for pos, bit in where:
+            mutated[pos] ^= 1 << bit
+    path.write_bytes(bytes(mutated))
+    try:
+        load(path)
+    except FormatError:
+        return
+    assert how == "flip"  # a truncated checkpoint never loads
 
 
 def test_checkpoint_identical_bytes(tiny_bundle, tmp_path):
