@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from .dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
-from .diffmath import spatial_mean
 from .metrics import (EvalReport, harmonic_mean, per_class_accuracy, per_class_top1,
                       save_curves_csv, save_report, tnr_at_fnr)
 from .model import attention_maps, export_attention, predict
 from .ood import disagreement_degree, export_degrees_csv
 from .pipeline import GzslSystem, classify_gzsl
 from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, load_ddm_checkpoint,
-                    load_setnet_checkpoint, save_checkpoint, train_ddm, train_setnet)
+                    load_setnet_checkpoint, pooled_features, save_checkpoint, train_ddm,
+                    train_setnet)
 
 DEFAULT_FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
 _TOP_KEYS = {"train", "synthetic", "fnr_grid", "paths"}
@@ -222,8 +222,8 @@ def _cmd_eval_ood(args) -> None:
     unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:
         raise CliError("bundle needs both seen-class and unseen-class test samples")
-    seen_deg = disagreement_degree(ensemble, spatial_mean(bundle.features[seen_idx]))
-    unseen_deg = disagreement_degree(ensemble, spatial_mean(bundle.features[unseen_idx]))
+    seen_deg = disagreement_degree(ensemble, pooled_features(bundle, seen_idx))
+    unseen_deg = disagreement_degree(ensemble, pooled_features(bundle, unseen_idx))
     pairs = tnr_at_fnr(seen_deg, unseen_deg, grid)
     save_report(EvalReport(tnr_at_fnr=pairs), args.report)
     if args.curves is not None:

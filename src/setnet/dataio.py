@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import FormatError
 from .model import SemanticTable
-from .ood import FoldPartition, partition_classes
 
 MAGIC = b"SDNB"
 VERSION = 1
@@ -316,8 +315,3 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     split = SplitSpec(seen_ids=np.arange(spec.seen_classes),
                       unseen_ids=np.arange(spec.seen_classes, total_classes), train_flags=flags)
     return DatasetBundle(features=features, labels=labels, table=table, split=split)
-
-
-def make_folds(split: SplitSpec, fold_count: int, seed: int) -> FoldPartition:
-    """Fold the seen classes for detector training."""
-    return partition_classes(split.seen_ids.tolist(), fold_count, seed)

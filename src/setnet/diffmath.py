@@ -5,10 +5,10 @@ gradients work row-wise on the last axis, so a ``(B, D)`` batch of logits or
 distributions costs one call: a 1-D input gives a ``float`` and a batch gives
 the ``(B,)`` per-row values; ``softmax_with_log`` feeds a training loss and
 its gradient from one softmax pass. The layers (``matmul``, ``relu``,
-``conv1x1``, the spatial softmax) take whole batches too and come with
-``*_backward`` companions, so the training losses in ``model`` and ``ood``
-chain them into one batched backward pass per model, and ``grad_check``
-verifies any such composition against central finite differences.
+``conv1x1``, ``softmax`` over flattened positions) take whole batches too
+and come with backward companions, so the training losses in ``model`` and
+``ood`` chain them into one batched backward pass per model, and
+``grad_check`` verifies any such composition against central differences.
 
 A gradient set is a ``dict`` mapping parameter name -> gradient array of the
 same shape as the parameter.
@@ -51,17 +51,6 @@ def softmax_with_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / s, z - np.log(s)
 
 
-def spatial_softmax(logits: np.ndarray) -> np.ndarray:
-    """Per-head softmax over all H*W positions of a (K, H, W) logit stack;
-    each output slice is nonnegative and sums to 1."""
-    z = _as_f64(logits)
-    if z.ndim != 3:
-        raise ValueError(f"expected (K, H, W) logits, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contains non-finite values")
-    return softmax(z.reshape(z.shape[0], -1)).reshape(z.shape)
-
-
 def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndarray:
     """dL/dlogits of a softmax over the last two (spatial) axes, from its
     output A ((K, H, W) or (B, K, H, W)) and grad_maps = dL/dA."""
@@ -76,22 +65,11 @@ def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # divergences
 
-def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
-    """Squared Hellinger distance 1 - sum_t sqrt(p_t q_t) between two
-    discrete distributions; symmetric, in [0, 1] for simplex inputs."""
-    p = _as_f64(p).ravel()
-    q = _as_f64(q).ravel()
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} vs {q.shape[0]}")
-    if (p < 0).any() or (q < 0).any():
-        raise ValueError("distributions must be nonnegative")
-    return float(1.0 - np.sqrt(p * q).sum())
-
-
 def hellinger_sq_grad(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise gradient -sqrt(q / p) / 2 of hellinger_sq w.r.t. p, for p
-    and q that broadcast against each other, with both clamped to >=
-    HELLINGER_CLAMP; by symmetry the q-gradient is hellinger_sq_grad(q, p)."""
+    """Elementwise gradient -sqrt(q / p) / 2 w.r.t. p of the squared
+    Hellinger distance 1 - sum_t sqrt(p_t q_t), for p and q that broadcast
+    against each other, with both clamped to >= HELLINGER_CLAMP; by symmetry
+    the q-gradient is hellinger_sq_grad(q, p)."""
     p, q = (np.maximum(_as_f64(a), HELLINGER_CLAMP) for a in (p, q))
     return -0.5 * np.sqrt(q / p)
 
@@ -156,16 +134,11 @@ def kl_to_uniform(p: np.ndarray, classes=None):
     return np.log(c) - entropy(p)
 
 
-def kl_to_uniform_grad_logits(logits: np.ndarray, classes=None) -> np.ndarray:
-    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row."""
-    return kl_to_uniform_grad_log(softmax_with_log(logits)[1], classes)
-
-
 def kl_to_uniform_grad_log(log_p: np.ndarray, classes=None) -> np.ndarray:
-    """``kl_to_uniform_grad_logits`` from log_p = log softmax(z): with p = e^log_p
-    and g = log p + log C it is p * (g - p.g), and 0 where p is 0, so logits
-    masked with -inf get a zero gradient. ``classes`` is C per row, as in
-    ``kl_to_uniform``."""
+    """Gradient of KL(softmax(z) || uniform) w.r.t. the logits z, per row,
+    from log_p = log softmax(z): with p = e^log_p and g = log p + log C it is
+    p * (g - p.g), and 0 where p is 0, so logits masked with -inf get a zero
+    gradient. ``classes`` is C per row, as in ``kl_to_uniform``."""
     c = log_p.shape[-1] if classes is None else np.asarray(classes)[..., None]
     p = np.exp(log_p)
     g = np.where(p > 0, log_p + np.log(c), 0.0)
@@ -204,13 +177,9 @@ def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + _as_f64(b)
 
 
-def conv1x1_backward(x: np.ndarray, w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dL/dx, dL/dw, dL/db) for conv1x1; dw and db sum over every cell."""
-    return _as_f64(grad) @ _as_f64(w).T, *conv1x1_param_grads(x, grad)
-
-
 def conv1x1_param_grads(x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dL/dw, dL/db) of ``conv1x1_backward``, for an input needing no gradient."""
+    """(dL/dw, dL/db) of ``conv1x1``, given grad = dL/d(output); both sum over
+    every cell, and the input gets no gradient."""
     x = _as_f64(x)
     g = _as_f64(grad).reshape(-1, np.shape(grad)[-1])
     return x.reshape(-1, x.shape[-1]).T @ g, g.sum(axis=0)

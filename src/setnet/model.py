@@ -138,6 +138,8 @@ class SetNetModel:
     def __post_init__(self):
         if self.attention.head_count != self.projectors.head_count:
             raise ValueError("attention and projector head counts must match")
+        if self.attention.w1.shape[0] != self.projectors.visual_dim:
+            raise ValueError("attention input channels must equal the projector visual dim")
         if self.diversity_weight < 0:
             raise ValueError("diversity weight must be >= 0")
 
@@ -209,16 +211,6 @@ def attention_maps(model: SetNetModel, fmaps: np.ndarray) -> np.ndarray:
     return maps.reshape(*fmaps.shape[:-3], model.head_count, *fmaps.shape[-3:-1])
 
 
-def attentive_features(fmap: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Attention-weighted pooling: out[k, c] = sum_{h,w} maps[k,h,w] * fmap[h,w,c]."""
-    fmap = np.asarray(fmap, dtype=np.float64)
-    maps = np.asarray(maps, dtype=np.float64)
-    if fmap.ndim != 3 or maps.ndim != 3 or fmap.shape[:2] != maps.shape[1:]:
-        raise ValueError(f"spatial shapes disagree: map {fmap.shape} vs attention {maps.shape}")
-    k = maps.shape[0]
-    return maps.reshape(k, -1) @ fmap.reshape(-1, fmap.shape[2])
-
-
 def diversity_loss(maps: np.ndarray):
     """Sum of squared Hellinger distances over ordered head pairs.
 
@@ -241,7 +233,7 @@ def diversity_loss(maps: np.ndarray):
 
 def _diversity_grad(flat: np.ndarray) -> np.ndarray:
     """dL_div/da for a (B, K, T) batch of vectorized maps."""
-    # grad_p[j, b, i, :] = d hellinger_sq(a_i, a_j) / d a_i, head i being the
+    # grad_p[j, b, i, :] = d H^2(a_i, a_j) / d a_i, head i being the
     # first argument of pair (i, j) and, symmetrically, the second of (j, i).
     # j leads so its sum is whole-array adds; i == j terms get a mask's -0.0.
     flat = np.ascontiguousarray(flat)  # _pool's maps are strided; this halves the cost
@@ -373,19 +365,3 @@ def export_attention(maps: np.ndarray, path) -> None:
                 fh.write("\n")
             for row in maps[k]:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_attention(path) -> np.ndarray:
-    """Parse a CSV written by export_attention back into a (K, H, W) array."""
-    blocks: list[list[list[float]]] = [[]]
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                blocks.append([])
-                continue
-            blocks[-1].append([float(v) for v in line.split(",")])
-    blocks = [b for b in blocks if b]
-    if not blocks:
-        raise ValueError(f"no attention blocks found in {path}")
-    return np.asarray(blocks, dtype=np.float64)

@@ -93,8 +93,12 @@ class SubDdm:
 
     def __post_init__(self):
         self.id_class_ids = np.asarray(self.id_class_ids, dtype=np.int64)
-        if self.w2.shape[1] != self.id_class_ids.shape[0]:
-            raise ValueError("output width must equal the ID class count")
+        n_id = self.id_class_ids.size
+        c, hidden = self.w1.shape if self.w1.ndim == 2 else (-1, -1)
+        got = [a.shape for a in (self.id_class_ids, self.w1, self.b1, self.w2, self.b2)]
+        if got != [(n_id,), (c, hidden), (hidden,), (hidden, n_id), (n_id,)]:
+            raise ValueError(f"fold {self.fold_index}: expected ids (n_id,), w1 (C, H), b1 (H,), "
+                             f"w2 (H, n_id) and b2 (n_id,), got shapes {got}")
 
     @property
     def in_dim(self) -> int:
@@ -248,6 +252,8 @@ class DdmEnsemble:
     def __post_init__(self):
         if len(self.sub_ddms) < 2:
             raise ValueError("an ensemble needs at least 2 sub-detectors")
+        if len({d.in_dim for d in self.sub_ddms}) != 1:
+            raise ValueError("sub-detectors must share one input width")
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 

@@ -37,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetBundle, _Cursor, make_folds
+from .dataio import DatasetBundle, _Cursor
 from .diffmath import spatial_mean
 from .errors import FormatError
 from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, SubDdm, calibrate_theta, disagreement_degree, init_subddm,
-                  stack_subddms, subddm_loss, unstack_subddms)
+                  partition_classes, stack_subddms, subddm_loss, unstack_subddms)
 
 CKPT_MAGIC = b"SDNC"
 CKPT_VERSION = 1
@@ -217,7 +217,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     file digest and its holdout seed, cfg.seed; that calibration holdout never
     reaches any sub-detector.
     """
-    partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
+    partition = partition_classes(bundle.split.seen_ids.tolist(), cfg.fold_count, cfg.seed)
     train_idx = bundle.train_indices()
     train_idx = train_idx[~np.isin(train_idx, holdout_indices(bundle, cfg.seed))]
     if train_idx.size == 0:

@@ -87,3 +87,21 @@ def stacked_batch(subs, chunks, pad=0):
         weights[i, :n_id] = 1.0 / max(n_id, 1)
         weights[i, n_id:n_id + n_ood] = 1.0 / max(n_ood, 1)
     return feats, labels, weights
+
+
+MISFIT_DDM = ["b1_short", "b2_long", "w2_hidden", "fold_in_dim"]
+
+
+def misfit_ddm(ensemble, defect):
+    """Give a detector one of the ``MISFIT_DDM`` shape defects in place.
+    Only the constructors check shapes, so ``save_checkpoint`` writes it as
+    it is."""
+    sub = ensemble.sub_ddms[1 if defect == "fold_in_dim" else 0]
+    if defect == "b1_short":
+        sub.b1 = sub.b1[:-1]
+    elif defect == "b2_long":
+        sub.b2 = np.append(sub.b2, 0.0)
+    elif defect == "w2_hidden":
+        sub.w2 = sub.w2[:-1]
+    else:  # fold 1 takes one more input channel than fold 0; its own layers fit
+        sub.w1 = np.vstack([sub.w1, np.zeros((1, sub.w1.shape[1]))])

@@ -251,11 +251,10 @@ def train_ddm_per_fold(bundle, cfg):
     rows, and plain SGD. Returns the sub-detectors and the epoch losses (the
     mean over folds of each fold's mean step loss).
     """
-    from setnet.dataio import make_folds
-    from setnet.ood import init_subddm
+    from setnet.ood import init_subddm, partition_classes
     from setnet.train import holdout_indices, pooled_features
 
-    partition = make_folds(bundle.split, cfg.fold_count, cfg.seed)
+    partition = partition_classes(bundle.split.seen_ids.tolist(), cfg.fold_count, cfg.seed)
     held = set(holdout_indices(bundle, cfg.seed).tolist())
     train_idx = np.array([i for i in bundle.train_indices() if i not in held], dtype=np.int64)
     feats = pooled_features(bundle, train_idx)

@@ -120,10 +120,11 @@ def test_criterion_2_formula_oracles():
 
         p = rng.uniform(size=6); p /= p.sum()
         q = rng.uniform(size=6); q /= q.sum()
+        pair = diversity_loss(np.stack([p, q])[:, None, :])  # 2 H^2(p, q)
         worst["hellinger_sq"] = max(worst["hellinger_sq"],
-                                    abs(dm.hellinger_sq(p, q) - hellinger_sq_brute(p, q)))
+                                    abs(pair - 2 * hellinger_sq_brute(p, q)))
 
-        maps = dm.spatial_softmax(rng.normal(size=(3, 3, 4)))
+        maps = attention_maps(random_model(rng, c=5, ch=4, k=3), rng.normal(size=(3, 4, 5)))
         worst["diversity_loss"] = max(worst["diversity_loss"],
                                       abs(diversity_loss(maps) - diversity_brute(maps)))
 

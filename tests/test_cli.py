@@ -15,7 +15,9 @@ from setnet.metrics import EvalReport
 from setnet.model import predict
 from setnet.ood import disagreement_degree
 from setnet.train import (holdout_indices, load_ddm_checkpoint,
-                          load_setnet_checkpoint, pooled_features)
+                          load_setnet_checkpoint, pooled_features, save_checkpoint)
+
+from conftest import MISFIT_DDM, misfit_ddm
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -250,6 +252,21 @@ def test_checkpoint_text_that_is_not_utf8_fails_with_one_error_line(workdir, tmp
     rc = main([*argv, "--bundle", str(workdir["bundle"])])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: kind is not UTF-8 (at byte offset 12)"]
+
+
+@pytest.mark.parametrize("defect", MISFIT_DDM)
+def test_calibrate_refuses_a_detector_whose_shapes_do_not_fit(workdir, tmp_path, capsys, defect):
+    ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
+    misfit_ddm(ensemble, defect)
+    bad, out = tmp_path / "bad.sdnc", tmp_path / "c.sdnc"
+    save_checkpoint(bad, ensemble, cfg)
+    capsys.readouterr()
+    rc = main(["calibrate", "--ddm", str(bad), "--bundle", str(workdir["bundle"]),
+               "--fnr", "0.11", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid ddm checkpoint: ")
+    assert not out.exists()
 
 
 def test_calibrate_bad_fnr(workdir, tmp_path, capsys):

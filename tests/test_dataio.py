@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnet.dataio import (MAGIC, DatasetBundle, SplitSpec, SyntheticSpec,
-                           gen_synthetic, load_bundle, make_folds, save_bundle)
+                           gen_synthetic, load_bundle, save_bundle)
 from setnet.errors import FormatError
 from setnet.model import SemanticTable
 from setnet.ood import partition_classes
@@ -193,14 +193,8 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 # folds over the split
 
-def test_make_folds_delegates(tiny_bundle):
-    got = make_folds(tiny_bundle.split, 2, seed=5)
-    want = partition_classes(tiny_bundle.split.seen_ids.tolist(), 2, 5)
-    assert got.folds == want.folds
-
-
 def test_make_folds_never_contain_unseen(default_bundle):
-    part = make_folds(default_bundle.split, 5, seed=3)
+    part = partition_classes(default_bundle.split.seen_ids.tolist(), 5, seed=3)
     unseen = set(default_bundle.split.unseen_ids.tolist())
     assert not any(set(f) & unseen for f in part.folds)
     assert [len(f) for f in part.folds] == [2, 2, 2, 2, 2]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from setnet import diffmath as dm
-from setnet.model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel,
-                          attention_maps, attentive_features, class_scores, diversity_loss,
-                          ensemble_logits, export_attention, init_setnet, load_attention,
-                          predict, total_loss)
+from setnet.model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel, _pool,
+                          attention_maps, class_scores, diversity_loss, ensemble_logits,
+                          export_attention, init_setnet, predict, total_loss)
 
 from conftest import random_model, random_table, safe_instance
 from oracles import (attention_maps_straightline, attentive_features_brute,
@@ -17,6 +16,18 @@ def identity_model(v, lam=0.0):
     attention = AttentionStack(w1=np.zeros((v, 2)), b1=np.zeros(2), w2=np.zeros((2, 1)))
     projectors = ProjectorEnsemble(weights=np.eye(v)[None], biases=np.zeros((1, v)))
     return SetNetModel(attention=attention, projectors=projectors, diversity_weight=lam)
+
+
+def pooled(model, fmap):
+    """The attention-pooled (K, C) features ``_pool`` gives one (H, W, C) map."""
+    return _pool(model, fmap[None])[4][0]
+
+
+def load_attention(path):
+    """Parse a CSV written by export_attention back into a (K, H, W) array."""
+    blocks = [[[float(v) for v in row.split(",")] for row in block.splitlines()]
+              for block in path.read_text().split("\n\n")]
+    return np.asarray(blocks, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -73,31 +84,30 @@ def test_attention_maps_channel_mismatch():
 def test_attentive_features_uniform_is_spatial_mean():
     rng = np.random.default_rng(2)
     fmap = rng.normal(size=(3, 5, 7))
-    maps = np.full((2, 3, 5), 1 / 15)
-    got = attentive_features(fmap, maps)
+    model = random_model(rng, c=7, ch=4, k=2)
+    model.attention.w2[:] = 0  # every head's logits are constant: uniform maps
+    got = pooled(model, fmap)
     np.testing.assert_allclose(got, np.tile(fmap.mean(axis=(0, 1)), (2, 1)), atol=1e-12)
 
 
 def test_attentive_features_point_mass_selects_cell():
     rng = np.random.default_rng(3)
     fmap = rng.normal(size=(4, 4, 6))
-    maps = np.zeros((1, 4, 4))
-    maps[0, 2, 1] = 1.0
-    np.testing.assert_allclose(attentive_features(fmap, maps)[0], fmap[2, 1], atol=0)
+    fmap[2, 1, 0] = 1000.0  # channel 0 drives the one head's logits; exp(-996) is 0
+    attention = AttentionStack(w1=np.eye(6, 1), b1=np.zeros(1), w2=np.ones((1, 1)))
+    projectors = ProjectorEnsemble(weights=np.zeros((1, 6, 2)), biases=np.zeros((1, 2)))
+    model = SetNetModel(attention=attention, projectors=projectors)
+    np.testing.assert_allclose(pooled(model, fmap)[0], fmap[2, 1], atol=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_attentive_features_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     fmap = rng.normal(size=(3, 4, 5))
-    maps = dm.spatial_softmax(rng.normal(size=(3, 3, 4)))
-    got = attentive_features(fmap, maps)
+    model = random_model(rng, c=5, ch=4, k=3)
+    got = pooled(model, fmap)
+    maps = attention_maps(model, fmap)
     assert np.abs(got - attentive_features_brute(fmap, maps)).max() < 1e-12
-
-
-def test_attentive_features_shape_mismatch():
-    with pytest.raises(ValueError):
-        attentive_features(np.zeros((3, 4, 5)), np.zeros((2, 4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +128,7 @@ def test_diversity_disjoint_pair():
 @pytest.mark.parametrize("seed", range(5))
 def test_diversity_matches_brute_force_and_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
-    maps = dm.spatial_softmax(rng.normal(size=(3, 4, 4)))
+    maps = dm.softmax(rng.normal(size=(3, 16))).reshape(3, 4, 4)
     got = diversity_loss(maps)
     assert got == pytest.approx(diversity_brute(maps), abs=1e-12)
     perm = maps[rng.permutation(3)]
@@ -158,8 +168,7 @@ def test_ensemble_logits_mean_vs_sum_argmax():
     model = random_model(rng, c=6, ch=4, k=3, s=5)
     table = random_table(rng, 7, 5)
     fmap = rng.normal(size=(3, 3, 6))
-    maps = attention_maps(model, fmap)
-    feats = attentive_features(fmap, maps)
+    feats = pooled(model, fmap)
     mean_logits = ensemble_logits(model, feats, table)
     sum_scores = class_scores(model, fmap, table)
     assert int(np.argmax(mean_logits)) == int(np.argmax(sum_scores))
@@ -202,8 +211,7 @@ def test_total_loss_reduces_to_cls_when_weight_zero():
     model, fmap, table, label = safe_instance(0)
     model.diversity_weight = 0.0
     total, _ = total_loss(model, fmap[None], [label], table)
-    maps = attention_maps(model, fmap)
-    feats = attentive_features(fmap, maps)
+    feats = pooled(model, fmap)
     expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats, table),
                                             int(table.indices_of(label)))
     assert total == pytest.approx(expected, abs=1e-12)
@@ -355,7 +363,7 @@ def test_export_uniform_map(tmp_path):
 
 def test_export_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    maps = dm.spatial_softmax(rng.normal(size=(3, 4, 5)))
+    maps = dm.softmax(rng.normal(size=(3, 20))).reshape(3, 4, 5)
     path = tmp_path / "attn.csv"
     export_attention(maps, path)
     back = load_attention(path)

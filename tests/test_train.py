@@ -18,7 +18,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
                           save_checkpoint, train_ddm, train_setnet)
 
-from conftest import safe_instance
+from conftest import MISFIT_DDM, misfit_ddm, safe_instance
 from oracles import total_loss_per_sample, train_ddm_per_fold
 
 
@@ -395,7 +395,9 @@ def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
     ("non_finite", "tensor attn.w1 contains non-finite values"),
     ("too_many_dims", "tensor attn.w1 has 258 dimensions"),
     ("config_head_count", "invalid setnet checkpoint: attention and projector head counts"),
-], ids=["huge_dims", "missing_tensor", "non_finite", "too_many_dims", "config_head_count"])
+    ("attention_channels", "invalid setnet checkpoint: attention input channels"),
+], ids=["huge_dims", "missing_tensor", "non_finite", "too_many_dims", "config_head_count",
+        "attention_channels"])
 def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, message):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
@@ -405,6 +407,8 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
         tensors["attn.w1"][1, 2] = np.inf
     if defect == "missing_tensor":
         del tensors["proj.1.w"]
+    if defect == "attention_channels":  # one input channel more than the projectors take
+        tensors["attn.w1"] = np.vstack([tensors["attn.w1"], tensors["attn.w1"][:1]])
     entries = [(name, arr.shape, np.asarray(arr, dtype="<f8").tobytes())
                for name, arr in tensors.items()]
     if defect == "huge_dims":
@@ -448,6 +452,18 @@ def checkpoint_files(tiny_bundle, tmp_path_factory):
         save_checkpoint(root / kind, trainer(tiny_bundle, cfg), cfg)
         out[kind] = ((root / kind).read_bytes(), loader, root / f"{kind}.mutated")
     return out
+
+
+@pytest.mark.parametrize("defect", MISFIT_DDM)
+def test_ddm_checkpoint_rejects_misfit_shapes(checkpoint_files, tmp_path, defect):
+    data, load, _ = checkpoint_files["ddm"]
+    path = tmp_path / "ddm.sdnc"
+    path.write_bytes(data)
+    ensemble, cfg = load(path)
+    misfit_ddm(ensemble, defect)
+    save_checkpoint(path, ensemble, cfg)
+    with pytest.raises(FormatError, match="invalid ddm checkpoint: "):
+        load(path)
 
 
 _mutations = st.one_of(
