@@ -22,10 +22,6 @@ import numpy as np
 
 GradientSet = dict[str, np.ndarray]
 
-# Arguments of sqrt in the Hellinger gradient are clamped here so the
-# gradient stays finite when an attention weight underflows to 0.
-HELLINGER_CLAMP = 1e-12
-
 
 _as_f64 = functools.partial(np.asarray, dtype=np.float64)
 
@@ -60,18 +56,6 @@ def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndar
     gf = g.reshape(af.shape)
     inner = (af * gf).sum(axis=-1, keepdims=True)
     return (af * (gf - inner)).reshape(a.shape)
-
-
-# ---------------------------------------------------------------------------
-# divergences
-
-def hellinger_sq_grad(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise gradient -sqrt(q / p) / 2 w.r.t. p of the squared
-    Hellinger distance 1 - sum_t sqrt(p_t q_t), for p and q that broadcast
-    against each other, with both clamped to >= HELLINGER_CLAMP; by symmetry
-    the q-gradient is hellinger_sq_grad(q, p)."""
-    p, q = (np.maximum(_as_f64(a), HELLINGER_CLAMP) for a in (p, q))
-    return -0.5 * np.sqrt(q / p)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +153,13 @@ def relu_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1x1 channel-mixing convolution over an (H, W, C_in) grid or a batch of
-    them: the per-cell affine map out[..., h, w, :] = x[..., h, w, :] @ w + b."""
+    them: the per-cell affine map out[..., h, w, :] = x[..., h, w, :] @ w + b,
+    as one 2-D product over every cell."""
     x = _as_f64(x)
     w = _as_f64(w)
     if x.ndim not in (3, 4) or x.shape[-1] != w.shape[0]:
         raise ValueError(f"channel mismatch: input {x.shape} vs weights {w.shape}")
-    return x @ w + _as_f64(b)
+    return (x.reshape(-1, w.shape[0]) @ w + _as_f64(b)).reshape(*x.shape[:-1], w.shape[1])
 
 
 def conv1x1_param_grads(x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ The training loss and inference (``attention_maps``, ``class_scores``,
 ``predict``) take a (B, H, W, C) batch and run one shared forward for it; a
 single (H, W, C) map runs as a batch of one and gives an unbatched result.
 ``total_loss`` checks its labels and runs ``loss_and_grads``, which the
-trainer calls directly: one softmax pass gives the CE loss and its gradient,
-and only the p half of each pairwise Hellinger gradient is formed.
+trainer calls directly with gradient arrays to fill: each layer is one 2-D
+product over the batch, and the CE and diversity gradients are closed forms.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import numpy as np
 
 from . import diffmath as dm
 from .diffmath import GradientSet
+
+# Both square roots in the diversity gradient are clamped here, so it stays
+# finite when an attention weight underflows to 0.
+HELLINGER_CLAMP = 1e-12
 
 
 @dataclass
@@ -188,7 +192,7 @@ def _pool(model: SetNetModel, fmaps: np.ndarray):
     """The shared forward of a (B, H, W, C) batch up to the pooled features.
 
     Returns the cells x (B, T, C) with T = H*W, the hidden pre-activations
-    z1 (B, T, C_h), their ReLU r, the attention maps (B, K, T) and the
+    z1 (B*T, C_h), their ReLU r, the C-order attention maps (B, K, T) and the
     attention-pooled features (B, K, C).
     """
     fmaps = np.asarray(fmaps, dtype=np.float64)
@@ -197,9 +201,10 @@ def _pool(model: SetNetModel, fmaps: np.ndarray):
         raise ValueError(f"feature maps must be (H, W, C), got {fmaps.shape[1:]} per sample")
     b, h, w, c = fmaps.shape
     x = fmaps.reshape(b, h * w, c)
-    z1 = dm.conv1x1(fmaps, att.w1, att.b1).reshape(b, h * w, -1)
+    z1 = dm.conv1x1(fmaps, att.w1, att.b1).reshape(b * h * w, -1)
     r = dm.relu(z1)
-    maps = dm.softmax(dm.matmul(r, att.w2).swapaxes(1, 2))
+    logits = dm.matmul(r, att.w2).reshape(b, h * w, -1)
+    maps = dm.softmax(np.ascontiguousarray(logits.swapaxes(1, 2)))
     return x, z1, r, maps, maps @ x
 
 
@@ -211,36 +216,31 @@ def attention_maps(model: SetNetModel, fmaps: np.ndarray) -> np.ndarray:
     return maps.reshape(*fmaps.shape[:-3], model.head_count, *fmaps.shape[-3:-1])
 
 
-def diversity_loss(maps: np.ndarray):
+def diversity_loss(maps: np.ndarray, grad: bool = False):
     """Sum of squared Hellinger distances over ordered head pairs.
 
     Takes one (K, H, W) attention stack, giving a float, or a (B, K, H, W)
     batch, giving the (B,) per-sample values. Each unordered pair counts
-    twice; range [0, K*(K-1)].
+    twice; range [0, K*(K-1)]. With r_i = sqrt(a_i) for head i it is, in
+    closed form, K(K-1) - (|sum_i r_i|^2 - sum_i |r_i|^2).
+
+    ``grad=True`` also returns the gradient w.r.t. the maps, shaped like
+    them: 1 - sum_j q_j / q_i for head i, with q = sqrt(max(a,
+    HELLINGER_CLAMP)).
     """
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim not in (3, 4) or maps.shape[-3] == 0:
         raise ValueError("expected a nonempty (K, H, W) attention stack or a batch of them")
     k = maps.shape[-3]
     flat = maps.reshape(-1, k, maps.shape[-2] * maps.shape[-1])
-    # Bhattacharyya coefficients for all pairs at once.
     roots = np.sqrt(np.maximum(flat, 0.0))
-    bc = roots @ roots.swapaxes(1, 2)
-    off_diag = bc.sum(axis=(1, 2)) - np.trace(bc, axis1=1, axis2=2)
+    off_diag = np.square(roots.sum(axis=1)).sum(axis=1) - np.square(roots).sum(axis=(1, 2))
     values = k * (k - 1) - off_diag
-    return float(values[0]) if maps.ndim == 3 else values
-
-
-def _diversity_grad(flat: np.ndarray) -> np.ndarray:
-    """dL_div/da for a (B, K, T) batch of vectorized maps."""
-    # grad_p[j, b, i, :] = d H^2(a_i, a_j) / d a_i, head i being the
-    # first argument of pair (i, j) and, symmetrically, the second of (j, i).
-    # j leads so its sum is whole-array adds; i == j terms get a mask's -0.0.
-    flat = np.ascontiguousarray(flat)  # _pool's maps are strided; this halves the cost
-    grad_p = dm.hellinger_sq_grad(flat, flat.swapaxes(0, 1)[:, :, None, :])
-    for j in range(flat.shape[1]):
-        grad_p[j, :, j] = -0.0
-    return 2.0 * grad_p.sum(axis=0)
+    values = float(values[0]) if maps.ndim == 3 else values
+    if not grad:
+        return values
+    q = np.sqrt(np.maximum(flat, HELLINGER_CLAMP))
+    return values, (1.0 - q.sum(axis=1, keepdims=True) / q).reshape(maps.shape)
 
 
 def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable) -> np.ndarray:
@@ -250,15 +250,15 @@ def ensemble_logits(model: SetNetModel, feats: np.ndarray, table: SemanticTable)
     giving (B, D).
     """
     feats = np.asarray(feats, dtype=np.float64)
-    k = model.head_count
-    if feats.ndim not in (2, 3) or feats.shape[-2:] != (k, model.projectors.visual_dim):
-        raise ValueError(f"expected features of shape {(k, model.projectors.visual_dim)}, got {feats.shape}")
-    if table.semantic_dim != model.projectors.semantic_dim:
-        raise ValueError(f"semantic dim mismatch: table {table.semantic_dim} vs projectors {model.projectors.semantic_dim}")
-    # heads lead, so all K projectors apply as one stacked product: (K, B, S)
-    per_head = feats.reshape(-1, k, feats.shape[-1]).swapaxes(0, 1)
-    projected = dm.matmul(per_head, model.projectors.weights) + model.projectors.biases[:, None, :]
-    logits = (projected.sum(axis=0) / k) @ table.vectors.T  # the head mean
+    k, v, s = model.projectors.weights.shape
+    if feats.ndim not in (2, 3) or feats.shape[-2:] != (k, v):
+        raise ValueError(f"expected features of shape {(k, v)}, got {feats.shape}")
+    if table.semantic_dim != s:
+        raise ValueError(f"semantic dim mismatch: table {table.semantic_dim} vs projectors {s}")
+    # all K projectors, and their sum over heads, as one (B, K*V) @ (K*V, S) product
+    projected = (feats.reshape(-1, k * v) @ model.projectors.weights.reshape(k * v, s)
+                 + model.projectors.biases.sum(axis=0))
+    logits = (projected / k) @ table.vectors.T  # the head mean
     return logits[0] if feats.ndim == 2 else logits
 
 
@@ -310,41 +310,48 @@ def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
         raise ValueError(f"expected {np.shape(fmaps)[0]} labels, got shape {rows.shape}")
     if rows.size == 0:
         raise ValueError("empty batch")
-    total, grads = loss_and_grads(model, fmaps, rows, table, diversity_sign)
+    att, proj = model.attention, model.projectors
+    grads = tuple(np.empty_like(p) for p in (att.w1, att.b1, att.w2, proj.weights, proj.biases))
+    total = loss_and_grads(model, fmaps, rows, table, diversity_sign, grads)
     heads = [g for pair in zip(grads[3], grads[4]) for g in pair]  # proj.k.w, proj.k.b
     return total, dict(zip(model.parameters(), [*grads[:3], *heads]))
 
 
 def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,
-                   table: SemanticTable, diversity_sign: int) -> tuple[float, tuple]:
+                   table: SemanticTable, diversity_sign: int, grads: tuple) -> float:
     """``total_loss`` for a nonempty batch whose labels are the table rows
-    ``rows``, unchecked. The gradient is the tuple of attention w1, b1, w2,
-    (K, V, S) projector weights and (K, S) projector biases."""
+    ``rows``, unchecked. Returns the loss and writes its gradient into
+    ``grads``: C-order arrays shaped like attention w1, b1, w2, the (K, V, S)
+    projector weights and the (K, S) projector biases, in that order."""
     x, z1, r, maps, feats = _pool(model, fmaps)
     b, h, w = np.shape(fmaps)[:3]
     att, proj = model.attention, model.projectors
-    k = model.head_count
+    k, v, s = proj.weights.shape
+    g_w1, g_b1, g_w2, g_proj_w, g_proj_b = grads
 
-    scores = ensemble_logits(model, feats, table)  # (B, D)
-    l_cls, d_scores = dm.cross_entropy(*dm.softmax_with_log(scores), rows)
-    l_div = diversity_loss(maps[:, :, None, :])    # as (B, K, 1, T) stacks
+    # the CE loss and dCE/dscores = p - onehot, with the rows taken as given
+    d_scores, log_p = dm.softmax_with_log(ensemble_logits(model, feats, table))  # (B, D)
+    picked = np.arange(b), rows
+    l_cls = -log_p[picked]
+    d_scores[picked] -= 1.0
+    l_div, d_div = diversity_loss(maps[:, :, None, :], grad=True)  # as (B, K, 1, T) stacks
     div_scale = diversity_sign * model.diversity_weight
     total = float((l_cls + div_scale * l_div).sum() / b)  # the batch mean
 
     # backward: classification path; every head sees the same d_projected
     d_projected = ((d_scores / b) @ table.vectors) / k   # (B, S)
-    d_per_head, d_proj_w = dm.matmul_backward(feats.swapaxes(0, 1), proj.weights, d_projected)
-    d_proj_b = d_projected.sum(axis=0)[None].repeat(k, axis=0)
-    d_maps = d_per_head.swapaxes(0, 1) @ x.swapaxes(1, 2)   # (B, K, T)
-    d_maps += (div_scale / b) * _diversity_grad(maps)       # the diversity path
+    np.matmul(feats.reshape(b, k * v).T, d_projected, out=g_proj_w.reshape(k * v, s))  # C-order: a view
+    g_proj_b[...] = d_projected.sum(axis=0)
+    d_feats = d_projected @ proj.weights.reshape(k * v, s).T
+    d_maps = d_feats.reshape(b, k, v) @ x.swapaxes(1, 2)  # (B, K, T)
+    d_maps += (div_scale / b) * d_div.reshape(b, k, h * w)  # the diversity path
 
     # through the per-head softmax and the conv stack
     d_logits = dm.spatial_softmax_backward(maps.reshape(b, k, h, w), d_maps.reshape(b, k, h, w))
-    d_z2 = d_logits.reshape(b, k, h * w).swapaxes(1, 2)   # (B, T, K)
-    d_r, d_w2 = dm.matmul_backward(r.reshape(b * h * w, -1), att.w2, d_z2.reshape(b * h * w, k))
-    d_z1 = dm.relu_backward(z1, d_r.reshape(z1.shape))
-    d_w1, d_b1 = dm.conv1x1_param_grads(x, d_z1)
-    return total, (d_w1, d_b1, d_w2, d_proj_w, d_proj_b)
+    d_z2 = d_logits.reshape(b, k, h * w).swapaxes(1, 2).reshape(b * h * w, k)
+    np.matmul(r.T, d_z2, out=g_w2)
+    g_w1[...], g_b1[...] = dm.conv1x1_param_grads(x, dm.relu_backward(z1, d_z2 @ att.w2.T))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,17 @@ class TrainConfig:
     ddm_hidden: int = 64
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for field in dataclasses.fields(self):  # a float field takes an int as it is
+            value, is_int = getattr(self, field.name), field.type == "int"
+            if (isinstance(value, bool) or not isinstance(value, int if is_int else (int, float))
+                    or not (is_int or abs(value) <= sys.float_info.max)):
+                raise ValueError(f"{field.name} must be {'an int' if is_int else 'a finite float'}, "
+                                 f"got {value!r}")
+        for name in ("learning_rate", "epochs", "seed", "diversity_weight"):
+            if getattr(self, name) < 0:  # a negative seed cannot seed a generator
+                raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.diversity_weight < 0:
-            raise ValueError("diversity weight must be >= 0")
         if self.head_count < 1 or self.hidden_channels < 1 or self.ddm_hidden < 1:
             raise ValueError("layer widths must be >= 1")
         if self.fold_count < 2:
@@ -152,8 +156,9 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     rows = np.zeros(bundle.sample_count, dtype=np.int64)
     rows[train_idx] = seen_table.indices_of(bundle.labels[train_idx])
     att, proj = model.attention, model.projectors
-    flat, (att.w1, att.b1, att.w2, proj.weights, proj.biases) = _flatten(
-        [att.w1, att.b1, att.w2, proj.weights, proj.biases])
+    arrays = [att.w1, att.b1, att.w2, proj.weights, proj.biases]
+    flat, (att.w1, att.b1, att.w2, proj.weights, proj.biases) = _flatten(arrays)
+    grad, grad_views = _flatten(arrays)  # laid out like flat; every step overwrites it
 
     def plan_epoch():
         order = train_idx[shuffler.permutation(train_idx.size)]
@@ -162,9 +167,8 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
         return [(batch, batch.size) for batch in batches], order.size
 
     def step_loss(batch):
-        loss, grads = loss_and_grads(model, bundle.features[batch], rows[batch], seen_table,
-                                     cfg.diversity_sign)
-        return loss, np.concatenate(grads, axis=None)
+        return loss_and_grads(model, bundle.features[batch], rows[batch], seen_table,
+                              cfg.diversity_sign, grad_views), grad
 
     _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
     return model

@@ -89,6 +89,19 @@ def stacked_batch(subs, chunks, pad=0):
     return feats, labels, weights
 
 
+# (field, value, start of the error message): TrainConfig values that must
+# be refused however they arrive, from a config file or a checkpoint
+INVALID_TRAIN_CONFIGS = {
+    "epochs_fraction": ("epochs", 2.5, "epochs must be an int"),
+    "fold_count_fraction": ("fold_count", 2.5, "fold_count must be an int"),
+    "head_count_bool": ("head_count", True, "head_count must be an int"),
+    "learning_rate_nan": ("learning_rate", float("nan"), "learning_rate must be a finite float"),
+    "diversity_weight_inf": ("diversity_weight", float("inf"), "diversity_weight must be a finite float"),
+    "learning_rate_text": ("learning_rate", "4.0", "learning_rate must be a finite float"),
+    "seed_negative": ("seed", -1, "seed must be >= 0"),
+}
+
+
 MISFIT_DDM = ["b1_short", "b2_long", "w2_hidden", "fold_in_dim"]
 
 

@@ -43,6 +43,18 @@ def diversity_brute(maps):
     return total
 
 
+def diversity_grad_pairwise(maps, clamp=1e-12):
+    """d(diversity)/d(maps) summed pair by pair: for head i and cell t,
+    sum over j != i of -sqrt(max(a_jt, clamp) / max(a_it, clamp))."""
+    k = len(maps)
+    flat = [[max(float(v), clamp) for v in np.asarray(m).ravel()] for m in maps]
+    grad = np.zeros((k, len(flat[0])))
+    for i in range(k):
+        for t in range(len(flat[i])):
+            grad[i, t] = sum(-math.sqrt(flat[j][t] / flat[i][t]) for j in range(k) if j != i)
+    return grad.reshape(np.shape(maps))
+
+
 def attention_maps_straightline(w1, b1, w2, fmap):
     """Per-cell loops through the two-layer stack and a per-head softmax."""
     h, w, c = fmap.shape

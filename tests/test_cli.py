@@ -17,7 +17,7 @@ from setnet.ood import disagreement_degree
 from setnet.train import (holdout_indices, load_ddm_checkpoint,
                           load_setnet_checkpoint, pooled_features, save_checkpoint)
 
-from conftest import MISFIT_DDM, misfit_ddm
+from conftest import INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -169,6 +169,22 @@ def test_train_missing_section(workdir, tmp_path, capsys):
                "--out", str(tmp_path / "x.sdnc")])
     err = capsys.readouterr().err
     assert rc != 0 and "train" in err
+
+
+@pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])
+@pytest.mark.parametrize("field, value, message", INVALID_TRAIN_CONFIGS.values(),
+                         ids=INVALID_TRAIN_CONFIGS)
+def test_train_rejects_an_invalid_config_before_the_header(workdir, tmp_path, capsys, command,
+                                                           field, value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": {**TRAIN, field: value}}))
+    out = tmp_path / "x.sdnc"
+    rc = main([command, "--bundle", str(workdir["bundle"]), "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert rc != 0 and captured.out == ""
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"error: invalid train config: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])

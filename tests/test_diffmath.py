@@ -116,8 +116,10 @@ def test_hellinger_grad_matches_fd(seed):
     q = rng.uniform(0.05, 1.0, size=6)
 
     def loss_fn(params):
-        gp, gq = dm.hellinger_sq_grad(params["p"], params["q"]), dm.hellinger_sq_grad(params["q"], params["p"])
-        return hellinger_sq_brute(params["p"], params["q"]), {"p": gp, "q": gq}
+        # the two ordered pairs of the stack [p, q] each count H^2(p, q), so
+        # half the closed-form diversity gradient is the gradient of H^2
+        _, grad = diversity_loss(np.stack([params["p"], params["q"]])[:, None, :], grad=True)
+        return hellinger_sq_brute(params["p"], params["q"]), {"p": grad[0, 0] / 2, "q": grad[1, 0] / 2}
 
     assert dm.grad_check(loss_fn, {"p": p, "q": q}, eps=1e-4) < 1e-4
 

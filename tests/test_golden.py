@@ -32,8 +32,8 @@ TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
 
 GOLDEN = {
     "data.sdnb": "c2dfb00b49e7db75abd1c207ced6b8dab1c94ccbd8f451f612f5640f25c048d2",
-    "zsl.sdnc": "22ce795868d7fb430172e641a37d06712938f9d8d3bb14d81a42d9060d72ef4d",
-    "gzsl.sdnc": "edbbac7858d30739826ca60350a6ff21ae1ddb07cc084f3ee160c34e692886a1",
+    "zsl.sdnc": "0ea47905dcb13186ccfcc71edb376e1de0dd23d35a559919db75dd65d892963a",
+    "gzsl.sdnc": "6561a484a39c02b03abce31915e60765804768457ce71fb61c7870f4c8e7fe66",
     "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
     "ddm.sdnc": "2313eb445985414ccfdd57dd8a303eac5a231ae40d89f4a3e768528dd0327a5a",
     "ddm-cal.sdnc": "67647538c5af33b5072d683636cb33e4d8fb890c3a55de57b1caebca2532c188",
@@ -46,7 +46,7 @@ SYNTH_K4 = dict(SYNTH, height=4, width=4, samples_per_class=11, seed=3)
 TRAIN_K4 = dict(TRAIN, learning_rate=4.0, head_count=4, hidden_channels=16)
 
 GOLDEN_K4 = {
-    "zsl.sdnc": "8faedf3993e951d46799a91ca48d28efe31e41bd86899c19a63d0dbbe7c84ea9",
+    "zsl.sdnc": "455d3006afd5dab658ca590268b2e7f32e2c95944b33249c8a8dd06c4ebc4029",
     "ddm.sdnc": "f89be35b76790a48043ba9f82c09089ca30630861d5bbb99f02489e618dc4d10",
 }
 

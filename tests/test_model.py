@@ -8,7 +8,7 @@ from setnet.model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetN
 
 from conftest import random_model, random_table, safe_instance
 from oracles import (attention_maps_straightline, attentive_features_brute,
-                     diversity_brute, ensemble_logits_brute)
+                     diversity_brute, diversity_grad_pairwise, ensemble_logits_brute)
 
 
 def identity_model(v, lam=0.0):
@@ -134,6 +134,20 @@ def test_diversity_matches_brute_force_and_permutation_invariant(seed):
     perm = maps[rng.permutation(3)]
     assert diversity_loss(perm) == pytest.approx(got, abs=1e-12)
     assert 0 <= got <= 3 * 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_diversity_grad_clamps_both_roots(seed):
+    # logits x60 make maps with many cells far below the clamp; there the
+    # closed form 1 - sum_j q_j / q_i must use the clamped q in the sum too
+    rng = np.random.default_rng(seed)
+    maps = dm.softmax(60 * rng.normal(size=(2, 4, 16))).reshape(2, 4, 4, 4)
+    assert (maps < 1e-30).mean() > 0.3
+    values, grad = diversity_loss(maps, grad=True)
+    np.testing.assert_array_equal(values, [diversity_loss(m) for m in maps])
+    for got, m in zip(grad, maps):
+        want = diversity_grad_pairwise(m)
+        assert (np.abs(got - want) / np.maximum(np.abs(want), 1.0)).max() <= 1e-12
 
 
 def test_diversity_rejects_empty():

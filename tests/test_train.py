@@ -18,7 +18,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
                           save_checkpoint, train_ddm, train_setnet)
 
-from conftest import MISFIT_DDM, misfit_ddm, safe_instance
+from conftest import INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm, safe_instance
 from oracles import total_loss_per_sample, train_ddm_per_fold
 
 
@@ -43,6 +43,20 @@ def test_config_rejects_bad_values():
                {"diversity_sign": 0}):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+
+@pytest.mark.parametrize("field, value, message", INVALID_TRAIN_CONFIGS.values(),
+                         ids=INVALID_TRAIN_CONFIGS)
+def test_config_rejects_fractional_counts_and_non_finite_floats(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
+def test_config_float_field_keeps_an_int():
+    # a JSON 4 stays 4, so the config a checkpoint stores keeps its bytes
+    cfg = TrainConfig(learning_rate=4, diversity_weight=0)
+    assert type(cfg.learning_rate) is int and type(cfg.diversity_weight) is int
+    assert '"learning_rate": 4,' in json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +159,44 @@ def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
     save_checkpoint(first, trained, TrainConfig(epochs=1, **cfg))
     save_checkpoint(second, load_setnet_checkpoint(first)[0], TrainConfig(epochs=1, **cfg))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_flat_gradient_slots_hold_the_total_loss_gradients(tiny_bundle, monkeypatch):
+    # K=4 and 11 samples in batches of 8, so the second step is ragged: at
+    # every step, the region of the trainer's flat gradient under each
+    # parameter's view of the flat parameters holds, bit for bit, that
+    # parameter's gradient from total_loss
+    idx = tiny_bundle.train_indices()[:11]
+    flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
+    flags[idx] = True
+    small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
+                          table=tiny_bundle.table,
+                          split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
+                                          unseen_ids=tiny_bundle.split.unseen_ids,
+                                          train_flags=flags))
+    cfg = dict(seed=7, learning_rate=0.7, batch_size=8, head_count=4, hidden_channels=4)
+    steps = []
+
+    def recording(params, grads, lr):
+        steps.append((params, params.copy(), grads.copy()))
+        params -= lr * grads
+
+    monkeypatch.setattr(setnet.train, "_sgd_step", recording)
+    trained = train_setnet(small, TrainConfig(epochs=1, **cfg))
+    order = idx[np.random.default_rng([7, 0x12]).permutation(idx.size)]  # the trainer's shuffle
+    assert len(steps) == 2
+    model = train_setnet(small, TrainConfig(epochs=0, **cfg))
+    for (flat, before, grad), batch in zip(steps, (order[:8], order[8:])):
+        slots = {}
+        for name, p in trained.parameters().items():
+            start = (p.ctypes.data - flat.ctypes.data) // flat.itemsize
+            assert 0 <= start <= flat.size - p.size, name
+            slots[name] = slice(start, start + p.size)
+            model.parameters()[name][...] = before[slots[name]].reshape(p.shape)
+        _, want = total_loss(model, small.features[batch], small.labels[batch], small.seen_table())
+        assert sum(p.size for p in want.values()) == grad.size
+        for name, g in want.items():
+            assert np.array_equal(grad[slots[name]].reshape(g.shape), g), name
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -378,9 +430,10 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
-    """A checkpoint from (name, dims, payload) entries, written straight
-    from the documented layout."""
-    cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+    """A checkpoint from (name, dims, payload) entries and a TrainConfig or
+    a config dict, written straight from the documented layout."""
+    cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
+    cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
     out = [b"SDNC", struct.pack("<II", 1, len(kind)), kind.encode("utf-8"),
            struct.pack("<I", len(cfg_json)), cfg_json, struct.pack("<I", len(entries))]
     for name, dims, payload in entries:
@@ -420,6 +473,20 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
     path = tmp_path / "bad.sdnc"
     path.write_bytes(checkpoint_bytes(cfg, entries))
     with pytest.raises(FormatError, match=message):
+        load_setnet_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, message", INVALID_TRAIN_CONFIGS.values(),
+                         ids=INVALID_TRAIN_CONFIGS)
+def test_checkpoint_reader_rejects_an_invalid_config(tiny_bundle, tmp_path, field, value, message):
+    cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
+    model = train_setnet(tiny_bundle, cfg)
+    tensors = dict(model.parameters(), diversity_weight=np.asarray(model.diversity_weight))
+    entries = [(name, arr.shape, np.asarray(arr, dtype="<f8").tobytes())
+               for name, arr in tensors.items()]
+    path = tmp_path / "bad.sdnc"
+    path.write_bytes(checkpoint_bytes({**dataclasses.asdict(cfg), field: value}, entries))
+    with pytest.raises(FormatError, match=f"invalid train config: {message}"):
         load_setnet_checkpoint(path)
 
 
