@@ -8,7 +8,7 @@ from .metrics import EvalReport, harmonic_mean, per_class_top1, tnr_at_fnr
 from .model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel,
                     attention_maps, diversity_loss, ensemble_logits, export_attention,
                     predict, total_loss)
-from .ood import (DdmEnsemble, Domain, FoldPartition, SubDdm, calibrate_theta,
+from .ood import (DdmEnsemble, Domain, FoldPartition, calibrate_theta,
                   confidence, detect, disagreement, partition_classes, subddm_loss)
 from .pipeline import GzslSystem, classify_gzsl
 from .train import (TrainConfig, calibrate_ensemble, load_ddm_checkpoint,

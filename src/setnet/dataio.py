@@ -246,6 +246,8 @@ class SyntheticSpec:
             raise ValueError("noise sigma must be >= 0")
         if not isinstance(self.jitter, int) or self.jitter < 0:
             raise ValueError("jitter must be a nonnegative integer")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def _round_f32(x: np.ndarray) -> np.ndarray:

@@ -11,25 +11,24 @@ sub-detectors and OOD for one, so they produce large disagreement; inputs
 from classes nobody saw score uniformly low and produce small disagreement.
 A degree below the calibrated threshold flags the input as unseen.
 
-Training stacks the I sub-detectors on a leading fold axis (output columns
-zero-padded to the widest fold and masked out of the loss), so one
-``subddm_loss`` call gives every fold's loss and gradient for a training
-step, from one softmax pass shared by the CE, the KL and their gradients.
-Confidences and degrees are computed row-wise for a (B, C) batch of pooled
-features, with one forward per sub-detector; a single (C,) feature gives
-scalars.
+The I sub-detectors live stacked on a leading fold axis in ``DdmEnsemble``
+(output columns zero-padded to the widest fold and masked with -inf), from
+training through the checkpoint to inference. One ``subddm_loss`` call gives
+every fold's loss and gradient for a training step, from one softmax pass
+shared by the CE, the KL and their gradients; at inference one stacked
+forward gives every fold's confidence for a (B, C) batch of pooled features,
+and a single (C,) feature gives one score per fold and a scalar degree.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import GradientSet
 from .errors import NotCalibratedError
 
 
@@ -81,130 +80,165 @@ def partition_classes(seen_ids, fold_count: int, seed: int) -> FoldPartition:
 
 
 @dataclass
-class SubDdm:
-    """One fold's classifier: mean-pooled feature -> hidden ReLU -> ID logits."""
+class DdmEnsemble:
+    """The I fold sub-detectors, stacked on a leading fold axis, plus the
+    calibrated disagreement threshold.
 
-    fold_index: int
-    id_class_ids: np.ndarray  # sorted (n_id,) int64
-    w1: np.ndarray  # (C, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, n_id)
-    b2: np.ndarray  # (n_id,)
+    Fold i maps a mean-pooled (C,) feature through ``w1[i]`` (C, H),
+    ``b1[i]`` (H,), a ReLU, ``w2[i]`` (H, N) and ``b2[i]`` (N,) to logits over
+    its ID classes ``fold_ids[i]``: sorted ids padded with -1 to the widest
+    fold's N, whose columns are masked out. ``bundle_sha256`` is the hex
+    SHA-256 of the bundle file the detector was trained on, when known;
+    ``train.check_training_bundle`` refuses any other bundle.
+    ``holdout_seed`` names the calibration holdout its folds never saw.
+    """
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    fold_ids: np.ndarray
+    theta: float | None = None
+    bundle_sha256: str | None = None
+    holdout_seed: int | None = None
 
     def __post_init__(self):
-        self.id_class_ids = np.asarray(self.id_class_ids, dtype=np.int64)
-        n_id = self.id_class_ids.size
-        c, hidden = self.w1.shape if self.w1.ndim == 2 else (-1, -1)
-        got = [a.shape for a in (self.id_class_ids, self.w1, self.b1, self.w2, self.b2)]
-        if got != [(n_id,), (c, hidden), (hidden,), (hidden, n_id), (n_id,)]:
-            raise ValueError(f"fold {self.fold_index}: expected ids (n_id,), w1 (C, H), b1 (H,), "
-                             f"w2 (H, n_id) and b2 (n_id,), got shapes {got}")
+        folds, c, hidden = self.w1.shape if self.w1.ndim == 3 else (-1, -1, -1)
+        n = self.w2.shape[-1] if self.w2.ndim == 3 else -1
+        got = [np.shape(a) for a in (self.w1, self.b1, self.w2, self.b2, self.fold_ids)]
+        if got != [(folds, c, hidden), (folds, hidden), (folds, hidden, n), (folds, n), (folds, n)]:
+            raise ValueError(f"expected w1 (I, C, H), b1 (I, H), w2 (I, H, N), b2 (I, N) and "
+                             f"fold ids (I, N), got shapes {got}")
+        if folds < 2:
+            raise ValueError("an ensemble needs at least 2 sub-detectors")
+        self.fold_ids = _check_fold_ids(self.fold_ids)
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[1]
 
-    def logits(self, feats: np.ndarray) -> np.ndarray:
-        """Class logits for a (B, C) batch of mean-pooled features."""
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.in_dim:
-            raise ValueError(f"expected (B, {self.in_dim}) features, got {feats.shape}")
-        return np.maximum(feats @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Each fold's ID class count, (I,)."""
+        return (self.fold_ids >= 0).sum(axis=1)
 
-    def parameters(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
-                f"{prefix}w2": self.w2, f"{prefix}b2": self.b2}
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
+    def calibrated_theta(self) -> float:
+        if self.theta is None:
+            raise NotCalibratedError("ensemble threshold is unset; calibrate first")
+        return self.theta
 
 
-def init_subddm(fold_index: int, id_class_ids, in_dim: int, hidden: int,
-                rng: np.random.Generator) -> SubDdm:
-    """Fresh sub-detector with uniform(-1/sqrt(fan_in), ...) weights."""
-    ids = np.sort(np.asarray(list(id_class_ids), dtype=np.int64))
+def _check_fold_ids(ids) -> np.ndarray:
+    """The (I, N) fold class-id table as int64. Refused unless every row is
+    strictly ascending integer ids >= 0 followed only by -1 padding, holds
+    at least one id, and the widest row fills all N columns."""
+    ids = np.asarray(ids)
+    if not np.all((ids == np.trunc(ids)) & (np.abs(ids) < 2.0**53)):
+        raise ValueError("fold class ids must be integers")
+    ids = ids.astype(np.int64)
+    counts = (ids >= 0).sum(axis=1, keepdims=True)
+    live = np.arange(ids.shape[1]) < counts
+    if not (np.array_equal(np.where(live, ids, -1), ids)
+            and np.all(np.diff(ids, axis=1)[live[:, 1:]] > 0)):
+        raise ValueError("each fold's class ids must be strictly ascending ids >= 0, "
+                         "followed only by -1 padding")
+    if counts.min() < 1:
+        raise ValueError(f"fold {int(np.argmin(counts))} has no ID class")
+    if counts.max() != ids.shape[1]:
+        raise ValueError(f"the widest fold has {int(counts.max())} ID classes, "
+                         f"but w2 has {ids.shape[1]} output columns")
+    return ids
 
-    def u(fan_in, *shape):
+
+def init_ddm(fold_ids: list, in_dim: int, hidden: int, rngs) -> DdmEnsemble:
+    """Fresh uncalibrated ensemble with uniform(-1/sqrt(fan_in), ...) weights.
+
+    ``fold_ids[i]`` lists fold i's ID class ids. Fold i draws its w1, b1, w2
+    and b2, in that order, from ``rngs[i]``; its w2 and b2 columns are
+    zero-padded to the widest fold.
+    """
+    ids = [np.sort(np.asarray(list(f), dtype=np.int64)) for f in fold_ids]
+    n = max(f.size for f in ids)
+
+    def u(rng, fan_in, *shape):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    return SubDdm(fold_index=fold_index, id_class_ids=ids,
-                  w1=u(in_dim, in_dim, hidden), b1=u(in_dim, hidden),
-                  w2=u(hidden, hidden, ids.shape[0]), b2=u(hidden, ids.shape[0]))
+    w1, b1, w2, b2 = [], [], [], []
+    for f, rng in zip(ids, rngs):
+        w1.append(u(rng, in_dim, in_dim, hidden))
+        b1.append(u(rng, in_dim, hidden))
+        w2.append(np.pad(u(rng, hidden, hidden, f.size), [(0, 0), (0, n - f.size)]))
+        b2.append(np.pad(u(rng, hidden, f.size), (0, n - f.size)))
+    return DdmEnsemble(w1=np.stack(w1), b1=np.stack(b1), w2=np.stack(w2), b2=np.stack(b2),
+                       fold_ids=np.stack([np.pad(f, (0, n - f.size), constant_values=-1)
+                                          for f in ids]))
 
 
-def stack_subddms(subs: list[SubDdm]) -> tuple[GradientSet, np.ndarray]:
-    """Fold-stacked copies of the sub-detectors' parameters, as
-    ``subddm_loss`` takes them, and each fold's ID class count. Output
-    columns are zero-padded to the widest fold."""
-    counts = np.array([s.id_class_ids.shape[0] for s in subs])
-
-    def pad(a):
-        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, counts.max() - a.shape[-1])])
-
-    return {"w1": np.stack([s.w1 for s in subs]), "b1": np.stack([s.b1 for s in subs]),
-            "w2": np.stack([pad(s.w2) for s in subs]),
-            "b2": np.stack([pad(s.b2) for s in subs])}, counts
+def _forward(e: DdmEnsemble, feats: np.ndarray):
+    """Hidden pre-activations, their ReLU and every fold's logits, with the
+    padding columns masked to -inf, for an (I, B, C) stack of rows or a
+    (B, C) batch that every fold sees."""
+    z1 = dm.matmul(feats, e.w1) + e.b1[:, None]
+    r = dm.relu(z1)
+    z2 = np.where(e.fold_ids[:, None] >= 0, dm.matmul(r, e.w2) + e.b2[:, None], -np.inf)
+    return z1, r, z2
 
 
-def unstack_subddms(params: GradientSet, subs: list[SubDdm]) -> list[SubDdm]:
-    """Copies of ``subs`` that hold the stacked parameters, padding trimmed."""
-    return [replace(s, w1=params["w1"][i].copy(), b1=params["b1"][i].copy(),
-                    w2=params["w2"][i, :, :s.b2.shape[0]].copy(),
-                    b2=params["b2"][i, :s.b2.shape[0]].copy())
-            for i, s in enumerate(subs)]
+def subddm_loss(e: DdmEnsemble, feats: np.ndarray, labels, weights, grads: tuple) -> np.ndarray:
+    """Every fold's sub-detector loss from one stacked forward, with its
+    gradient written into ``grads``: arrays shaped like ``e``'s w1, b1, w2
+    and b2, in that order.
 
+    ``feats`` is an (I, B, C) stack of rows; ``labels`` (I, B) holds each
+    row's local ID label (its index in the fold's class ids), or -1 for a
+    virtual OOD row; ``weights`` (I, B) is each row's share of its fold's
+    loss, 1/chunk size for an ID or OOD row and 0 on padding. A fold's loss
+    is then its ID-mean cross-entropy plus its OOD-mean KL-to-uniform (log C
+    with its own class count C), and a fold whose weights are all 0 gets a
+    loss and gradient of exactly 0. Padding output columns are masked out of
+    the softmax, the CE and the KL, and get no gradient.
 
-def subddm_loss(params: GradientSet, class_counts, feats: np.ndarray, labels,
-                weights) -> tuple[np.ndarray, GradientSet]:
-    """Every fold's sub-detector loss and gradients from one stacked forward.
-
-    ``params`` holds ``w1`` (I, C, hidden), ``b1`` (I, hidden), ``w2``
-    (I, hidden, N) and ``b2`` (I, N), as ``stack_subddms`` builds them: fold
-    i uses its first ``class_counts[i]`` output columns, and the padding
-    columns are masked out of the softmax, the CE and the KL. ``feats`` is an
-    (I, B, C) stack of rows; ``labels`` (I, B) holds each row's local ID
-    label, or -1 for a virtual OOD row; ``weights`` (I, B) is each row's
-    share of its fold's loss, 1/chunk size for an ID or OOD row and 0 on
-    padding. A fold's loss is then its ID-mean cross-entropy plus its
-    OOD-mean KL-to-uniform (log C with its own class count C), and a fold
-    whose weights are all 0 gets a loss and gradient of exactly 0.
-
-    Returns the (I,) per-fold losses and the stacked gradients.
+    Returns the (I,) per-fold losses.
     """
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
-    counts = np.asarray(class_counts)[:, None]
+    counts = e.class_counts[:, None]
     if (labels >= counts).any():
         raise IndexError("a local label is not an ID class of its fold")
-    w2 = params["w2"]
-    z1 = dm.matmul(feats, params["w1"]) + params["b1"][:, None]
-    r = dm.relu(z1)
-    live = np.arange(w2.shape[-1]) < counts  # (I, N) real output columns
-    z2 = np.where(live[:, None], dm.matmul(r, w2) + params["b2"][:, None], -np.inf)
+    g_w1, g_b1, g_w2, g_b2 = grads
+    z1, r, z2 = _forward(e, feats)
     ood = labels < 0
     p, log_p = dm.softmax_with_log(z2)  # one softmax pass for the CE and the KL
     ce, d_ce = dm.cross_entropy(p, log_p, np.where(ood, 0, labels))
     row_losses = np.where(ood, dm.kl_to_uniform(p, counts), ce)
     d_z2 = weights[..., None] * np.where(ood[..., None], dm.kl_to_uniform_grad_log(log_p, counts),
                                          d_ce)
-    d_r, d_w2 = dm.matmul_backward(r, w2, d_z2)
-    d_z1 = dm.relu_backward(z1, d_r)
-    grads = {"w1": feats.swapaxes(1, 2) @ d_z1, "b1": d_z1.sum(axis=1),
-             "w2": d_w2, "b2": d_z2.sum(axis=1)}
-    return (weights * row_losses).sum(axis=1), grads
+    np.matmul(r.swapaxes(1, 2), d_z2, out=g_w2)
+    d_z1 = dm.relu_backward(z1, d_z2 @ e.w2.swapaxes(1, 2))
+    np.matmul(feats.swapaxes(1, 2), d_z1, out=g_w1)
+    d_z1.sum(axis=1, out=g_b1)
+    d_z2.sum(axis=1, out=g_b2)
+    return (weights * row_losses).sum(axis=1)
 
 
-def confidence(d: SubDdm, feats: np.ndarray):
-    """Max softmax probability minus prediction entropy; 1 iff one-hot.
-
-    Takes one (C,) feature, giving a float, or a (B, C) batch, giving the
-    (B,) row scores from one forward.
-    """
+def confidence(e: DdmEnsemble, feats: np.ndarray) -> np.ndarray:
+    """Every fold's max softmax probability minus prediction entropy, 1 iff
+    one-hot, from one stacked forward: (I,) for one (C,) feature, (B, I) for
+    a (B, C) batch."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim not in (1, 2):
-        raise ValueError("confidence takes a (C,) feature vector or a (B, C) batch")
-    p = dm.softmax(d.logits(np.atleast_2d(feats)))
-    scores = p.max(axis=-1) - dm.entropy(p)
-    return float(scores[0]) if feats.ndim == 1 else scores
+    if feats.ndim not in (1, 2) or feats.shape[-1] != e.in_dim:
+        raise ValueError(f"confidence takes a ({e.in_dim},) feature vector or a (B, {e.in_dim}) "
+                         f"batch, got shape {feats.shape}")
+    p = dm.softmax(_forward(e, np.atleast_2d(feats))[2])  # (I, B, N)
+    scores = (p.max(axis=-1) - dm.entropy(p)).T
+    return scores[0] if feats.ndim == 1 else scores
 
 
 def disagreement(scores):
@@ -235,47 +269,10 @@ def calibrate_theta(seen_degrees, target_fnr: float) -> float:
     return float(np.sort(degrees, kind="stable")[k])
 
 
-@dataclass
-class DdmEnsemble:
-    """All fold sub-detectors plus the calibrated disagreement threshold.
-
-    ``bundle_sha256`` is the hex SHA-256 of the bundle file the detector was
-    trained on, when known; ``train.check_training_bundle`` refuses any other
-    bundle. ``holdout_seed`` names the calibration holdout its folds never saw.
-    """
-
-    sub_ddms: list[SubDdm]
-    theta: float | None = None
-    bundle_sha256: str | None = None
-    holdout_seed: int | None = None
-
-    def __post_init__(self):
-        if len(self.sub_ddms) < 2:
-            raise ValueError("an ensemble needs at least 2 sub-detectors")
-        if len({d.in_dim for d in self.sub_ddms}) != 1:
-            raise ValueError("sub-detectors must share one input width")
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-    @property
-    def fold_count(self) -> int:
-        return len(self.sub_ddms)
-
-    def confidences(self, feats: np.ndarray) -> np.ndarray:
-        """Every sub-detector's confidence: (I,) for one (C,) feature, (B, I)
-        for a (B, C) batch; one forward per fold."""
-        return np.stack([confidence(d, feats) for d in self.sub_ddms], axis=-1)
-
-    def calibrated_theta(self) -> float:
-        if self.theta is None:
-            raise NotCalibratedError("ensemble threshold is unset; calibrate first")
-        return self.theta
-
-
 def disagreement_degree(e: DdmEnsemble, feats: np.ndarray):
     """Disagreement of the fold confidences: a float for one (C,) feature,
     (B,) degrees for a (B, C) batch."""
-    return disagreement(e.confidences(feats))
+    return disagreement(confidence(e, feats))
 
 
 def detect(e: DdmEnsemble, feat: np.ndarray) -> Domain:

@@ -9,9 +9,10 @@ per run, and the model's arrays become views of one flat buffer that each
 step updates in place with a gradient in the same layout. The detector's I
 folds train as one fold-stacked model: each step gathers every fold's
 minibatch into one padded stack, and a fold that has run out of steps for
-the epoch gets all-zero row weights, so it does not move. A step whose loss
-is not finite stops training with a ``FloatingPointError`` that names the
-epoch and step, and the fold for the detector.
+the epoch gets all-zero row weights, so it does not move; the arrays it
+trains are the returned ensemble's own. A step whose loss is not finite
+stops training with a ``FloatingPointError`` that names the epoch and step,
+and the fold for the detector.
 
 Checkpoint layout (little-endian):
 
@@ -20,11 +21,15 @@ Checkpoint layout (little-endian):
     u32 tensor count | per tensor: u32 name length | name bytes |
     u32 ndim | u32 dims... | float64 data
 
-Integer payloads such as fold class ids and the 32 bytes of the training
-bundle's SHA-256 ("bundle_sha256") travel as float64 tensors; the
-calibrated threshold is a 0-d tensor named "theta" present only once set.
-Readers reject truncated data, text that is not UTF-8, non-finite values and
-missing or misshapen tensors with a ``FormatError``, and ignore unneeded ones.
+A "ddm" checkpoint holds the detector as stored in memory: the fold-stacked
+"ddm.w1" (I, C, H), "ddm.b1" (I, H), "ddm.w2" (I, H, N) and "ddm.b2" (I, N),
+and "ddm.ids", the (I, N) table of each fold's sorted ID class ids padded
+with -1 to the widest fold. Integer payloads such as that table and the 32
+bytes of the training bundle's SHA-256 ("bundle_sha256") travel as float64
+tensors; the calibrated threshold is a 0-d tensor named "theta" present only
+once set. Readers reject truncated data, text that is not UTF-8, non-finite
+values, missing or misshapen tensors and a malformed class-id table with a
+``FormatError``, and ignore unneeded ones.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from .dataio import DatasetBundle, _Cursor
 from .diffmath import spatial_mean
 from .errors import FormatError
 from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
-from .ood import (DdmEnsemble, SubDdm, calibrate_theta, disagreement_degree, init_subddm,
-                  partition_classes, stack_subddms, subddm_loss, unstack_subddms)
+from .ood import (DdmEnsemble, calibrate_theta, disagreement_degree, init_ddm, partition_classes,
+                  subddm_loss)
 
 CKPT_MAGIC = b"SDNC"
 CKPT_VERSION = 1
@@ -229,21 +234,22 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     labels = bundle.labels[train_idx]
     n, folds = train_idx.size, cfg.fold_count
     feats = np.vstack([pooled_features(bundle, train_idx), np.zeros((1, bundle.map_shape[2]))])
-    subs = [init_subddm(i, partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
-                        _rng(cfg.seed, 0xDD, i)) for i in range(folds)]
-    params, counts = stack_subddms(subs)
-    flat, views = _flatten(list(params.values()))
-    params = dict(zip(params, views))
+    ids = [partition.id_classes(i) for i in range(folds)]
+    e = init_ddm(ids, feats.shape[1], cfg.ddm_hidden,
+                 [_rng(cfg.seed, 0xDD, i) for i in range(folds)])
+    arrays = [e.w1, e.b1, e.w2, e.b2]
+    flat, (e.w1, e.b1, e.w2, e.b2) = _flatten(arrays)
+    grad, grad_views = _flatten(arrays)  # laid out like flat; every step overwrites it
     shufflers = [_rng(cfg.seed, 0xDE, i) for i in range(folds)]
 
     # Row n of feats is the zero padding row. local[i, row] is the row's
     # local label in fold i, -1 for virtual OOD rows and padding.
     local = np.full((folds, n + 1), -1)
     layout = []  # per fold: ID rows, OOD rows, and (step, slot, weight) of each in order
-    for i, sub in enumerate(subs):
+    for i in range(folds):
         is_ood = np.isin(labels, partition.folds[i])
         id_rows, ood_rows = np.flatnonzero(~is_ood), np.flatnonzero(is_ood)
-        local[i, id_rows] = np.searchsorted(sub.id_class_ids, labels[id_rows])  # sorted ids
+        local[i, id_rows] = np.searchsorted(ids[i], labels[id_rows])  # sorted ids
         n_steps = max(1, -(-id_rows.size // cfg.batch_size))
         id_step, id_off, id_sizes = _split_slots(id_rows.size, n_steps)
         ood_step, ood_off, ood_sizes = _split_slots(ood_rows.size, n_steps)
@@ -270,12 +276,11 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
 
     def step_loss(batch):
         rows, row_weights = batch
-        loss, grads = subddm_loss(params, counts, feats[rows], local[fold_axis, rows], row_weights)
-        return loss, np.concatenate([grads[name] for name in params], axis=None)
+        return subddm_loss(e, feats[rows], local[fold_axis, rows], row_weights, grad_views), grad
 
     _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
-    return DdmEnsemble(sub_ddms=unstack_subddms(params, subs), theta=None,
-                       bundle_sha256=bundle.sha256, holdout_seed=cfg.seed)
+    e.bundle_sha256, e.holdout_seed = bundle.sha256, cfg.seed
+    return e
 
 
 def check_training_bundle(ensemble: DdmEnsemble, bundle: DatasetBundle) -> None:
@@ -373,11 +378,8 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
     elif isinstance(model, DdmEnsemble):
         if model.holdout_seed not in (None, cfg.seed):
             raise ValueError("config seed differs from the detector's holdout seed")
-        tensors = {}
-        for i, sub in enumerate(model.sub_ddms):
-            tensors.update(sub.parameters(prefix=f"ddm.{i}."))
-            tensors[f"ddm.{i}.ids"] = sub.id_class_ids.astype(np.float64)
-        tensors["fold_count"] = np.asarray(float(len(model.sub_ddms)))
+        tensors = {f"ddm.{name}": p for name, p in model.parameters().items()}
+        tensors["ddm.ids"] = model.fold_ids
         if model.bundle_sha256 is not None:
             tensors["bundle_sha256"] = np.frombuffer(bytes.fromhex(model.bundle_sha256),
                                                      np.uint8).astype(np.float64)
@@ -412,13 +414,10 @@ def load_ddm_checkpoint(path) -> tuple[DdmEnsemble, TrainConfig]:
         if raw.shape != (32,) or np.any((raw < 0) | (raw > 255) | (raw != np.round(raw))):
             raise FormatError("tensor bundle_sha256 is not a 32-byte digest")
         digest = raw.astype(np.uint8).tobytes().hex()
-    try:  # the constructors check that the tensor shapes fit together
-        subs = [SubDdm(fold_index=i, id_class_ids=tensors[f"ddm.{i}.ids"].astype(np.int64),
-                       w1=tensors[f"ddm.{i}.w1"], b1=tensors[f"ddm.{i}.b1"],
-                       w2=tensors[f"ddm.{i}.w2"], b2=tensors[f"ddm.{i}.b2"])
-                for i in range(int(tensors["fold_count"]))]
+    w1, b1, w2, b2, ids = (tensors[f"ddm.{name}"] for name in ("w1", "b1", "w2", "b2", "ids"))
+    try:  # the constructor checks the shapes and the fold class-id table
         theta = float(tensors["theta"]) if "theta" in tensors else None
-        return DdmEnsemble(sub_ddms=subs, theta=theta, bundle_sha256=digest,
-                           holdout_seed=cfg.seed), cfg
+        return DdmEnsemble(w1=w1, b1=b1, w2=w2, b2=b2, fold_ids=ids, theta=theta,
+                           bundle_sha256=digest, holdout_seed=cfg.seed), cfg
     except (TypeError, ValueError) as e:
         raise FormatError(f"invalid ddm checkpoint: {e}") from e

@@ -216,29 +216,46 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     return float(total), grads
 
 
-def subddm_loss_per_fold(sub, id_feats, id_labels, ood_feats):
+def init_fold_per_fold(ids, in_dim, hidden, rng):
+    """One sub-detector as a dict of its sorted class ids ("ids") and its
+    w1, b1, w2 and b2, drawn in that order from uniform(-1/sqrt(fan_in),
+    ...), unpadded."""
+    ids = np.sort(np.asarray(list(ids), dtype=np.int64))
+    fold = {"ids": ids}
+    for name, fan_in, shape in (("w1", in_dim, (in_dim, hidden)), ("b1", in_dim, (hidden,)),
+                                ("w2", hidden, (hidden, ids.size)), ("b2", hidden, (ids.size,))):
+        bound = 1.0 / np.sqrt(fan_in)
+        fold[name] = rng.uniform(-bound, bound, size=shape)
+    return fold
+
+
+def subddm_loss_per_fold(fold, id_feats, id_labels, ood_feats):
     """One sub-detector's mean cross-entropy on its ID batch (class ids) plus
     mean KL-to-uniform on its virtual OOD batch, and the gradient dict,
-    written per fold with plain numpy. An empty or None batch drops its term.
+    written per fold with plain numpy. ``fold`` is a dict of the fold's
+    class ids ("ids") and its unpadded w1, b1, w2 and b2. An empty or None
+    batch drops its term.
 
     The fold-stacked ``ood.subddm_loss`` must equal this fold by fold.
     """
-    grads = {name: np.zeros_like(p) for name, p in sub.parameters().items()}
+    w1, b1, w2, b2 = fold["w1"], fold["b1"], fold["w2"], fold["b2"]
+    grads = {"w1": np.zeros_like(w1), "b1": np.zeros_like(b1),
+             "w2": np.zeros_like(w2), "b2": np.zeros_like(b2)}
     total = 0.0
-    c = sub.b2.shape[0]
+    c = b2.shape[0]
     for feats, labels in ((id_feats, id_labels), (ood_feats, None)):
         if feats is None or len(feats) == 0:
             continue
         x = np.asarray(feats, dtype=np.float64)
         n = x.shape[0]
-        z1 = x @ sub.w1 + sub.b1
+        z1 = x @ w1 + b1
         r = np.maximum(z1, 0.0)
-        z2 = r @ sub.w2 + sub.b2
+        z2 = r @ w2 + b2
         shifted = z2 - z2.max(axis=1, keepdims=True)
         log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         p = np.exp(log_p)
         if labels is not None:
-            rows = [int(np.nonzero(sub.id_class_ids == y)[0][0]) for y in np.ravel(labels)]
+            rows = [int(np.nonzero(fold["ids"] == y)[0][0]) for y in np.ravel(labels)]
             total += -sum(log_p[k, j] for k, j in enumerate(rows)) / n
             d_z2 = p.copy()
             for k, j in enumerate(rows):
@@ -248,7 +265,7 @@ def subddm_loss_per_fold(sub, id_feats, id_labels, ood_feats):
             total += float((p * g).sum()) / n
             d_z2 = p * (g - (p * g).sum(axis=1, keepdims=True))
         d_z2 /= n
-        d_z1 = (d_z2 @ sub.w2.T) * (z1 > 0)
+        d_z1 = (d_z2 @ w2.T) * (z1 > 0)
         grads["w2"] += r.T @ d_z2
         grads["b2"] += d_z2.sum(axis=0)
         grads["w1"] += x.T @ d_z1
@@ -260,10 +277,11 @@ def train_ddm_per_fold(bundle, cfg):
     """The detector ensemble trained one fold after another, one
     ``subddm_loss_per_fold`` step at a time: each fold's init draws and
     shuffler stream, ``np.array_split`` chunks of its shuffled ID and OOD
-    rows, and plain SGD. Returns the sub-detectors and the epoch losses (the
-    mean over folds of each fold's mean step loss).
+    rows, and plain SGD. Returns the sub-detectors as ``init_fold_per_fold``
+    dicts and the epoch losses (the mean over folds of each fold's mean step
+    loss).
     """
-    from setnet.ood import init_subddm, partition_classes
+    from setnet.ood import partition_classes
     from setnet.train import holdout_indices, pooled_features
 
     partition = partition_classes(bundle.split.seen_ids.tolist(), cfg.fold_count, cfg.seed)
@@ -276,8 +294,8 @@ def train_ddm_per_fold(bundle, cfg):
     for i in range(cfg.fold_count):
         is_ood = np.isin(labels, partition.folds[i])
         id_rows, ood_rows = np.nonzero(~is_ood)[0], np.nonzero(is_ood)[0]
-        sub = init_subddm(i, partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
-                          np.random.default_rng([cfg.seed, 0xDD, i]))
+        sub = init_fold_per_fold(partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
+                                 np.random.default_rng([cfg.seed, 0xDD, i]))
         shuffler = np.random.default_rng([cfg.seed, 0xDE, i])
         for epoch in range(cfg.epochs):
             id_order = id_rows[shuffler.permutation(id_rows.size)]
@@ -288,7 +306,7 @@ def train_ddm_per_fold(bundle, cfg):
                 loss, grads = subddm_loss_per_fold(sub, feats[id_chunk], labels[id_chunk],
                                                    feats[ood_chunk])
                 epoch_losses[epoch] += loss / cfg.fold_count / n_steps
-                for name, p in sub.parameters().items():
-                    p -= cfg.learning_rate * grads[name]
+                for name, g in grads.items():
+                    sub[name] -= cfg.learning_rate * g
         subs.append(sub)
     return subs, epoch_losses.tolist()

@@ -15,14 +15,14 @@ from setnet.dataio import SyntheticSpec, gen_synthetic, load_bundle, save_bundle
 from setnet.metrics import harmonic_mean, per_class_accuracy, per_class_top1, tnr_at_fnr
 from setnet.model import (attention_maps, diversity_loss, ensemble_logits,
                           predict, total_loss)
-from setnet.ood import (calibrate_theta, confidence, disagreement, init_subddm,
-                        partition_classes, stack_subddms, subddm_loss)
+from setnet.ood import calibrate_theta, confidence, disagreement, init_ddm, partition_classes
 from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import (TrainConfig, calibrate_ensemble, load_setnet_checkpoint,
                           save_checkpoint, train_ddm, train_setnet)
 
 import conftest
-from conftest import random_model, random_table, safe_instance, stacked_batch
+from conftest import (fold_ids_of, random_model, random_table, safe_instance, stacked_batch,
+                      subddm_loss_and_grads)
 from oracles import (confidence_brute, disagreement_brute, diversity_brute,
                      ensemble_logits_brute, hellinger_sq_brute, per_class_top1_brute,
                      ridge_prototype_acc, tnr_at_fnr_brute)
@@ -87,21 +87,20 @@ def test_criterion_1_gradient_fidelity():
     for seed in range(20):
         rng = np.random.default_rng([seed, 0xACC1])
         part = partition_classes(classes, 3, seed)
-        subs = [init_subddm(i, part.id_classes(i), 8, 16, rng) for i in range(3)]
+        e = init_ddm([part.id_classes(i) for i in range(3)], 8, 16, [rng] * 3)
         chunks = []
-        for sub, (n_id, n_ood) in zip(subs, [(4, 3), (3, 2), (2, 1)]):
+        for i, (n_id, n_ood) in enumerate([(4, 3), (3, 2), (2, 1)]):
             feats = rng.normal(size=(n_id + n_ood, 4, 4, 8)).mean(axis=(1, 2))
-            if np.abs(feats @ sub.w1 + sub.b1).min() < 1e-3:
-                sub.b1[:] += 2e-3  # keep the probe off the ReLU kink
-            chunks.append((feats[:n_id], rng.choice(sub.id_class_ids, size=n_id), feats[n_id:]))
-        params, counts = stack_subddms(subs)
-        batch = stacked_batch(subs, chunks)
+            if np.abs(feats @ e.w1[i] + e.b1[i]).min() < 1e-3:
+                e.b1[i] += 2e-3  # keep the probe off the ReLU kink
+            chunks.append((feats[:n_id], rng.choice(fold_ids_of(e, i), size=n_id), feats[n_id:]))
+        batch = stacked_batch(e, chunks)
 
-        def fold_sum(p):
-            losses, grads = subddm_loss(p, counts, *batch)
+        def fold_sum(p):  # p holds e's own arrays, which grad_check perturbs
+            losses, grads = subddm_loss_and_grads(e, *batch)
             return float(losses.sum()), grads
 
-        worst_sub = max(worst_sub, dm.grad_check(fold_sum, params, eps=1e-4))
+        worst_sub = max(worst_sub, dm.grad_check(fold_sum, e.parameters(), eps=1e-4))
 
     elapsed = time.perf_counter() - t0
     report(1, max(worst_total.values()) <= 1e-4 and worst_sub <= 1e-4 and elapsed < 30,
@@ -136,11 +135,15 @@ def test_criterion_2_formula_oracles():
                                      feats, table.vectors)
         worst["ensemble_logits"] = max(worst["ensemble_logits"], float(np.abs(got - want).max()))
 
-        sub = init_subddm(0, [0, 1, 2, 3], 5, 8, rng)
+        # a ragged 3-fold ensemble (3, 3 and 4 ID classes): every fold's column
+        part = partition_classes(range(5), 3, seed)
+        e = init_ddm([part.id_classes(i) for i in range(3)], 5, 8, [rng] * 3)
         feat = rng.normal(size=5)
-        probs = dm.softmax(sub.logits(feat[None, :])[0])
-        worst["confidence"] = max(worst["confidence"],
-                                  abs(confidence(sub, feat) - confidence_brute(probs)))
+        got = confidence(e, feat)
+        for i, n in enumerate(e.class_counts):
+            hidden = np.maximum(feat @ e.w1[i] + e.b1[i], 0.0)
+            probs = dm.softmax(hidden @ e.w2[i, :, :n] + e.b2[i, :n])
+            worst["confidence"] = max(worst["confidence"], abs(got[i] - confidence_brute(probs)))
 
         scores = rng.normal(size=5)
         worst["disagreement"] = max(worst["disagreement"],

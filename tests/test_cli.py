@@ -17,7 +17,7 @@ from setnet.ood import disagreement_degree
 from setnet.train import (holdout_indices, load_ddm_checkpoint,
                           load_setnet_checkpoint, pooled_features, save_checkpoint)
 
-from conftest import INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm
+from conftest import INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm, per_fold_ddm_checkpoint
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -88,6 +88,19 @@ def test_gen_synth_seed_flag_overrides(workdir, tmp_path):
     assert main(["gen-synth", "--config", str(workdir["cfg"]), "--out", str(out),
                  "--seed", "99"]) == 0
     assert out.read_bytes() != workdir["bundle"].read_bytes()
+
+
+@pytest.mark.parametrize("seed, flag", [(1.5, None), (None, "-1")], ids=["config_fraction", "flag_negative"])
+def test_gen_synth_refuses_a_seed_that_is_not_a_nonnegative_integer(tmp_path, capsys, seed, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH if seed is None else dict(SYNTH, seed=seed)}))
+    out = tmp_path / "x.sdnb"
+    rc = main(["gen-synth", "--config", str(cfg), "--out", str(out),
+               *(["--seed", flag] if flag else [])])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid synthetic config: seed ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +295,18 @@ def test_calibrate_refuses_a_detector_whose_shapes_do_not_fit(workdir, tmp_path,
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid ddm checkpoint: ")
+    assert not out.exists()
+
+
+def test_calibrate_refuses_a_per_fold_detector_of_an_earlier_version(workdir, tmp_path, capsys):
+    ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
+    old, out = tmp_path / "old.sdnc", tmp_path / "c.sdnc"
+    old.write_bytes(per_fold_ddm_checkpoint(ensemble, cfg))
+    capsys.readouterr()
+    rc = main(["calibrate", "--ddm", str(old), "--bundle", str(workdir["bundle"]),
+               "--fnr", "0.11", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: checkpoint is missing tensor 'ddm.w1'"]
     assert not out.exists()
 
 

@@ -190,6 +190,12 @@ def test_spec_validation():
         SyntheticSpec(seen_classes=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+def test_spec_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+        SyntheticSpec(seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # folds over the split
 

@@ -35,8 +35,8 @@ GOLDEN = {
     "zsl.sdnc": "0ea47905dcb13186ccfcc71edb376e1de0dd23d35a559919db75dd65d892963a",
     "gzsl.sdnc": "6561a484a39c02b03abce31915e60765804768457ce71fb61c7870f4c8e7fe66",
     "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
-    "ddm.sdnc": "2313eb445985414ccfdd57dd8a303eac5a231ae40d89f4a3e768528dd0327a5a",
-    "ddm-cal.sdnc": "67647538c5af33b5072d683636cb33e4d8fb890c3a55de57b1caebca2532c188",
+    "ddm.sdnc": "c424da38628d92e43fb24ca06b272958564f20adb4df1c3c38898abda4879f4f",
+    "ddm-cal.sdnc": "611eae551a72feb8b357b750aeca1feb847378e9147315b6466284607f92bb79",
     "gzsl.json": "8e5248739ac59d54aa576c068ea99989159e3bff59a77a578763e9f6c0bce55c",
     "ood.json": "3dd849a961806e24f9b39d7b6302ec88511a4309708403f1ea57fbbf3dfcd055",
 }
@@ -47,7 +47,7 @@ TRAIN_K4 = dict(TRAIN, learning_rate=4.0, head_count=4, hidden_channels=16)
 
 GOLDEN_K4 = {
     "zsl.sdnc": "455d3006afd5dab658ca590268b2e7f32e2c95944b33249c8a8dd06c4ebc4029",
-    "ddm.sdnc": "f89be35b76790a48043ba9f82c09089ca30630861d5bbb99f02489e618dc4d10",
+    "ddm.sdnc": "0f421b89b3784c48c8fc2c3e7c75ad2f2a43ba087640d4f23a6d4d817164c499",
 }
 
 

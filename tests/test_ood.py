@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 
 from setnet import diffmath as dm
 from setnet.errors import NotCalibratedError
-from setnet.ood import (DdmEnsemble, Domain, FoldPartition, calibrate_theta,
-                        confidence, detect, disagreement, disagreement_degree,
-                        export_degrees_csv, init_subddm, partition_classes, stack_subddms,
-                        subddm_loss, unstack_subddms)
+from setnet.ood import (Domain, FoldPartition, calibrate_theta, confidence, detect,
+                        disagreement, disagreement_degree, export_degrees_csv, init_ddm,
+                        partition_classes)
 
-from conftest import stacked_batch
+from conftest import fold_ids_of, fold_params, stacked_batch, subddm_loss_and_grads
 from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_pass,
                      disagreement_brute, kl_to_uniform_brute, softmax_two_pass,
                      subddm_loss_per_fold)
@@ -70,35 +70,39 @@ def test_fold_partition_validation():
 # ---------------------------------------------------------------------------
 # sub-detector loss
 
-def make_sub(rng, in_dim=6, hidden=8, ids=(0, 1, 2)):
-    return init_subddm(0, ids, in_dim, hidden, rng)
+def make_ensemble(rng, in_dim=6, hidden=8, ids=(0, 1, 2)):
+    """Two folds with ID classes ``ids``; fold 0 draws from ``rng`` and is
+    the one the single-fold tests use, fold 1 is a bystander."""
+    return init_ddm([ids, ids], in_dim, hidden, [rng, np.random.default_rng(0)])
 
 
-def stacked_loss(subs, chunks, pad=0):
-    """subddm_loss on the stack of ``subs`` for one chunk per fold."""
-    params, counts = stack_subddms(subs)
-    return subddm_loss(params, counts, *stacked_batch(subs, chunks, pad))
+def stacked_loss(e, chunks, pad=0):
+    """subddm_loss of ``e`` for one chunk per fold."""
+    return subddm_loss_and_grads(e, *stacked_batch(e, chunks, pad))
+
+
+def zero_fold(e, i=0):
+    for p in e.parameters().values():
+        p[i] = 0
 
 
 def test_subddm_loss_saturated_ce():
     rng = np.random.default_rng(0)
-    sub = make_sub(rng, ids=(4, 9))
-    sub.w1[:] = 0
-    sub.b1[:] = 0
-    sub.w2[:] = 0
-    sub.b2[:] = [50.0, 0.0]
+    e = make_ensemble(rng, ids=(4, 9))
+    zero_fold(e)
+    e.b2[0] = [50.0, 0.0]
     feats = rng.normal(size=(3, 6))
-    losses, _ = stacked_loss([sub], [(feats, [4, 4, 4], np.empty((0, 6)))])
-    assert losses.shape == (1,)
+    losses, _ = stacked_loss(e, [(feats, [4, 4, 4], np.empty((0, 6))), None])
+    assert losses.shape == (2,)
     assert losses[0] < 1e-6
 
 
 def test_subddm_loss_uniform_ood_is_zero():
     rng = np.random.default_rng(1)
-    sub = make_sub(rng)
-    sub.w2[:] = 0
-    sub.b2[:] = 0
-    losses, grads = stacked_loss([sub], [(np.empty((0, 6)), [], rng.normal(size=(4, 6)))])
+    e = make_ensemble(rng)
+    e.w2[0] = 0
+    e.b2[0] = 0
+    losses, grads = stacked_loss(e, [(np.empty((0, 6)), [], rng.normal(size=(4, 6))), None])
     assert losses[0] == pytest.approx(0.0, abs=1e-12)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -106,39 +110,41 @@ def test_subddm_loss_uniform_ood_is_zero():
 @pytest.mark.parametrize("seed", range(10))
 def test_subddm_loss_matches_per_sample_oracle(seed):
     rng = np.random.default_rng(seed)
-    sub = make_sub(rng)
+    e = make_ensemble(rng)
+    sub = fold_params(e, 0)
     id_feats = rng.normal(size=(5, 6))
     id_labels = rng.choice([0, 1, 2], size=5)
     ood_feats = rng.normal(size=(3, 6))
-    losses, _ = stacked_loss([sub], [(id_feats, id_labels, ood_feats)])
+    losses, _ = stacked_loss(e, [(id_feats, id_labels, ood_feats), None])
     loss = losses[0]
 
     def forward(x):
-        hidden = [max(0.0, sum(x[i] * sub.w1[i, j] for i in range(6)) + sub.b1[j])
-                  for j in range(sub.w1.shape[1])]
-        return [sum(hidden[j] * sub.w2[j, k] for j in range(len(hidden))) + sub.b2[k]
-                for k in range(sub.b2.shape[0])]
+        hidden = [max(0.0, sum(x[i] * sub["w1"][i, j] for i in range(6)) + sub["b1"][j])
+                  for j in range(sub["w1"].shape[1])]
+        return [sum(hidden[j] * sub["w2"][j, k] for j in range(len(hidden))) + sub["b2"][k]
+                for k in range(sub["b2"].shape[0])]
 
     want = 0.0
     for x, y in zip(id_feats, id_labels):
-        want += cross_entropy_two_pass(forward(x), int(np.nonzero(sub.id_class_ids == y)[0][0])) / 5
+        want += cross_entropy_two_pass(forward(x), int(np.nonzero(sub["ids"] == y)[0][0])) / 5
     for x in ood_feats:
         want += kl_to_uniform_brute(softmax_two_pass(forward(x))) / 3
     assert loss == pytest.approx(want, abs=1e-10)
 
 
-def ragged_subs(rng, in_dim=6, hidden=8):
-    """Three sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID classes."""
+def ragged_ensemble(rng, in_dim=6, hidden=8):
+    """Three stacked sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID
+    classes, so two folds have a padding column."""
     part = partition_classes(range(5), 3, seed=0)
-    return [init_subddm(i, part.id_classes(i), in_dim, hidden, rng) for i in range(3)]
+    return init_ddm([part.id_classes(i) for i in range(3)], in_dim, hidden, [rng] * 3)
 
 
-def ragged_chunks(rng, subs, finished=None):
+def ragged_chunks(rng, e, finished=None):
     """One chunk per fold with differing ID/OOD row counts, one of them with
     an empty OOD chunk; ``finished`` names a fold with no rows at all."""
     sizes = [(4, 2), (3, 0), (2, 3)]
-    chunks = [(rng.normal(size=(n_id, 6)), rng.choice(sub.id_class_ids, size=n_id),
-               rng.normal(size=(n_ood, 6))) for sub, (n_id, n_ood) in zip(subs, sizes)]
+    chunks = [(rng.normal(size=(n_id, 6)), rng.choice(fold_ids_of(e, i), size=n_id),
+               rng.normal(size=(n_ood, 6))) for i, (n_id, n_ood) in enumerate(sizes)]
     if finished is not None:
         chunks[finished] = None
     return chunks
@@ -148,20 +154,19 @@ def ragged_chunks(rng, subs, finished=None):
 @pytest.mark.parametrize("finished", [None, 0, 2])
 def test_stacked_loss_matches_per_fold_oracle(seed, finished):
     rng = np.random.default_rng([seed, 0x57AC])
-    subs = ragged_subs(rng)
-    chunks = ragged_chunks(rng, subs, finished)
-    losses, grads = stacked_loss(subs, chunks, pad=2)
-    params, counts = stack_subddms(subs)
-    assert sorted(counts.tolist()) == [3, 3, 4]
+    e = ragged_ensemble(rng)
+    chunks = ragged_chunks(rng, e, finished)
+    losses, grads = stacked_loss(e, chunks, pad=2)
+    assert sorted(e.class_counts.tolist()) == [3, 3, 4]
     assert losses.shape == (3,)
-    assert set(grads) == set(params)
-    for i, (sub, chunk) in enumerate(zip(subs, chunks)):
-        n = sub.b2.shape[0]
+    assert set(grads) == set(e.parameters())
+    for i, chunk in enumerate(chunks):
+        n = e.class_counts[i]
         if chunk is None:  # a finished fold does not move
             assert losses[i] == 0.0
             assert all(not np.any(g[i]) for g in grads.values())
             continue
-        want, want_grads = subddm_loss_per_fold(sub, *chunk)
+        want, want_grads = subddm_loss_per_fold(fold_params(e, i), *chunk)
         assert abs(losses[i] - want) <= 1e-12
         for name, g in want_grads.items():
             got = grads[name][i][..., :n] if name in ("w2", "b2") else grads[name][i]
@@ -170,50 +175,37 @@ def test_stacked_loss_matches_per_fold_oracle(seed, finished):
         assert not np.any(grads["w2"][i][:, n:]) and not np.any(grads["b2"][i][n:])
 
 
-def test_stack_round_trip_trims_padding():
-    subs = ragged_subs(np.random.default_rng(12))
-    params, counts = stack_subddms(subs)
-    assert params["w2"].shape == (3, 8, 4) and params["b2"].shape == (3, 4)
-    back = unstack_subddms(params, subs)
-    for a, b in zip(subs, back):
-        assert b.fold_index == a.fold_index
-        np.testing.assert_array_equal(b.id_class_ids, a.id_class_ids)
-        for name, p in a.parameters().items():
-            np.testing.assert_array_equal(b.parameters()[name], p)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_subddm_loss_grad_check(seed):
     rng = np.random.default_rng([seed, 0xBD])
-    sub = make_sub(rng)
+    e = make_ensemble(rng)
     id_feats = rng.normal(size=(4, 6))
     id_labels = rng.choice([0, 1, 2], size=4)
     ood_feats = rng.normal(size=(3, 6))
     # keep hidden pre-activations off the ReLU kink at the probe
-    z1 = np.concatenate([id_feats, ood_feats]) @ sub.w1 + sub.b1
+    z1 = np.concatenate([id_feats, ood_feats]) @ e.w1[0] + e.b1[0]
     if np.abs(z1).min() < 1e-3:
-        sub.b1[:] += 2e-3
-    params, counts = stack_subddms([sub])
-    batch = stacked_batch([sub], [(id_feats, id_labels, ood_feats)])
+        e.b1[0] += 2e-3
+    batch = stacked_batch(e, [(id_feats, id_labels, ood_feats), None])
 
-    def loss_fn(p):
-        losses, grads = subddm_loss(p, counts, *batch)
+    def loss_fn(p):  # p holds e's own arrays, which grad_check perturbs
+        losses, grads = subddm_loss_and_grads(e, *batch)
         return float(losses.sum()), grads
 
-    err = dm.grad_check(loss_fn, params, eps=1e-4)
+    err = dm.grad_check(loss_fn, e.parameters(), eps=1e-4)
     assert err <= 1e-4
 
 
 def test_subddm_loss_label_outside_id_set():
     rng = np.random.default_rng(2)
-    sub = make_sub(rng, ids=(1, 2))
+    e = make_ensemble(rng, ids=(1, 2))
     with pytest.raises(IndexError):
-        stacked_loss([sub], [(rng.normal(size=(1, 6)), [5], np.empty((0, 6)))])
-    params, counts = stack_subddms(ragged_subs(rng))
+        stacked_loss(e, [(rng.normal(size=(1, 6)), [5], np.empty((0, 6))), None])
+    e = ragged_ensemble(rng)
     feats = rng.normal(size=(3, 1, 6))
-    labels = np.array([[0], [counts[1]], [0]])  # one past fold 1's last class
+    labels = np.array([[0], [e.class_counts[1]], [0]])  # one past fold 1's last class
     with pytest.raises(IndexError):
-        subddm_loss(params, counts, feats, labels, np.ones((3, 1)))
+        subddm_loss_and_grads(e, feats, labels, np.ones((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,49 +213,49 @@ def test_subddm_loss_label_outside_id_set():
 
 def test_confidence_one_hot_is_one():
     rng = np.random.default_rng(3)
-    sub = make_sub(rng, ids=(0, 1))
-    sub.w1[:] = 0
-    sub.b1[:] = 0
-    sub.w2[:] = 0
-    sub.b2[:] = [50.0, 0.0]
-    assert confidence(sub, np.zeros(6)) == pytest.approx(1.0, abs=1e-8)
+    e = make_ensemble(rng, ids=(0, 1))
+    zero_fold(e)
+    e.b2[0] = [50.0, 0.0]
+    assert confidence(e, np.zeros(6))[0] == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("c", [2, 3, 5])
 def test_confidence_uniform_closed_form(c):
     rng = np.random.default_rng(4)
-    sub = make_sub(rng, ids=tuple(range(c)))
-    sub.w2[:] = 0
-    sub.b2[:] = 0
-    got = confidence(sub, rng.normal(size=6))
+    e = make_ensemble(rng, ids=tuple(range(c)))
+    e.w2[0] = 0
+    e.b2[0] = 0
+    got = confidence(e, rng.normal(size=6))[0]
     assert got == pytest.approx(1 / c - math.log(c), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_confidence_at_most_one(seed):
     rng = np.random.default_rng(seed)
-    sub = make_sub(rng)
+    e = make_ensemble(rng)
     feat = rng.normal(scale=3, size=6)
-    got = confidence(sub, feat)
-    assert got <= 1.0 + 1e-12
-    probs = dm.softmax(sub.logits(feat[None, :])[0])
-    assert got == pytest.approx(confidence_brute(probs), abs=1e-12)
+    got = confidence(e, feat)
+    assert got.shape == (2,)
+    for i, score in enumerate(got):
+        assert score <= 1.0 + 1e-12
+        probs = dm.softmax(np.maximum(feat @ e.w1[i] + e.b1[i], 0.0) @ e.w2[i] + e.b2[i])
+        assert score == pytest.approx(confidence_brute(probs), abs=1e-12)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
 def test_batched_confidence_matches_per_row(batch):
     rng = np.random.default_rng([batch, 0xC0F])
-    sub = make_sub(rng)
+    e = make_ensemble(rng)
     feats = rng.normal(scale=3, size=(batch, 6))
-    got = confidence(sub, feats)
-    assert got.shape == (batch,)
-    np.testing.assert_allclose(got, [confidence(sub, f) for f in feats], rtol=0, atol=1e-12)
+    got = confidence(e, feats)
+    assert got.shape == (batch, 2)
+    np.testing.assert_allclose(got, [confidence(e, f) for f in feats], rtol=0, atol=1e-12)
 
 
 def test_confidence_dim_mismatch():
-    sub = make_sub(np.random.default_rng(5))
+    e = make_ensemble(np.random.default_rng(5))
     with pytest.raises(ValueError):
-        confidence(sub, np.zeros(7))
+        confidence(e, np.zeros(7))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +346,8 @@ def test_calibrate_flags_floor_fraction(n, target, seed):
 
 
 def fixed_ensemble(theta=None):
-    rng = np.random.default_rng(6)
-    subs = [make_sub(np.random.default_rng([6, i]), ids=(0, 1, 2)) for i in range(3)]
-    return DdmEnsemble(sub_ddms=subs, theta=theta)
+    e = init_ddm([(0, 1, 2)] * 3, 6, 8, [np.random.default_rng([6, i]) for i in range(3)])
+    return dataclasses.replace(e, theta=theta)  # the constructor checks theta
 
 
 def test_detect_boundary_is_seen():
@@ -371,11 +362,8 @@ def test_detect_boundary_is_seen():
 
 def test_detect_equal_confidences_flag_unseen():
     e = fixed_ensemble(theta=0.1)
-    for sub in e.sub_ddms:
-        sub.w1[:] = 0
-        sub.b1[:] = 0
-        sub.w2[:] = 0
-        sub.b2[:] = 0  # every sub-detector outputs the same uniform prediction
+    for i in range(3):
+        zero_fold(e, i)  # every sub-detector outputs the same uniform prediction
     feat = np.random.default_rng(8).normal(size=6)
     assert disagreement_degree(e, feat) == pytest.approx(0.0, abs=1e-12)
     assert detect(e, feat) is Domain.UNSEEN
@@ -385,7 +373,7 @@ def test_detect_equal_confidences_flag_unseen():
 def test_batched_degree_matches_per_sample(batch):
     e = fixed_ensemble()
     feats = np.random.default_rng([batch, 0xDE6]).normal(scale=2, size=(batch, 6))
-    assert e.confidences(feats).shape == (batch, 3)
+    assert confidence(e, feats).shape == (batch, 3)
     degrees = disagreement_degree(e, feats)
     assert degrees.shape == (batch,)
     np.testing.assert_allclose(degrees, [disagreement_degree(e, f) for f in feats],
@@ -406,7 +394,7 @@ def test_detect_uncalibrated_raises():
 
 def test_ensemble_needs_two_subs():
     with pytest.raises(ValueError):
-        DdmEnsemble(sub_ddms=[make_sub(np.random.default_rng(9))])
+        init_ddm([(0, 1, 2)], 6, 8, [np.random.default_rng(9)])
     with pytest.raises(ValueError):
         fixed_ensemble(theta=float("inf"))
 

@@ -18,7 +18,8 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
                           save_checkpoint, train_ddm, train_setnet)
 
-from conftest import INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm, safe_instance
+from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, checkpoint_bytes, fold_params,
+                      misfit_ddm, per_fold_ddm_checkpoint, safe_instance)
 from oracles import total_loss_per_sample, train_ddm_per_fold
 
 
@@ -27,11 +28,7 @@ def params_equal(a: dict, b: dict) -> bool:
 
 
 def ddm_params(e):
-    out = {}
-    for i, sub in enumerate(e.sub_ddms):
-        out.update(sub.parameters(prefix=f"{i}."))
-        out[f"{i}.ids"] = sub.id_class_ids
-    return out
+    return dict(e.parameters(), ids=e.fold_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +215,8 @@ def test_train_ddm_structure():
                                          samples_per_class=10, channels=8,
                                          semantic_dim=8, attrs_per_class=2, seed=6))
     e = train_ddm(bundle, TrainConfig(seed=0, epochs=1, fold_count=2, ddm_hidden=8))
-    assert len(e.sub_ddms) == 2
-    assert all(sub.b2.shape == (2,) for sub in e.sub_ddms)
+    assert e.w1.shape[0] == 2
+    assert e.b2.shape == (2, 2) and e.class_counts.tolist() == [2, 2]
     assert e.theta is None
 
 
@@ -233,15 +230,18 @@ def test_stacked_train_ddm_matches_per_fold_oracle(tiny_bundle, batch_size):
     losses = []
     e = train_ddm(tiny_bundle, cfg, epoch_callback=lambda ep, l: losses.append((ep, l)))
     subs, want_losses = train_ddm_per_fold(tiny_bundle, cfg)
-    assert sorted(sub.b2.shape[0] for sub in e.sub_ddms) == [2, 3, 3]
+    assert sorted(e.class_counts.tolist()) == [2, 3, 3]
     assert [ep for ep, _ in losses] == [0, 1, 2]
     assert np.abs(np.array([l for _, l in losses]) - want_losses).max() <= 1e-12
-    for got, want in zip(e.sub_ddms, subs):
-        assert got.fold_index == want.fold_index
-        np.testing.assert_array_equal(got.id_class_ids, want.id_class_ids)
-        for name, p in want.parameters().items():
-            assert got.parameters()[name].shape == p.shape
-            assert np.abs(got.parameters()[name] - p).max() <= 1e-12, name
+    assert len(subs) == e.w1.shape[0]
+    for i, want in enumerate(subs):
+        got = fold_params(e, i)
+        np.testing.assert_array_equal(got["ids"], want["ids"])
+        for name in ("w1", "b1", "w2", "b2"):
+            assert got[name].shape == want[name].shape
+            assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+    # padding columns never move from their zero init
+    assert not any(e.w2[i, :, n:].any() or e.b2[i, n:].any() for i, n in enumerate(e.class_counts))
 
 
 def test_train_ddm_zero_lr_keeps_init(tiny_bundle):
@@ -265,11 +265,13 @@ def test_train_ddm_id_accuracy_beats_chance(default_bundle):
     tr = np.array([i for i in default_bundle.train_indices() if i not in held])
     feats = pooled_features(default_bundle, tr)
     labels = default_bundle.labels[tr]
-    for sub in e.sub_ddms:
-        mask = np.isin(labels, sub.id_class_ids)
-        preds = sub.id_class_ids[np.argmax(sub.logits(feats[mask]), axis=1)]
+    for i in range(e.w1.shape[0]):
+        sub = fold_params(e, i)
+        mask = np.isin(labels, sub["ids"])
+        logits = np.maximum(feats[mask] @ sub["w1"] + sub["b1"], 0.0) @ sub["w2"] + sub["b2"]
+        preds = sub["ids"][np.argmax(logits, axis=1)]
         acc = float((preds == labels[mask]).mean())
-        assert acc > 1.0 / sub.id_class_ids.shape[0]
+        assert acc > 1.0 / sub["ids"].shape[0]
 
 
 def test_holdout_excluded_and_deterministic(default_bundle):
@@ -357,10 +359,8 @@ def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bund
 def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest):
     cfg = TrainConfig(seed=5, epochs=0, fold_count=2, ddm_hidden=8)
     e = train_ddm(tiny_bundle, cfg)
-    tensors = {"fold_count": np.asarray(2.0), "bundle_sha256": digest}
-    for i, sub in enumerate(e.sub_ddms):
-        tensors.update(sub.parameters(prefix=f"ddm.{i}."))
-        tensors[f"ddm.{i}.ids"] = sub.id_class_ids.astype(np.float64)
+    tensors = {f"ddm.{name}": p for name, p in e.parameters().items()}
+    tensors.update({"ddm.ids": e.fold_ids, "bundle_sha256": digest})
     entries = [(name, np.shape(arr), np.asarray(arr, dtype="<f8").tobytes())
                for name, arr in tensors.items()]
     path = tmp_path / "bad.sdnc"
@@ -427,19 +427,6 @@ def test_checkpoint_bad_magic(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_setnet_checkpoint(path)
     assert exc.value.offset == 0
-
-
-def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
-    """A checkpoint from (name, dims, payload) entries and a TrainConfig or
-    a config dict, written straight from the documented layout."""
-    cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
-    cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    out = [b"SDNC", struct.pack("<II", 1, len(kind)), kind.encode("utf-8"),
-           struct.pack("<I", len(cfg_json)), cfg_json, struct.pack("<I", len(entries))]
-    for name, dims, payload in entries:
-        out += [struct.pack("<I", len(name)), name.encode("utf-8"),
-                struct.pack(f"<I{len(dims)}I", len(dims), *dims), payload]
-    return b"".join(out)
 
 
 @pytest.mark.parametrize("defect, message", [
@@ -530,6 +517,44 @@ def test_ddm_checkpoint_rejects_misfit_shapes(checkpoint_files, tmp_path, defect
     misfit_ddm(ensemble, defect)
     save_checkpoint(path, ensemble, cfg)
     with pytest.raises(FormatError, match="invalid ddm checkpoint: "):
+        load(path)
+
+
+# fold class-id tables of a 2-fold detector with 2 ID classes per fold, and
+# the start of the reason each is refused
+_ORDER = "each fold's class ids must be strictly ascending ids >= 0"
+BAD_FOLD_IDS = {
+    "fractional": ([[0.5, 2], [0, 1]], "fold class ids must be integers"),
+    "unsorted": ([[3, 1], [0, 1]], _ORDER),
+    "duplicated": ([[2, 2], [0, 1]], _ORDER),
+    "overflowing": ([[1e300, 2], [0, 1]], "fold class ids must be integers"),
+    "negative": ([[-2, 2], [0, 1]], _ORDER),
+    "padding_first": ([[-1, 2], [0, 1]], _ORDER),
+    "empty_fold": ([[-1, -1], [0, 1]], "fold 0 has no ID class"),
+    "narrower_than_w2": ([[2, -1], [0, -1]], "the widest fold has 1 ID classes, but w2 has 2"),
+}
+
+
+@pytest.mark.parametrize("ids, reason", BAD_FOLD_IDS.values(), ids=BAD_FOLD_IDS)
+def test_ddm_checkpoint_rejects_a_bad_fold_id_table(checkpoint_files, tmp_path, ids, reason):
+    data, load, _ = checkpoint_files["ddm"]
+    path = tmp_path / "ddm.sdnc"
+    path.write_bytes(data)
+    ensemble, cfg = load(path)
+    assert ensemble.fold_ids.shape == (2, 2)
+    ensemble.fold_ids = np.array(ids, dtype=np.float64)
+    save_checkpoint(path, ensemble, cfg)
+    with pytest.raises(FormatError, match=f"^invalid ddm checkpoint: {reason}"):
+        load(path)
+
+
+def test_a_per_fold_ddm_checkpoint_names_the_missing_stacked_tensor(checkpoint_files, tmp_path):
+    data, load, _ = checkpoint_files["ddm"]
+    path = tmp_path / "ddm.sdnc"
+    path.write_bytes(data)
+    ensemble, cfg = load(path)
+    path.write_bytes(per_fold_ddm_checkpoint(ensemble, cfg))
+    with pytest.raises(FormatError, match="^checkpoint is missing tensor 'ddm.w1'$"):
         load(path)
 
 
