@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
+from .diffmath import in_chunks
 from .metrics import (EvalReport, harmonic_mean, per_class_accuracy, per_class_top1,
                       save_curves_csv, save_report, tnr_at_fnr)
 from .model import attention_maps, export_attention, predict
@@ -177,7 +178,9 @@ def _cmd_eval_zsl(args) -> None:
     idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
-    preds, labels = predict(model, bundle.features[idx], table), bundle.labels[idx]
+    # gathered a chunk at a time: bundle.features[idx] would copy the whole test set
+    preds = in_chunks(lambda rows: predict(model, bundle.features[idx[rows]], table), idx.size)
+    labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, table.class_ids)
     acc = per_class_top1(preds, labels, table.class_ids)
     save_report(EvalReport(acc=acc, per_class=per_class), args.report)
@@ -194,7 +197,7 @@ def _cmd_eval_gzsl(args) -> None:
     idx = bundle.test_indices()
     if idx.size == 0:
         raise CliError("bundle has no test samples")
-    preds = classify_gzsl(system, bundle.features[idx])
+    preds = in_chunks(lambda rows: classify_gzsl(system, bundle.features[idx[rows]]), idx.size)
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, bundle.table.class_ids)
     seen_ids = set(bundle.split.seen_ids.tolist())

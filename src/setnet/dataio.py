@@ -8,19 +8,21 @@ Bundle file layout (all little-endian):
     N*H*W*C feature floats (f32, sample-major, row-major spatial,
     channel-last)
 
-In memory everything is float64; a valid bundle only holds values that are
-exactly representable in float32, which is what makes save -> load a
-bitwise round trip. Randomness comes from numpy's default_rng (PCG64
-seeded through SeedSequence), so identical seeds give bitwise-identical
-bundles within this implementation. A loaded bundle keeps the SHA-256 of
-the file bytes it was read from, so a detector can be bound to the bundle it
-was trained on.
+In memory the features stay the float32 values the file holds: a loaded
+bundle's features are a read-only view of the bytes it read, and the model
+upcasts them to float64, exactly, one batch at a time. The semantic table is
+float64 holding float32 values, so save -> load is a bitwise round trip.
+Randomness comes from numpy's default_rng (PCG64 seeded through
+SeedSequence), so identical seeds give bitwise-identical bundles within this
+implementation. A loaded bundle keeps the SHA-256 of the file bytes it was
+read from, so a detector can be bound to the bundle it was trained on.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,6 @@ from .model import SemanticTable
 
 MAGIC = b"SDNB"
 VERSION = 1
-
-
-def _f32_exact(x: np.ndarray) -> bool:
-    return bool(np.array_equal(x, x.astype(np.float32).astype(np.float64)))
 
 
 @dataclass
@@ -60,24 +58,29 @@ class DatasetBundle:
     None for a bundle built in memory.
     """
 
-    features: np.ndarray  # (N, H, W, C) float64, f32-representable
+    features: np.ndarray  # (N, H, W, C) float32; float64 input must be f32-exact
     labels: np.ndarray    # (N,) int64
     table: SemanticTable
     split: SplitSpec
     sha256: str | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 4:
+        if features.ndim != 4:
             raise ValueError("features must be (N, H, W, C)")
-        n = self.features.shape[0]
+        n = features.shape[0]
         if self.labels.shape != (n,) or self.split.train_flags.shape != (n,):
             raise ValueError("labels/flags length does not match sample count")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite values")
-        if not _f32_exact(self.features) or not _f32_exact(self.table.vectors):
+        if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+            raise ValueError("features contain non-finite values")  # min/max carry NaN and inf
+        exact = np.array_equal(self.table.vectors, self.table.vectors.astype(np.float32))
+        if features.dtype != np.float32:  # converted once, when every value is f32-exact
+            wide, features = features, features.astype(np.float32)
+            exact = exact and np.array_equal(features, wide)
+        if not exact:
             raise ValueError("bundle floats must be exactly float32-representable")
+        self.features = features
         known = set(self.table.class_ids.tolist())
         if not set(self.labels.tolist()) <= known:
             raise ValueError("a label references a class missing from the semantic table")
@@ -114,11 +117,13 @@ class DatasetBundle:
 # binary I/O
 
 class _Cursor:
+    """Fields of file bytes as views, not copies; callers make bytes of the magic."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"truncated file while reading {what}", offset=self.pos)
         out = self.data[self.pos:self.pos + n]
@@ -129,7 +134,7 @@ class _Cursor:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def text(self, what: str) -> str:
-        raw = self.take(self.u32(f"{what} length"), what)  # then that many bytes of UTF-8
+        raw = bytes(self.take(self.u32(f"{what} length"), what))  # that many bytes of UTF-8
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -156,24 +161,20 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
         fh.write(bundle.split.seen_ids.astype("<u4").tobytes())
         fh.write(bundle.labels.astype("<u4").tobytes())
         fh.write(bundle.split.train_flags.astype("<u1").tobytes())
-        fh.write(bundle.features.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(bundle.features, dtype="<f4"))  # a view when it can be
 
 
 def load_bundle(path) -> DatasetBundle:
     with open(path, "rb") as fh:
         data = fh.read()
     cur = _Cursor(data)
-    if cur.take(4, "magic") != MAGIC:
+    if bytes(cur.take(4, "magic")) != MAGIC:
         raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
     version = cur.u32("version")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    n = cur.u32("sample count")
-    h = cur.u32("height")
-    w = cur.u32("width")
-    c = cur.u32("channels")
-    s = cur.u32("semantic dim")
-    d = cur.u32("class count")
+    n, h, w, c, s, d = (cur.u32(what) for what in ("sample count", "height", "width", "channels",
+                                                    "semantic dim", "class count"))
     seen_count = cur.u32("seen-class count")
     class_ids = cur.array("<u4", d, "class ids").astype(np.int64)
     sem_off = cur.pos
@@ -184,7 +185,7 @@ def load_bundle(path) -> DatasetBundle:
     labels = cur.array("<u4", n, "labels").astype(np.int64)
     flags_off = cur.pos
     flags_raw = cur.array("<u1", n, "train flags")
-    features = cur.array("<f4", n * h * w * c, "features").astype(np.float64)
+    features = cur.array("<f4", n * h * w * c, "features")  # read-only, no copy
     if cur.pos != len(cur.data):
         raise FormatError("trailing bytes after feature block", offset=cur.pos)
 
@@ -234,30 +235,24 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("seen_classes", "unseen_classes", "samples_per_class",
-                     "height", "width", "channels", "semantic_dim",
-                     "attrs_per_class"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < (0 if name == "unseen_classes" else 1):
-                raise ValueError(f"{name} must be a positive integer")
+        for name in ("seen_classes", "unseen_classes", "samples_per_class", "height", "width",
+                     "channels", "semantic_dim", "attrs_per_class", "jitter", "seed"):
+            v, zero_ok = getattr(self, name), name in ("unseen_classes", "jitter", "seed")
+            if isinstance(v, bool) or not isinstance(v, int) or v < (0 if zero_ok else 1):
+                raise ValueError(f"{name} must be a {'nonnegative' if zero_ok else 'positive'} "
+                                 f"integer, got {v!r}")
         if self.attrs_per_class > self.semantic_dim:
             raise ValueError("attrs_per_class cannot exceed semantic_dim")
-        if self.noise < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if not isinstance(self.jitter, int) or self.jitter < 0:
-            raise ValueError("jitter must be a nonnegative integer")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-
-def _round_f32(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float32).astype(np.float64)
+        if (isinstance(self.noise, bool) or not isinstance(self.noise, (int, float))
+                or not 0 <= self.noise <= sys.float_info.max):  # NaN (JSON allows it) fails too
+            raise ValueError(f"noise must be a finite number >= 0, got {self.noise!r}")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     """Deterministic synthetic bundle; identical seeds give identical bytes. Per
-    sample, the draws are a row then a column ``integers(-jitter, jitter + 1)`` per
-    active attribute in subset order (jitter > 0), then one ``normal`` map (noise > 0)."""
+    sample, the draws are one ``integers(-jitter, jitter + 1, size=2 * A)`` call
+    for the A active attributes, read as row, column, row, column, ... in subset
+    order (jitter > 0), then one ``normal`` map (noise > 0)."""
     rng = np.random.default_rng([int(spec.seed), 0xDA7A])
     total_classes = spec.seen_classes + spec.unseen_classes
     if math.comb(spec.semantic_dim, spec.attrs_per_class) < total_classes:
@@ -287,24 +282,26 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         vectors[cls, pick] = 1.0
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     table = SemanticTable(class_ids=np.arange(total_classes, dtype=np.int64),
-                          vectors=_round_f32(vectors))
+                          vectors=vectors.astype(np.float32).astype(np.float64))
 
-    # (3) samples: active signatures at jittered home cells plus noise
+    # (3) samples: active signatures at jittered home cells plus noise, built
+    # in one float64 scratch map and rounded to float32 as each is stored
     n = total_classes * spec.samples_per_class
-    features = np.zeros((n, spec.height, spec.width, spec.channels))
+    features = np.empty((n, spec.height, spec.width, spec.channels), dtype=np.float32)
+    fmap = np.empty(features.shape[1:])
     labels = np.repeat(np.arange(total_classes, dtype=np.int64), spec.samples_per_class)
     j = spec.jitter
     for i, cls in enumerate(labels.tolist()):
-        fmap = features[i]
-        for a in subsets[cls]:
+        fmap.fill(0.0)
+        pick = subsets[cls]
+        steps = rng.integers(-j, j + 1, size=2 * len(pick)).tolist() if j else [0] * (2 * len(pick))
+        for a, dh, dw in zip(pick, steps[0::2], steps[1::2]):  # row, column, row, column, ...
             hh, ww = homes[a]
-            if j > 0:
-                hh = min(max(hh + int(rng.integers(-j, j + 1)), 0), spec.height - 1)
-                ww = min(max(ww + int(rng.integers(-j, j + 1)), 0), spec.width - 1)
+            hh, ww = min(max(hh + dh, 0), spec.height - 1), min(max(ww + dw, 0), spec.width - 1)
             fmap[hh, ww] += signatures[a]
         if spec.noise > 0:
             fmap += rng.normal(scale=spec.noise, size=fmap.shape)
-    features = _round_f32(features)
+        features[i] = fmap
 
     # (4) first seen_classes ids are seen; seen samples split 80/20 per class
     flags = np.zeros(n, dtype=bool)

@@ -182,6 +182,18 @@ def spatial_mean(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(-3, -2))
 
 
+CHUNK_ROWS = 256  # rows per inference forward, which bounds its float64 intermediates
+
+
+def in_chunks(fn, n: int) -> np.ndarray:
+    """``fn(rows)`` joined on the first axis, over the fewest even slices of n
+    rows with at most ``CHUNK_ROWS`` each (one empty slice for n = 0). Even
+    slices leave no lone row, which numpy multiplies with another BLAS kernel."""
+    k = max(1, -(-n // CHUNK_ROWS))
+    ends = [i * n // k for i in range(k + 1)]
+    return np.concatenate([fn(slice(a, b)) for a, b in zip(ends, ends[1:])])
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checker
 

@@ -11,8 +11,9 @@ between the attention maps, pushing the heads to attend to different
 regions.
 
 The training loss and inference (``attention_maps``, ``class_scores``,
-``predict``) take a (B, H, W, C) batch and run one shared forward for it; a
-single (H, W, C) map runs as a batch of one and gives an unbatched result.
+``predict``) take a (B, H, W, C) batch and run one shared forward for it
+(``class_scores`` and ``predict`` one per ``CHUNK_ROWS`` rows); a single
+(H, W, C) map runs as a batch of one and gives an unbatched result.
 ``total_loss`` checks its labels and runs ``loss_and_grads``, which the
 trainer calls directly with gradient arrays to fill: each layer is one 2-D
 product over the batch, and the CE and diversity gradients are closed forms.
@@ -266,11 +267,12 @@ def class_scores(model: SetNetModel, fmaps: np.ndarray, table: SemanticTable) ->
     """Summed (not averaged) projector scores per table class, used for prediction.
 
     Takes one (H, W, C) map, giving (D,) scores, or a (B, H, W, C) batch,
-    giving (B, D) from one forward.
+    giving (B, D), one forward per ``CHUNK_ROWS`` rows.
     """
     fmaps = np.asarray(fmaps)
-    feats = _pool(model, fmaps if fmaps.ndim == 4 else fmaps[None])[4]
-    scores = ensemble_logits(model, feats, table) * model.head_count
+    batch = fmaps if fmaps.ndim == 4 else fmaps[None]
+    scores = dm.in_chunks(lambda rows: ensemble_logits(model, _pool(model, batch[rows])[4], table),
+                          len(batch)) * model.head_count
     return scores if fmaps.ndim == 4 else scores[0]
 
 

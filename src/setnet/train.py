@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DatasetBundle, _Cursor
-from .diffmath import spatial_mean
+from .diffmath import in_chunks, spatial_mean
 from .errors import FormatError
 from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, calibrate_theta, disagreement_degree, init_ddm, partition_classes,
@@ -199,8 +199,9 @@ def holdout_indices(bundle: DatasetBundle, seed: int) -> np.ndarray:
 
 
 def pooled_features(bundle: DatasetBundle, indices: np.ndarray) -> np.ndarray:
-    """Spatial-mean features, shape (len(indices), C)."""
-    return spatial_mean(bundle.features[indices])
+    """Spatial-mean features, shape (len(indices), C), gathered ``CHUNK_ROWS``
+    rows at a time."""
+    return in_chunks(lambda rows: spatial_mean(bundle.features[indices[rows]]), len(indices))
 
 
 def _split_slots(n: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,7 +339,7 @@ class _Tensors(dict):
 def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read())
-    if cur.take(4, "magic") != CKPT_MAGIC:
+    if bytes(cur.take(4, "magic")) != CKPT_MAGIC:
         raise FormatError(f"bad magic, expected {CKPT_MAGIC!r}", offset=0)
     version = cur.u32("version")
     if version != CKPT_VERSION:

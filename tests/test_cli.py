@@ -103,6 +103,21 @@ def test_gen_synth_refuses_a_seed_that_is_not_a_nonnegative_integer(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("noise", float("nan")), ("noise", float("inf")),
+                                          ("noise", "0.1"), ("seen_classes", True),
+                                          ("samples_per_class", False), ("jitter", True)],
+                         ids=["noise_nan", "noise_inf", "noise_text", "seen_classes_bool",
+                              "samples_per_class_bool", "jitter_bool"])
+def test_gen_synth_refuses_a_bad_noise_or_a_bool_count(tmp_path, capsys, field, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"synthetic": dict(SYNTH, **{field: value})}))  # NaN, Infinity
+    out = tmp_path / "x.sdnb"
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid synthetic config: {field} ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # training commands
 

@@ -63,6 +63,34 @@ def test_round_trip_random_bundles(tmp_path_factory, seed):
     assert bundles_equal(bundle, load_bundle(path))
 
 
+def test_loaded_features_are_a_read_only_f32_view_of_the_file_bytes(tiny_bundle, tmp_path):
+    path = tmp_path / "b.sdnb"
+    save_bundle(tiny_bundle, path)
+    features = load_bundle(path).features
+    assert features.dtype == np.float32 and features.shape == tiny_bundle.features.shape
+    assert not features.flags.writeable
+    assert not features.flags.owndata  # a view of the bytes read, not a copy
+    assert np.array_equal(features, tiny_bundle.features)
+
+
+def test_bundle_keeps_f32_features_and_converts_f64_once(tiny_bundle):
+    f32 = np.array(tiny_bundle.features)
+    parts = dict(labels=tiny_bundle.labels, table=tiny_bundle.table, split=tiny_bundle.split)
+    assert DatasetBundle(features=f32, **parts).features is f32
+    converted = DatasetBundle(features=f32.astype(np.float64), **parts).features
+    assert converted.dtype == np.float32 and np.array_equal(converted, f32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bundle_rejects_non_finite_features(tiny_bundle, dtype, bad):
+    features = tiny_bundle.features.astype(dtype)
+    features[3, 1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DatasetBundle(features=features, labels=tiny_bundle.labels, table=tiny_bundle.table,
+                      split=tiny_bundle.split)
+
+
 # ---------------------------------------------------------------------------
 # format errors
 
@@ -190,6 +218,31 @@ def test_spec_validation():
         SyntheticSpec(seen_classes=0)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, "0.1", True, 10**400],
+                         ids=["nan", "inf", "negative", "text", "bool", "huge_int"])
+def test_spec_refuses_a_noise_that_is_not_a_finite_nonnegative_number(noise):
+    with pytest.raises(ValueError, match="^noise must be a finite number >= 0"):
+        SyntheticSpec(noise=noise)
+
+
+@pytest.mark.parametrize("field", ["seen_classes", "unseen_classes", "samples_per_class", "height",
+                                   "width", "channels", "semantic_dim", "attrs_per_class", "jitter"])
+def test_spec_refuses_a_bool_count(field):
+    with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer"):
+        SyntheticSpec(**{field: True})
+
+
+@pytest.mark.parametrize("jitter", [1, 2, 3, 7, 100])
+def test_one_sized_jitter_draw_is_the_scalar_draws(jitter):
+    """gen_synthetic draws a sample's 2*A jitter steps in one call; numpy gives
+    the same values and the same generator state as 2*A scalar calls."""
+    for seed in range(5):
+        one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+        sized = one.integers(-jitter, jitter + 1, size=8).tolist()
+        assert sized == [int(many.integers(-jitter, jitter + 1)) for _ in range(8)]
+        assert one.bit_generator.state == many.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
 def test_spec_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
@@ -211,7 +264,7 @@ def test_make_folds_never_contain_unseen(default_bundle):
 
 def test_bundle_rejects_nonrepresentable_floats(tiny_bundle):
     with pytest.raises(ValueError):
-        DatasetBundle(features=tiny_bundle.features + 1e-12,
+        DatasetBundle(features=tiny_bundle.features.astype(np.float64) + 1e-12,
                       labels=tiny_bundle.labels, table=tiny_bundle.table,
                       split=tiny_bundle.split)
 

@@ -330,6 +330,28 @@ def test_predict_matches_exhaustive_loop(seed):
     assert predict(model, fmap, table) == int(table.class_ids[best])
 
 
+@pytest.mark.parametrize("batch", [dm.CHUNK_ROWS + 1, 2 * dm.CHUNK_ROWS + 1])
+def test_chunked_predict_matches_rows_and_one_forward(batch, monkeypatch):
+    rng = np.random.default_rng([batch, 0xC4C])
+    model = random_model(rng, c=6, ch=4, k=3, s=5)
+    table = random_table(rng, 8, 5)
+    fmaps = rng.normal(size=(batch, 3, 4, 6)).astype(np.float32)  # as a bundle holds them
+    preds, scores = predict(model, fmaps, table), class_scores(model, fmaps, table)
+    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
+    monkeypatch.setattr(dm, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    assert np.array_equal(class_scores(model, fmaps, table), scores)
+    assert np.array_equal(class_scores(model, fmaps.astype(np.float64), table), scores)
+
+
+def test_chunks_are_even_and_cover_every_row(monkeypatch):
+    monkeypatch.setattr(dm, "CHUNK_ROWS", 4)
+    for n in range(0, 30):
+        sizes = dm.in_chunks(lambda rows: [rows.stop - rows.start], n).tolist()
+        assert sum(sizes) == n and max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == max(1, -(-n // 4))
+        assert min(sizes) >= 2 or n < 2  # no lone row in a batch
+
+
 @pytest.mark.parametrize("batch", [1, 7, 64])
 def test_batched_predict_matches_per_sample(batch):
     rng = np.random.default_rng([batch, 0xBA7])

@@ -380,6 +380,22 @@ def test_batched_degree_matches_per_sample(batch):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [dm.CHUNK_ROWS + 1, 2 * dm.CHUNK_ROWS + 1])
+def test_chunked_degree_matches_one_forward_and_rows(batch, monkeypatch):
+    e = fixed_ensemble()
+    feats = np.random.default_rng([batch, 0xC4D]).normal(scale=2, size=(batch, 6))
+    degrees = disagreement_degree(e, feats)
+    # numpy multiplies a lone row with its matrix-vector kernel, which sums in
+    # another order, so row by row agrees only to about one unit in the last place
+    np.testing.assert_allclose(degrees, [disagreement_degree(e, f) for f in feats],
+                               rtol=0, atol=1e-15)
+    monkeypatch.setattr(dm, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    assert np.array_equal(disagreement_degree(e, feats), degrees)
+    monkeypatch.setattr(dm, "CHUNK_ROWS", 4)
+    for n in range(2, 30):  # even chunks of 2 to 4 rows: no lone row
+        assert np.array_equal(disagreement_degree(e, feats[:n]), degrees[:n])
+
+
 def test_detect_takes_one_feature_only():
     e = fixed_ensemble(theta=0.1)
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from setnet import pipeline
-from setnet.diffmath import spatial_mean
+from setnet import diffmath, pipeline
+from setnet.diffmath import CHUNK_ROWS, spatial_mean
 from setnet.errors import NotCalibratedError
 from setnet.model import predict
 from setnet.ood import disagreement_degree
@@ -61,7 +61,7 @@ def test_degenerate_threshold_never_flags(small_system, tiny_bundle):
 def test_oracle_detector_matches_zsl_accuracy(small_system, tiny_bundle, monkeypatch):
     unseen = set(tiny_bundle.split.unseen_ids.tolist())
     idx = [i for i in tiny_bundle.test_indices() if int(tiny_bundle.labels[i]) in unseen]
-    truth = {tuple(np.round(tiny_bundle.features[i].mean(axis=(0, 1)), 12)) for i in idx}
+    truth = {tuple(np.round(spatial_mean(tiny_bundle.features[i]), 12)) for i in idx}
 
     def oracle(e, feats):
         # below any theta for unseen-class rows, above it for the rest
@@ -85,6 +85,21 @@ def test_batched_classify_matches_single_maps(small_system, tiny_bundle, monkeyp
     preds = classify_gzsl(small_system, fmaps)
     assert preds.shape == (fmaps.shape[0],)
     assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
+
+
+@pytest.mark.parametrize("batch", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_chunked_classify_matches_rows_and_one_forward(small_system, tiny_bundle, monkeypatch,
+                                                       batch):
+    rng = np.random.default_rng([batch, 0xC4E])
+    base = tiny_bundle.features[rng.integers(tiny_bundle.sample_count, size=batch)]
+    fmaps = (base + rng.normal(scale=0.05, size=base.shape)).astype(np.float32)
+    ordered = np.sort(disagreement_degree(small_system.detector, spatial_mean(fmaps)))
+    half = ordered.size // 2  # route about half the rows each way
+    monkeypatch.setattr(small_system.detector, "theta", (ordered[half - 1] + ordered[half]) / 2)
+    preds = classify_gzsl(small_system, fmaps)
+    assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
+    monkeypatch.setattr(diffmath, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    assert np.array_equal(classify_gzsl(small_system, fmaps), preds)
 
 
 def test_batched_classify_routes_each_row(small_system, tiny_bundle, monkeypatch):
