@@ -218,8 +218,9 @@ def _cmd_eval_gzsl(args) -> None:
 def _cmd_eval_ood(args) -> None:
     config = _load_config(args.config)
     grid = config.get("fnr_grid", DEFAULT_FNR_GRID)
-    if not isinstance(grid, list) or not grid:
-        raise CliError("config key 'fnr_grid' must be a nonempty list")
+    if (not isinstance(grid, list) or not grid
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in grid)):
+        raise CliError("config key 'fnr_grid' must be a nonempty list of numbers")
     ensemble, _, bundle = _load_detector(args)
     seen_idx = _test_indices_in(bundle, bundle.split.seen_ids)
     unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)

@@ -4,11 +4,9 @@ Tensors are plain C-order ``numpy`` arrays in float64. The losses and their
 gradients work row-wise on the last axis, so a ``(B, D)`` batch of logits or
 distributions costs one call: a 1-D input gives a ``float`` and a batch gives
 the ``(B,)`` per-row values; ``softmax_with_log`` feeds a training loss and
-its gradient from one softmax pass. The layers (``matmul``, ``relu``,
-``conv1x1``, ``softmax`` over flattened positions) take whole batches too
-and come with backward companions, so the training losses in ``model`` and
-``ood`` chain them into one batched backward pass per model, and
-``grad_check`` verifies any such composition against central differences.
+its gradient from one softmax pass. The two nets' layers are written in
+place in ``model`` and ``ood``, and ``grad_check`` verifies their training
+gradients against central differences.
 
 A gradient set is a ``dict`` mapping parameter name -> gradient array of the
 same shape as the parameter.
@@ -45,17 +43,6 @@ def softmax_with_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(z)
     s = e.sum(axis=-1, keepdims=True)
     return e / s, z - np.log(s)
-
-
-def spatial_softmax_backward(maps: np.ndarray, grad_maps: np.ndarray) -> np.ndarray:
-    """dL/dlogits of a softmax over the last two (spatial) axes, from its
-    output A ((K, H, W) or (B, K, H, W)) and grad_maps = dL/dA."""
-    a = _as_f64(maps)
-    g = _as_f64(grad_maps)
-    af = a.reshape(*a.shape[:-2], -1)
-    gf = g.reshape(af.shape)
-    inner = (af * gf).sum(axis=-1, keepdims=True)
-    return (af * (gf - inner)).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -127,47 +114,6 @@ def kl_to_uniform_grad_log(log_p: np.ndarray, classes=None) -> np.ndarray:
     p = np.exp(log_p)
     g = np.where(p > 0, log_p + np.log(c), 0.0)
     return p * (g - (p * g).sum(axis=-1, keepdims=True))
-
-
-# ---------------------------------------------------------------------------
-# layers of the two-layer stacks (standard semantics, analytic gradients)
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, with numpy's broadcasting over leading axes."""
-    return _as_f64(a) @ _as_f64(b)
-
-
-def matmul_backward(a: np.ndarray, b: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dL/da, dL/db) for matmul, given grad = dL/d(a @ b)."""
-    g = _as_f64(grad)
-    return g @ _as_f64(b).swapaxes(-1, -2), _as_f64(a).swapaxes(-1, -2) @ g
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
-
-
-def relu_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return _as_f64(grad) * (_as_f64(x) > 0)
-
-
-def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1x1 channel-mixing convolution over an (H, W, C_in) grid or a batch of
-    them: the per-cell affine map out[..., h, w, :] = x[..., h, w, :] @ w + b,
-    as one 2-D product over every cell."""
-    x = _as_f64(x)
-    w = _as_f64(w)
-    if x.ndim not in (3, 4) or x.shape[-1] != w.shape[0]:
-        raise ValueError(f"channel mismatch: input {x.shape} vs weights {w.shape}")
-    return (x.reshape(-1, w.shape[0]) @ w + _as_f64(b)).reshape(*x.shape[:-1], w.shape[1])
-
-
-def conv1x1_param_grads(x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dL/dw, dL/db) of ``conv1x1``, given grad = dL/d(output); both sum over
-    every cell, and the input gets no gradient."""
-    x = _as_f64(x)
-    g = _as_f64(grad).reshape(-1, np.shape(grad)[-1])
-    return x.reshape(-1, x.shape[-1]).T @ g, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ The training loss and inference (``attention_maps``, ``class_scores``,
 (H, W, C) map runs as a batch of one and gives an unbatched result.
 ``total_loss`` checks its labels and runs ``loss_and_grads``, which the
 trainer calls directly with gradient arrays to fill: each layer is one 2-D
-product over the batch, and the CE and diversity gradients are closed forms.
+product over the batch, written out here with its ReLU and the spatial
+softmax's backward, and the CE and diversity gradients are closed forms.
 """
 
 from __future__ import annotations
@@ -201,10 +202,12 @@ def _pool(model: SetNetModel, fmaps: np.ndarray):
     if fmaps.ndim != 4:
         raise ValueError(f"feature maps must be (H, W, C), got {fmaps.shape[1:]} per sample")
     b, h, w, c = fmaps.shape
+    if c != att.w1.shape[0]:
+        raise ValueError(f"channel mismatch: input {fmaps.shape} vs weights {att.w1.shape}")
     x = fmaps.reshape(b, h * w, c)
-    z1 = dm.conv1x1(fmaps, att.w1, att.b1).reshape(b * h * w, -1)
-    r = dm.relu(z1)
-    logits = dm.matmul(r, att.w2).reshape(b, h * w, -1)
+    z1 = x.reshape(b * h * w, c) @ att.w1 + att.b1  # the 1x1 conv over every cell
+    r = np.maximum(z1, 0.0)
+    logits = (r @ att.w2).reshape(b, h * w, -1)
     maps = dm.softmax(np.ascontiguousarray(logits.swapaxes(1, 2)))
     return x, z1, r, maps, maps @ x
 
@@ -348,11 +351,15 @@ def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,
     d_maps = d_feats.reshape(b, k, v) @ x.swapaxes(1, 2)  # (B, K, T)
     d_maps += (div_scale / b) * d_div.reshape(b, k, h * w)  # the diversity path
 
-    # through the per-head softmax and the conv stack
-    d_logits = dm.spatial_softmax_backward(maps.reshape(b, k, h, w), d_maps.reshape(b, k, h, w))
-    d_z2 = d_logits.reshape(b, k, h * w).swapaxes(1, 2).reshape(b * h * w, k)
+    # through the per-head softmax over the T cells, in place: a * (g - a.g)
+    d_maps -= (maps * d_maps).sum(axis=2, keepdims=True)
+    d_maps *= maps
+    d_z2 = d_maps.swapaxes(1, 2).reshape(b * h * w, k)
     np.matmul(r.T, d_z2, out=g_w2)
-    g_w1[...], g_b1[...] = dm.conv1x1_param_grads(x, dm.relu_backward(z1, d_z2 @ att.w2.T))
+    d_z1 = d_z2 @ att.w2.T
+    d_z1 *= z1 > 0  # the ReLU
+    np.matmul(x.reshape(b * h * w, -1).T, d_z1, out=g_w1)
+    d_z1.sum(axis=0, out=g_b1)
     return total
 
 

@@ -15,7 +15,8 @@ The I sub-detectors live stacked on a leading fold axis in ``DdmEnsemble``
 (output columns zero-padded to the widest fold and masked with -inf), from
 training through the checkpoint to inference. One ``subddm_loss`` call gives
 every fold's loss and gradient for a training step, from one softmax pass
-shared by the CE, the KL and their gradients; at inference one stacked
+shared by the CE, the KL and their gradients, with the two layers and the
+ReLU written out as stacked products; at inference one stacked
 forward per ``CHUNK_ROWS`` rows gives every fold's confidence for a (B, C)
 batch of pooled features, and a single (C,) feature gives one score per
 fold and a scalar degree.
@@ -185,9 +186,9 @@ def _forward(e: DdmEnsemble, feats: np.ndarray):
     """Hidden pre-activations, their ReLU and every fold's logits, with the
     padding columns masked to -inf, for an (I, B, C) stack of rows or a
     (B, C) batch that every fold sees."""
-    z1 = dm.matmul(feats, e.w1) + e.b1[:, None]
-    r = dm.relu(z1)
-    z2 = np.where(e.fold_ids[:, None] >= 0, dm.matmul(r, e.w2) + e.b2[:, None], -np.inf)
+    z1 = feats @ e.w1 + e.b1[:, None]
+    r = np.maximum(z1, 0.0)
+    z2 = np.where(e.fold_ids[:, None] >= 0, r @ e.w2 + e.b2[:, None], -np.inf)
     return z1, r, z2
 
 
@@ -222,7 +223,8 @@ def subddm_loss(e: DdmEnsemble, feats: np.ndarray, labels, weights, grads: tuple
     d_z2 = weights[..., None] * np.where(ood[..., None], dm.kl_to_uniform_grad_log(log_p, counts),
                                          d_ce)
     np.matmul(r.swapaxes(1, 2), d_z2, out=g_w2)
-    d_z1 = dm.relu_backward(z1, d_z2 @ e.w2.swapaxes(1, 2))
+    d_z1 = d_z2 @ e.w2.swapaxes(1, 2)
+    d_z1 *= z1 > 0  # the ReLU
     np.matmul(feats.swapaxes(1, 2), d_z1, out=g_w1)
     d_z1.sum(axis=1, out=g_b1)
     d_z2.sum(axis=1, out=g_b2)

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from setnet.dataio import SyntheticSpec, gen_synthetic
 from setnet.model import SemanticTable, init_setnet
-from setnet.ood import subddm_loss
+from setnet.ood import init_ddm, partition_classes, subddm_loss
 
 acceptance_lines: list[str] = []
 
@@ -78,6 +78,24 @@ def fold_params(e, i):
     n = e.class_counts[i]
     return {"ids": fold_ids_of(e, i), "w1": e.w1[i], "b1": e.b1[i],
             "w2": e.w2[i, :, :n], "b2": e.b2[i, :n]}
+
+
+def ragged_ensemble(rng, in_dim=6, hidden=8):
+    """Three stacked sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID
+    classes, so two folds have a padding column."""
+    part = partition_classes(range(5), 3, seed=0)
+    return init_ddm([part.id_classes(i) for i in range(3)], in_dim, hidden, [rng] * 3)
+
+
+def ragged_chunks(rng, e, finished=None):
+    """One chunk per fold with differing ID/OOD row counts, one of them with
+    an empty OOD chunk; ``finished`` names a fold with no rows at all."""
+    sizes = [(4, 2), (3, 0), (2, 3)]
+    chunks = [(rng.normal(size=(n_id, 6)), rng.choice(fold_ids_of(e, i), size=n_id),
+               rng.normal(size=(n_ood, 6))) for i, (n_id, n_ood) in enumerate(sizes)]
+    if finished is not None:
+        chunks[finished] = None
+    return chunks
 
 
 def stacked_batch(e, chunks, pad=0):

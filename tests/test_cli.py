@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -408,6 +409,36 @@ def test_eval_ood_curves(workdir, tmp_path):
     lines = curves_path.read_text().splitlines()
     assert lines[0] == "fnr,tnr"
     assert len(lines) == 1 + 8
+
+
+@pytest.mark.parametrize("entry", ["0.1", True, None, [0.1]], ids=["string", "bool", "null", "list"])
+def test_eval_ood_refuses_an_fnr_grid_entry_that_is_not_a_number(workdir, tmp_path, capsys, entry):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"fnr_grid": [entry, 0.2]}))
+    report = tmp_path / "ood.json"
+    capsys.readouterr()
+    rc = main(["eval-ood", "--ddm", str(workdir["calibrated"]), "--bundle", str(workdir["bundle"]),
+               "--report", str(report), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not report.exists() and captured.out == ""
+    assert captured.err.splitlines() == ["error: config key 'fnr_grid' must be a nonempty list of numbers"]
+
+
+def test_eval_zsl_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys):
+    cfg = tmp_path / "six.json"
+    cfg.write_text(json.dumps({"synthetic": dict(SYNTH, channels=6)}))
+    bundle = tmp_path / "six.sdnb"
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
+    report = tmp_path / "zsl.json"
+    capsys.readouterr()
+    rc = main(["eval-zsl", "--setnet", str(workdir["setnet"]), "--bundle", str(bundle),
+               "--report", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 1 and not report.exists() and captured.out == ""
+    err = captured.err.splitlines()  # the input's batch axis is the chunk of test rows
+    assert len(err) == 1 and re.fullmatch(
+        rf"error: channel mismatch: input \(\d+, 3, 3, 6\) vs weights \(8, {TRAIN['hidden_channels']}\)",
+        err[0])
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setnet import diffmath as dm
-from setnet.model import diversity_loss
+from setnet.model import attention_maps, diversity_loss, loss_and_grads, total_loss
 
+from conftest import (ragged_chunks, ragged_ensemble, safe_instance, stacked_batch,
+                      subddm_loss_and_grads)
 from oracles import cross_entropy_two_pass, hellinger_sq_brute
 
 
@@ -28,10 +30,39 @@ def hellinger_sq(p, q):
     return diversity_loss(np.stack([p, q])[:, None, :]) / 2
 
 
-def conv1x1_grads(x, w, grad):
-    """(dL/dx, dL/dw, dL/db) of ``conv1x1``: the dx of the matmul, then the
-    parameter gradients training uses."""
-    return dm.matmul_backward(x, w, grad)[0], *dm.conv1x1_param_grads(x, grad)
+def setnet_group_error(seed, names):
+    """grad_check of the ``total_loss`` parameter group ``names`` on a
+    kink-free batch of three 3x5 maps (B != 1 and H != W)."""
+    model, fmaps, table, labels = safe_instance(seed, h=3, w=5, batch=3)
+    params = model.parameters()
+
+    def loss_fn(_):  # grad_check perturbs the model's own arrays
+        total, grads = total_loss(model, fmaps, labels, table)
+        return total, {name: grads[name] for name in names}
+
+    return dm.grad_check(loss_fn, {name: params[name] for name in names}, eps=1e-4)
+
+
+def detector_group_error(seed, names, margin=1e-3):
+    """grad_check of the ``subddm_loss`` parameter group ``names``, summed
+    over the folds of a ragged 3-fold stack, with every hidden
+    pre-activation at least ``margin`` off the ReLU kink. Redraws
+    deterministically until the probe is kink-free."""
+    for attempt in range(50):
+        rng = np.random.default_rng([seed, attempt, 0xD37])
+        e = ragged_ensemble(rng)
+        batch = stacked_batch(e, ragged_chunks(rng, e), pad=1)
+        if np.abs(batch[0] @ e.w1 + e.b1[:, None]).min() > margin:
+            break
+    else:
+        raise AssertionError("could not draw a kink-free detector")
+    params = e.parameters()
+
+    def loss_fn(_):  # grad_check perturbs the ensemble's own arrays
+        losses, grads = subddm_loss_and_grads(e, *batch)
+        return float(losses.sum()), {name: grads[name] for name in names}
+
+    return dm.grad_check(loss_fn, {name: params[name] for name in names}, eps=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +98,8 @@ def test_spatial_softmax_normalized_nonnegative(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_spatial_softmax_backward_matches_fd(seed):
-    rng = np.random.default_rng(seed)
-    logits = rng.normal(size=(2, 3, 3))
-    coeff = rng.normal(size=(2, 3, 3))
-
-    def loss_fn(params):
-        maps = spatial_softmax(params["z"])
-        grad = dm.spatial_softmax_backward(maps, coeff)
-        return float((maps * coeff).sum()), {"z": grad}
-
-    assert dm.grad_check(loss_fn, {"z": logits}, eps=1e-4) < 1e-6
+    # attn.w2 reaches the loss only through the per-head spatial softmax
+    assert setnet_group_error(seed, ["attn.w2"]) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -252,75 +275,47 @@ def test_spatial_mean_batch_matches_single_maps():
 
 
 # ---------------------------------------------------------------------------
-# layers: analytic gradients over 20 seeds each
+# the layers of the two nets, through the training losses that run them
 
 @pytest.mark.parametrize("seed", range(20))
 def test_matmul_grads(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    coeff = rng.normal(size=(3, 2))
-
-    def loss_fn(params):
-        out = dm.matmul(params["a"], params["b"])
-        ga, gb = dm.matmul_backward(params["a"], params["b"], coeff)
-        return float((out * coeff).sum()), {"a": ga, "b": gb}
-
-    assert dm.grad_check(loss_fn, {"a": a, "b": b}, eps=1e-4) < 1e-4
+    # the detector's second layer, padding columns included
+    assert detector_group_error(seed, ["w2", "b2"]) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_conv1x1_grads(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(3, 3, 4))
-    w = rng.normal(size=(4, 2))
-    b = rng.normal(size=2)
-    coeff = rng.normal(size=(3, 3, 2))
-
-    def loss_fn(params):
-        out = dm.conv1x1(params["x"], params["w"], params["b"])
-        gx, gw, gb = conv1x1_grads(params["x"], params["w"], coeff)
-        return float((out * coeff).sum()), {"x": gx, "w": gw, "b": gb}
-
-    assert dm.grad_check(loss_fn, {"x": x, "w": w, "b": b}, eps=1e-4) < 1e-4
+    assert setnet_group_error(seed, ["attn.w1", "attn.b1"]) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_relu_grads(seed):
-    rng = np.random.default_rng(seed)
-    # keep the probe away from the kink so central differences are valid
-    x = rng.normal(size=(4, 5))
-    x = np.where(np.abs(x) < 1e-2, x + 0.05, x)
-    coeff = rng.normal(size=(4, 5))
-
-    def loss_fn(params):
-        return float((dm.relu(params["x"]) * coeff).sum()), {"x": dm.relu_backward(params["x"], coeff)}
-
-    assert dm.grad_check(loss_fn, {"x": x}, eps=1e-4) < 1e-4
+    # the detector's first layer reaches the loss through its ReLU
+    assert detector_group_error(seed, ["w1", "b1"]) < 1e-4
 
 
 def test_conv1x1_channel_mismatch():
-    with pytest.raises(ValueError):
-        dm.conv1x1(np.zeros((2, 2, 3)), np.zeros((4, 2)), np.zeros(2))
+    model, fmaps, _, _ = safe_instance(0, batch=2)
+    with pytest.raises(ValueError, match=r"^channel mismatch: input \(2, 4, 4, 6\) vs weights \(8, 6\)$"):
+        attention_maps(model, fmaps[..., :6])
+
 
 def test_layer_backwards_on_a_batch_match_single_stacks():
-    rng = np.random.default_rng(4)
-    maps = dm.softmax(rng.normal(size=(3, 2, 12))).reshape(3, 2, 3, 4)
-    coeff = rng.normal(size=(3, 2, 3, 4))
-    x = rng.normal(size=(3, 3, 4, 5))
-    w = rng.normal(size=(5, 2))
-    b = rng.normal(size=2)
-    g = rng.normal(size=(3, 3, 4, 2))
-    batched = dm.spatial_softmax_backward(maps, coeff)
-    gx, gw, gb = conv1x1_grads(x, w, g)
-    np.testing.assert_array_equal(dm.conv1x1(x, w, b)[1], dm.conv1x1(x[1], w, b))
-    singles = [conv1x1_grads(x[i], w, g[i]) for i in range(3)]
-    for i in range(3):
-        np.testing.assert_allclose(batched[i], dm.spatial_softmax_backward(maps[i], coeff[i]),
-                                   rtol=0, atol=1e-15)
-        np.testing.assert_allclose(gx[i], singles[i][0], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(gw, sum(s[1] for s in singles), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gb, sum(s[2] for s in singles), rtol=0, atol=1e-12)
+    model, fmaps, table, labels = safe_instance(4, h=3, w=5, batch=3)
+    rows = table.indices_of(labels)
+    att, proj = model.attention, model.projectors
+    params = (att.w1, att.b1, att.w2, proj.weights, proj.biases)
+
+    def run(fm, rw):
+        grads = tuple(np.empty_like(p) for p in params)
+        return loss_and_grads(model, fm, rw, table, diversity_sign=-1, grads=grads), grads
+
+    total, grads = run(fmaps, rows)
+    singles = [run(fmaps[i:i + 1], rows[i:i + 1]) for i in range(3)]
+    assert abs(total - sum(t for t, _ in singles) / 3) <= 1e-12
+    for j, g in enumerate(grads):
+        want = sum(single[j] for _, single in singles) / 3
+        assert np.abs(g - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from setnet.ood import (Domain, FoldPartition, calibrate_theta, confidence, dete
                         disagreement, disagreement_degree, export_degrees_csv, init_ddm,
                         partition_classes)
 
-from conftest import fold_ids_of, fold_params, stacked_batch, subddm_loss_and_grads
+from conftest import (fold_ids_of, fold_params, ragged_chunks, ragged_ensemble, stacked_batch,
+                      subddm_loss_and_grads)
 from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_pass,
                      disagreement_brute, kl_to_uniform_brute, softmax_two_pass,
                      subddm_loss_per_fold)
@@ -130,24 +131,6 @@ def test_subddm_loss_matches_per_sample_oracle(seed):
     for x in ood_feats:
         want += kl_to_uniform_brute(softmax_two_pass(forward(x))) / 3
     assert loss == pytest.approx(want, abs=1e-10)
-
-
-def ragged_ensemble(rng, in_dim=6, hidden=8):
-    """Three stacked sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID
-    classes, so two folds have a padding column."""
-    part = partition_classes(range(5), 3, seed=0)
-    return init_ddm([part.id_classes(i) for i in range(3)], in_dim, hidden, [rng] * 3)
-
-
-def ragged_chunks(rng, e, finished=None):
-    """One chunk per fold with differing ID/OOD row counts, one of them with
-    an empty OOD chunk; ``finished`` names a fold with no rows at all."""
-    sizes = [(4, 2), (3, 0), (2, 3)]
-    chunks = [(rng.normal(size=(n_id, 6)), rng.choice(fold_ids_of(e, i), size=n_id),
-               rng.normal(size=(n_ood, 6))) for i, (n_id, n_ood) in enumerate(sizes)]
-    if finished is not None:
-        chunks[finished] = None
-    return chunks
 
 
 @pytest.mark.parametrize("seed", range(10))
