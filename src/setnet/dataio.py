@@ -1,25 +1,29 @@
-"""Dataset container, binary bundle I/O, and the synthetic generator.
+"""Dataset container, the checksummed tensor container, and the synthetic
+generator.
 
-Bundle file layout (all little-endian):
+Bundles and both checkpoint kinds are one container (all little-endian):
 
-    magic "SDNB" | u32 version=1 | u32 N, H, W, C, S, D | u32 seen count |
-    D class ids (u32) | D*S semantic floats (f32) | seen ids (u32) |
-    N labels (u32) | N train flags (u8, 1=train) |
-    N*H*W*C feature floats (f32, sample-major, row-major spatial,
-    channel-last)
+    magic "SDNT" | u32 version=2 | u32 header length | header JSON (UTF-8,
+    sorted keys) {"kind", "meta", "tensors": [[name, dtype, shape], ...]} |
+    each tensor's bytes, C order, at the next 8-byte boundary |
+    SHA-256 of every preceding byte (32 bytes)
 
-In memory the features stay the float32 values the file holds: a loaded
-bundle's features are a read-only view of the bytes it read, and the model
-upcasts them to float64, exactly, one batch at a time. The semantic table is
-float64 holding float32 values, so save -> load is a bitwise round trip.
-Randomness comes from numpy's default_rng (PCG64 seeded through
-SeedSequence), so identical seeds give bitwise-identical bundles within this
-implementation. A loaded bundle keeps the SHA-256 of the file bytes it was
-read from, so a detector can be bound to the bundle it was trained on.
+``read_container`` checks the magic (a version 1 file gets its own
+message), the checksum before it parses anything, the version and header,
+the kind, the layout (which must end at the checksum, so sizes are checked
+before any allocation), non-finite floats and the kind's ``SCHEMAS``; it
+raises only ``FormatError`` and returns read-only views of the bytes read.
+A bundle's features stay float32, which the model upcasts exactly per
+batch; its semantic table is float64 holding float32 values, so save ->
+load is bitwise. A loaded bundle keeps the stored checksum as its
+``sha256``, which binds a detector to its training bundle. Identical seeds
+give bitwise-identical bundles (numpy's default_rng, PCG64).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import struct
 import sys
@@ -30,8 +34,8 @@ import numpy as np
 from .errors import FormatError
 from .model import SemanticTable
 
-MAGIC = b"SDNB"
-VERSION = 1
+MAGIC = b"SDNT"
+VERSION = 2
 
 
 @dataclass
@@ -54,8 +58,8 @@ class SplitSpec:
 class DatasetBundle:
     """Feature maps + labels + semantic table + split, jointly validated.
 
-    ``sha256`` is the hex SHA-256 of the file the bundle was loaded from;
-    None for a bundle built in memory.
+    ``sha256`` is the hex SHA-256 stored in the file the bundle was loaded
+    from; None for a bundle built in memory.
     """
 
     features: np.ndarray  # (N, H, W, C) float32; float64 input must be f32-exact
@@ -114,100 +118,123 @@ class DatasetBundle:
 
 
 # ---------------------------------------------------------------------------
-# binary I/O
+# the container
 
-class _Cursor:
-    """Fields of file bytes as views, not copies; callers make bytes of the magic."""
+# each container kind's tensors: name -> (dtype, ndim)
+SCHEMAS = {
+    "bundle": {"class_ids": ("<u4", 1), "semantics": ("<f4", 2), "seen_ids": ("<u4", 1),
+               "labels": ("<u4", 1), "train_flags": ("|u1", 1), "features": ("<f4", 4)},
+    "setnet": {"attn.w1": ("<f8", 2), "attn.b1": ("<f8", 1), "attn.w2": ("<f8", 2),
+               "proj.w": ("<f8", 3), "proj.b": ("<f8", 2)},
+    "ddm": {"w1": ("<f8", 3), "b1": ("<f8", 2), "w2": ("<f8", 3), "b2": ("<f8", 2),
+            "ids": ("<i8", 2)},
+}
+DTYPES = ("<f4", "<f8", "<u4", "<i8", "|u1")
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"truncated file while reading {what}", offset=self.pos)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
+    """Write ``tensors`` (name -> array, cast to the dtypes of ``kind``'s
+    schema) and the JSON object ``meta``, streaming each tensor to the file
+    and the checksum."""
+    schema = SCHEMAS[kind]
+    arrays = {name: np.ascontiguousarray(a, dtype=schema[name][0]) for name, a in tensors.items()}
+    header = json.dumps({"kind": kind, "meta": meta, "tensors": [
+        [name, schema[name][0], list(a.shape)] for name, a in arrays.items()]},
+        sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in [MAGIC + struct.pack("<II", VERSION, len(header)) + header, *arrays.values()]:
+            for part in (bytes(-fh.tell() % 8), piece):  # each tensor at an 8-byte boundary
+                digest.update(part)
+                fh.write(part)
+        fh.write(digest.digest())
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
 
-    def text(self, what: str) -> str:
-        raw = bytes(self.take(self.u32(f"{what} length"), what))  # that many bytes of UTF-8
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{what} is not UTF-8", offset=self.pos - len(raw) + e.start) from e
-
-    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype, count=count)
+def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
+    """``meta``, the tensors as read-only views of the bytes read, and the
+    stored SHA-256 (hex) of a container of ``kind``; anything else is a
+    ``FormatError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != MAGIC:
+        if data[:4] in (b"SDNB", b"SDNC"):
+            raise FormatError("version 1 file; this version reads version 2 only: regenerate it "
+                              "with gen-synth, train-setnet, train-ddm and calibrate", offset=0)
+        raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
+    end = len(data) - 32  # where the checksum starts
+    if end < 12 or hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
+        raise FormatError("checksum mismatch: the file is damaged or truncated", offset=max(end, 0))
+    version, size = struct.unpack_from("<II", data, 4)
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}", offset=4)
+    try:
+        header = json.loads(data[12:12 + size].decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError("header is not UTF-8", offset=12 + e.start) from e
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"header is not JSON: {e}", offset=12) from e
+    entries = header.get("tensors") if isinstance(header, dict) else None
+    if not (isinstance(entries, list) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("meta"), dict)):
+        raise FormatError("header must hold a kind, a meta object and a tensor list", offset=12)
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and entry[1] in DTYPES and isinstance(entry[2], list) and len(entry[2]) <= 4
+                and all(type(d) is int and d >= 0 for d in entry[2])):
+            raise FormatError(f"bad tensor entry {entry!r:.60}: expected [name, dtype, shape] with "
+                              f"a dtype of {DTYPES} and at most 4 dims", offset=12)
+    if len({name for name, _, _ in entries}) != len(entries):
+        raise FormatError("duplicate tensor names", offset=12)
+    if header["kind"] != kind:
+        raise FormatError(f"file holds a {header['kind']!r} container, not {kind!r}")
+    offsets, pos = [], 12 + size  # every size is known before anything is allocated
+    for _, dtype, shape in entries:
+        pos += -pos % 8
+        offsets.append(pos)
+        pos += math.prod(shape) * int(dtype[2])
+    if pos != end:
+        raise FormatError(f"the tensors end at byte {pos}, not where the checksum starts",
+                          offset=min(pos, end))
+    tensors = {}
+    for (name, dtype, shape), offset in zip(entries, offsets):
+        a = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        if dtype[1] == "f" and a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise FormatError(f"tensor {name} contains non-finite values", offset=offset)
+        tensors[name] = a
+    schema = SCHEMAS[kind]
+    missing = [name for name in schema if name not in tensors]
+    if missing:
+        raise FormatError(f"{kind} container is missing tensor {missing[0]!r}")
+    for name, dtype, shape in entries:
+        if schema.get(name) != (dtype, len(shape)):
+            raise FormatError(f"{kind} tensor {name!r} is {(dtype, len(shape))}, the schema has "
+                              f"{schema.get(name, 'no such tensor')}")
+    return header["meta"], tensors, data[end:].hex()
 
 
 def save_bundle(bundle: DatasetBundle, path) -> None:
-    """Write the container format; the bundle validates on construction."""
-    n, h, w, c = bundle.features.shape
-    d, s = bundle.table.vectors.shape
+    """Write a bundle container; the bundle validates on construction."""
     ids = bundle.table.class_ids
     if ids.size and (ids.min() < 0 or ids.max() >= 2**32):
         raise ValueError("class ids must fit in u32")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<7I", VERSION, n, h, w, c, s, d))
-        fh.write(struct.pack("<I", bundle.split.seen_ids.shape[0]))
-        fh.write(ids.astype("<u4").tobytes())
-        fh.write(bundle.table.vectors.astype("<f4").tobytes())
-        fh.write(bundle.split.seen_ids.astype("<u4").tobytes())
-        fh.write(bundle.labels.astype("<u4").tobytes())
-        fh.write(bundle.split.train_flags.astype("<u1").tobytes())
-        fh.write(np.ascontiguousarray(bundle.features, dtype="<f4"))  # a view when it can be
+    write_container(path, "bundle", {}, {
+        "class_ids": ids, "semantics": bundle.table.vectors, "seen_ids": bundle.split.seen_ids,
+        "labels": bundle.labels, "train_flags": bundle.split.train_flags,
+        "features": bundle.features})
 
 
 def load_bundle(path) -> DatasetBundle:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cur = _Cursor(data)
-    if bytes(cur.take(4, "magic")) != MAGIC:
-        raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
-    version = cur.u32("version")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    n, h, w, c, s, d = (cur.u32(what) for what in ("sample count", "height", "width", "channels",
-                                                    "semantic dim", "class count"))
-    seen_count = cur.u32("seen-class count")
-    class_ids = cur.array("<u4", d, "class ids").astype(np.int64)
-    sem_off = cur.pos
-    semantics = cur.array("<f4", d * s, "semantic vectors").astype(np.float64).reshape(d, s)
-    seen_off = cur.pos
-    seen_ids = cur.array("<u4", seen_count, "seen ids").astype(np.int64)
-    labels_off = cur.pos
-    labels = cur.array("<u4", n, "labels").astype(np.int64)
-    flags_off = cur.pos
-    flags_raw = cur.array("<u1", n, "train flags")
-    features = cur.array("<f4", n * h * w * c, "features")  # read-only, no copy
-    if cur.pos != len(cur.data):
-        raise FormatError("trailing bytes after feature block", offset=cur.pos)
-
-    if np.any(flags_raw > 1):
-        raise FormatError("train flags must be 0 or 1", offset=flags_off)
+    _, t, digest = read_container(path, "bundle")
+    if np.any(t["train_flags"] > 1):
+        raise FormatError("train flags must be 0 or 1")
+    class_ids = t["class_ids"].astype(np.int64)
     try:
-        table = SemanticTable(class_ids=class_ids, vectors=semantics)
+        split = SplitSpec(seen_ids=t["seen_ids"], train_flags=t["train_flags"].astype(bool),
+                          unseen_ids=class_ids[~np.isin(class_ids, t["seen_ids"])])
+        return DatasetBundle(features=t["features"], labels=t["labels"], split=split, sha256=digest,
+                             table=SemanticTable(class_ids=class_ids, vectors=t["semantics"]))
     except ValueError as e:
-        raise FormatError(f"invalid semantic table: {e}", offset=sem_off) from e
-    try:
-        split = SplitSpec(seen_ids=seen_ids, unseen_ids=class_ids[~np.isin(class_ids, seen_ids)],
-                          train_flags=flags_raw.astype(bool))  # SplitSpec sorts the ids
-    except ValueError as e:
-        raise FormatError(f"invalid split: {e}", offset=seen_off) from e
-    try:
-        bundle = DatasetBundle(features=features.reshape(n, h, w, c),
-                               labels=labels, table=table, split=split)
-    except ValueError as e:
-        raise FormatError(f"invalid bundle: {e}", offset=labels_off) from e
-    import hashlib  # loads OpenSSL; gen-synth, which loads no bundle, does not pay for it
-    bundle.sha256 = hashlib.sha256(data).hexdigest()
-    return bundle
+        raise FormatError(f"invalid bundle: {e}") from e
 
 
 # ---------------------------------------------------------------------------

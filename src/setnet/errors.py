@@ -2,7 +2,7 @@
 
 
 class FormatError(ValueError):
-    """A binary container or checkpoint violates its on-disk format.
+    """A container file (a bundle or a checkpoint) violates its format.
 
     ``offset`` is the byte position of the first violation when known.
     """

@@ -146,24 +146,19 @@ class SetNetModel:
             raise ValueError("attention and projector head counts must match")
         if self.attention.w1.shape[0] != self.projectors.visual_dim:
             raise ValueError("attention input channels must equal the projector visual dim")
-        if self.diversity_weight < 0:
-            raise ValueError("diversity weight must be >= 0")
+        if not 0 <= self.diversity_weight < np.inf:
+            raise ValueError("diversity weight must be finite and >= 0")
 
     @property
     def head_count(self) -> int:
         return self.attention.head_count
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Named views of every trainable array (mutating them mutates the model)."""
-        out = {
-            "attn.w1": self.attention.w1,
-            "attn.b1": self.attention.b1,
-            "attn.w2": self.attention.w2,
-        }
-        for k in range(self.projectors.head_count):
-            out[f"proj.{k}.w"] = self.projectors.weights[k]
-            out[f"proj.{k}.b"] = self.projectors.biases[k]
-        return out
+        """Every trainable array by name, the projectors stacked (mutating
+        them mutates the model)."""
+        att, proj = self.attention, self.projectors
+        return {"attn.w1": att.w1, "attn.b1": att.b1, "attn.w2": att.w2,
+                "proj.w": proj.weights, "proj.b": proj.biases}
 
 
 def init_setnet(channels: int, hidden_channels: int, head_count: int,
@@ -203,7 +198,8 @@ def _pool(model: SetNetModel, fmaps: np.ndarray):
         raise ValueError(f"feature maps must be (H, W, C), got {fmaps.shape[1:]} per sample")
     b, h, w, c = fmaps.shape
     if c != att.w1.shape[0]:
-        raise ValueError(f"channel mismatch: input {fmaps.shape} vs weights {att.w1.shape}")
+        raise ValueError(f"channel mismatch: feature maps have {c} channels, "
+                         f"the model takes {att.w1.shape[0]}")
     x = fmaps.reshape(b, h * w, c)
     z1 = x.reshape(b * h * w, c) @ att.w1 + att.b1  # the 1x1 conv over every cell
     r = np.maximum(z1, 0.0)
@@ -315,11 +311,8 @@ def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
         raise ValueError(f"expected {np.shape(fmaps)[0]} labels, got shape {rows.shape}")
     if rows.size == 0:
         raise ValueError("empty batch")
-    att, proj = model.attention, model.projectors
-    grads = tuple(np.empty_like(p) for p in (att.w1, att.b1, att.w2, proj.weights, proj.biases))
-    total = loss_and_grads(model, fmaps, rows, table, diversity_sign, grads)
-    heads = [g for pair in zip(grads[3], grads[4]) for g in pair]  # proj.k.w, proj.k.b
-    return total, dict(zip(model.parameters(), [*grads[:3], *heads]))
+    grads = {name: np.empty_like(p) for name, p in model.parameters().items()}
+    return loss_and_grads(model, fmaps, rows, table, diversity_sign, tuple(grads.values())), grads
 
 
 def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,9 @@ class DdmEnsemble:
     Fold i maps a mean-pooled (C,) feature through ``w1[i]`` (C, H),
     ``b1[i]`` (H,), a ReLU, ``w2[i]`` (H, N) and ``b2[i]`` (N,) to logits over
     its ID classes ``fold_ids[i]``: sorted ids padded with -1 to the widest
-    fold's N, whose columns are masked out. ``bundle_sha256`` is the hex
-    SHA-256 of the bundle file the detector was trained on, when known;
-    ``train.check_training_bundle`` refuses any other bundle.
+    fold's N, whose columns are masked out. ``bundle_sha256`` is the SHA-256
+    stored in the bundle file the detector was trained on (64 lowercase hex
+    digits), when known; ``train.check_training_bundle`` refuses any other.
     ``holdout_seed`` names the calibration holdout its folds never saw.
     """
 
@@ -116,6 +117,9 @@ class DdmEnsemble:
         self.fold_ids = _check_fold_ids(self.fold_ids)
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        digest = self.bundle_sha256
+        if digest is not None and not re.fullmatch("[0-9a-f]{64}", str(digest)):
+            raise ValueError(f"bundle_sha256 must be 64 lowercase hex digits, got {digest!r:.80}")
 
     @property
     def in_dim(self) -> int:

@@ -1,5 +1,5 @@
 """Seeded minibatch SGD for the attention model and the detector ensemble,
-plus the binary checkpoint format.
+calibration, and checkpoints.
 
 Both models train through one loop, ``_sgd``: plain SGD (no momentum, no
 weight decay), one batched loss call and one ``_sgd_step`` per step, a
@@ -14,44 +14,30 @@ trains are the returned ensemble's own. A step whose loss is not finite
 stops training with a ``FloatingPointError`` that names the epoch and step,
 and the fold for the detector.
 
-Checkpoint layout (little-endian):
-
-    magic "SDNC" | u32 version=1 | u32 kind length | kind bytes
-    ("setnet"/"ddm") | u32 config length | config JSON (utf-8) |
-    u32 tensor count | per tensor: u32 name length | name bytes |
-    u32 ndim | u32 dims... | float64 data
-
-A "ddm" checkpoint holds the detector as stored in memory: the fold-stacked
-"ddm.w1" (I, C, H), "ddm.b1" (I, H), "ddm.w2" (I, H, N) and "ddm.b2" (I, N),
-and "ddm.ids", the (I, N) table of each fold's sorted ID class ids padded
-with -1 to the widest fold. Integer payloads such as that table and the 32
-bytes of the training bundle's SHA-256 ("bundle_sha256") travel as float64
-tensors; the calibrated threshold is a 0-d tensor named "theta" present only
-once set. Readers reject truncated data, text that is not UTF-8, non-finite
-values, missing or misshapen tensors and a malformed class-id table with a
-``FormatError``, and ignore unneeded ones.
+A checkpoint is a ``dataio`` container of kind "setnet" or "ddm" whose
+meta holds the train config. "setnet" stores the model's five arrays as
+they are held, the projector ensemble stacked as "proj.w" (K, V, S) and
+"proj.b" (K, S), and its diversity weight in the meta. "ddm" stores the
+fold-stacked detector ("w1", "b1", "w2", "b2" and the -1-padded (I, N)
+class-id table "ids"), with the calibrated "theta" and the training
+bundle's "bundle_sha256" in the meta once they are set.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import struct
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetBundle, _Cursor
+from .dataio import DatasetBundle, read_container, write_container
 from .diffmath import in_chunks, spatial_mean
 from .errors import FormatError
 from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, calibrate_theta, disagreement_degree, init_ddm, partition_classes,
                   subddm_loss)
 
-CKPT_MAGIC = b"SDNC"
-CKPT_VERSION = 1
 HOLDOUT_FRACTION = 0.2
 
 
@@ -161,7 +147,7 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     rows = np.zeros(bundle.sample_count, dtype=np.int64)
     rows[train_idx] = seen_table.indices_of(bundle.labels[train_idx])
     att, proj = model.attention, model.projectors
-    arrays = [att.w1, att.b1, att.w2, proj.weights, proj.biases]
+    arrays = list(model.parameters().values())
     flat, (att.w1, att.b1, att.w2, proj.weights, proj.biases) = _flatten(arrays)
     grad, grad_views = _flatten(arrays)  # laid out like flat; every step overwrites it
 
@@ -312,113 +298,51 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _write_tensors(fh, kind: str, cfg: TrainConfig, tensors: dict[str, np.ndarray]) -> None:
-    cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
-    kind_b = kind.encode("utf-8")
-    fh.write(CKPT_MAGIC)
-    fh.write(struct.pack("<I", CKPT_VERSION))
-    fh.write(struct.pack("<I", len(kind_b)) + kind_b)
-    fh.write(struct.pack("<I", len(cfg_json)) + cfg_json)
-    fh.write(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        name_b = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(name_b)) + name_b)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
-
-
-class _Tensors(dict):
-    """Checkpoint tensors by name; a missing name is a format error."""
-
-    def __missing__(self, name: str):
-        raise FormatError(f"checkpoint is missing tensor {name!r}")
-
-
-def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh.read())
-    if bytes(cur.take(4, "magic")) != CKPT_MAGIC:
-        raise FormatError(f"bad magic, expected {CKPT_MAGIC!r}", offset=0)
-    version = cur.u32("version")
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    found = cur.text("kind")
-    if found != kind:
-        raise FormatError(f"checkpoint holds a {found!r} model, not {kind!r}")
-    cfg_off = cur.pos
-    cfg_raw = cur.text("config")
-    try:
-        cfg = TrainConfig(**json.loads(cfg_raw))
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"invalid train config: {e}", offset=cfg_off) from e
-    tensors = _Tensors()
-    for _ in range(cur.u32("tensor count")):
-        name = cur.text("tensor name")
-        ndim = cur.u32("ndim")
-        if ndim > 32:  # numpy's limit before 2.0; the format's tensors have at most 3
-            raise FormatError(f"tensor {name} has {ndim} dimensions", offset=cur.pos - 4)
-        shape = tuple(cur.u32("dim") for _ in range(ndim))
-        data_off = cur.pos
-        data = cur.array("<f8", math.prod(shape), f"tensor {name}").astype(np.float64)
-        if not np.all(np.isfinite(data)):
-            raise FormatError(f"tensor {name} contains non-finite values", offset=data_off)
-        tensors[name] = data.reshape(shape)
-    if cur.pos != len(cur.data):
-        raise FormatError("trailing bytes after tensor block", offset=cur.pos)
-    return cfg, tensors
-
-
 def save_checkpoint(path, model, cfg: TrainConfig) -> None:
-    """Serialize a SetNetModel or DdmEnsemble with its config."""
+    """Write a SetNetModel or DdmEnsemble with its config."""
+    meta = {"config": dataclasses.asdict(cfg)}
     if isinstance(model, SetNetModel):
-        tensors = dict(model.parameters())
-        tensors["diversity_weight"] = np.asarray(model.diversity_weight)
-        kind = "setnet"
+        kind, tensors = "setnet", model.parameters()
+        meta["diversity_weight"] = float(model.diversity_weight)
     elif isinstance(model, DdmEnsemble):
         if model.holdout_seed not in (None, cfg.seed):
             raise ValueError("config seed differs from the detector's holdout seed")
-        tensors = {f"ddm.{name}": p for name, p in model.parameters().items()}
-        tensors["ddm.ids"] = model.fold_ids
-        if model.bundle_sha256 is not None:
-            tensors["bundle_sha256"] = np.frombuffer(bytes.fromhex(model.bundle_sha256),
-                                                     np.uint8).astype(np.float64)
-        if model.theta is not None:
-            tensors["theta"] = np.asarray(model.theta)
-        kind = "ddm"
+        kind, tensors = "ddm", dict(model.parameters(), ids=model.fold_ids)
+        meta.update((name, value) for name, value in (("theta", model.theta),
+                    ("bundle_sha256", model.bundle_sha256)) if value is not None)
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
-    with open(path, "wb") as fh:
-        _write_tensors(fh, kind, cfg, tensors)
+    write_container(path, kind, meta, tensors)
+
+
+def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict, dict[str, np.ndarray]]:
+    meta, tensors, _ = read_container(path, kind)
+    try:
+        return TrainConfig(**meta["config"]), meta, tensors
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"invalid train config: {e}") from e
 
 
 def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
-    cfg, tensors = _read_checkpoint(path, "setnet")
-    heads = range(cfg.head_count)
+    cfg, meta, t = _read_checkpoint(path, "setnet")
     try:  # the constructors check that the tensor shapes fit together
-        attention = AttentionStack(w1=tensors["attn.w1"], b1=tensors["attn.b1"],
-                                   w2=tensors["attn.w2"])
-        projectors = ProjectorEnsemble(weights=np.stack([tensors[f"proj.{i}.w"] for i in heads]),
-                                       biases=np.stack([tensors[f"proj.{i}.b"] for i in heads]))
-        return SetNetModel(attention=attention, projectors=projectors,
-                           diversity_weight=float(tensors["diversity_weight"])), cfg
-    except (TypeError, ValueError) as e:
+        model = SetNetModel(attention=AttentionStack(w1=t["attn.w1"], b1=t["attn.b1"],
+                                                     w2=t["attn.w2"]),
+                            projectors=ProjectorEnsemble(weights=t["proj.w"], biases=t["proj.b"]),
+                            diversity_weight=float(meta["diversity_weight"]))
+        if (model.head_count, model.attention.hidden_channels) != (cfg.head_count,
+                                                                   cfg.hidden_channels):
+            raise ValueError("the tensors do not have the config's head_count and hidden_channels")
+        return model, cfg
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"invalid setnet checkpoint: {e}") from e
 
 
 def load_ddm_checkpoint(path) -> tuple[DdmEnsemble, TrainConfig]:
-    cfg, tensors = _read_checkpoint(path, "ddm")
-    digest = None
-    if "bundle_sha256" in tensors:
-        raw = tensors["bundle_sha256"]
-        if raw.shape != (32,) or np.any((raw < 0) | (raw > 255) | (raw != np.round(raw))):
-            raise FormatError("tensor bundle_sha256 is not a 32-byte digest")
-        digest = raw.astype(np.uint8).tobytes().hex()
-    w1, b1, w2, b2, ids = (tensors[f"ddm.{name}"] for name in ("w1", "b1", "w2", "b2", "ids"))
-    try:  # the constructor checks the shapes and the fold class-id table
-        theta = float(tensors["theta"]) if "theta" in tensors else None
-        return DdmEnsemble(w1=w1, b1=b1, w2=w2, b2=b2, fold_ids=ids, theta=theta,
-                           bundle_sha256=digest, holdout_seed=cfg.seed), cfg
+    cfg, meta, t = _read_checkpoint(path, "ddm")
+    try:  # the constructor checks the shapes, the fold class-id table and the digest
+        return DdmEnsemble(w1=t["w1"], b1=t["b1"], w2=t["w2"], b2=t["b2"], fold_ids=t["ids"],
+                           theta=meta.get("theta"), bundle_sha256=meta.get("bundle_sha256"),
+                           holdout_seed=cfg.seed), cfg
     except (TypeError, ValueError) as e:
         raise FormatError(f"invalid ddm checkpoint: {e}") from e

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import sys
@@ -161,9 +162,63 @@ def misfit_ddm(e, defect):
         e.fold_ids = np.pad(e.fold_ids, [(0, 0), (0, 1)], constant_values=-1)
 
 
-def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
-    """A checkpoint from (name, dims, payload) entries and a TrainConfig or
-    a config dict, written straight from the documented layout."""
+def container_bytes(kind, meta, tensors, entries=None) -> bytes:
+    """A version-2 container with a valid checksum, written straight from the
+    documented layout: ``tensors`` maps names to arrays stored with their
+    own dtypes, and ``entries``, when given, replaces the header's [name,
+    dtype, shape] list, so a header can describe tensors that are not
+    there."""
+    arrays = [np.ascontiguousarray(a) for a in tensors.values()]
+    if entries is None:
+        entries = [[name, a.dtype.str, list(a.shape)] for name, a in zip(tensors, arrays)]
+    header = json.dumps({"kind": kind, "meta": meta, "tensors": entries},
+                        sort_keys=True).encode("utf-8")
+    out = b"SDNT" + struct.pack("<II", 2, len(header)) + header
+    for a in arrays:
+        out += bytes(-len(out) % 8) + a.tobytes()
+    return out + hashlib.sha256(out).digest()
+
+
+def resealed(data) -> bytes:
+    """A container's bytes, edited, with the checksum made valid again."""
+    return bytes(data[:-32]) + hashlib.sha256(bytes(data[:-32])).digest()
+
+
+def setnet_meta(cfg, model) -> dict:
+    """The meta of a SetNet checkpoint of ``model``, from a TrainConfig or a dict."""
+    cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
+    return {"config": cfg, "diversity_weight": float(model.diversity_weight)}
+
+
+def ddm_tensors(e) -> dict:
+    """The tensors of a ddm checkpoint of ``e``."""
+    return dict(e.parameters(), ids=e.fold_ids)
+
+
+def bundle_tensors(bundle) -> dict:
+    """The tensors of a bundle container, with the dtypes the format stores."""
+    return {"class_ids": bundle.table.class_ids.astype("<u4"),
+            "semantics": bundle.table.vectors.astype("<f4"),
+            "seen_ids": bundle.split.seen_ids.astype("<u4"),
+            "labels": bundle.labels.astype("<u4"),
+            "train_flags": bundle.split.train_flags.astype("<u1"),
+            "features": bundle.features.astype("<f4")}
+
+
+# ---------------------------------------------------------------------------
+# version 1 files, as earlier versions wrote them
+
+def v1_bundle_bytes(bundle) -> bytes:
+    """``bundle`` in the version 1 "SDNB" layout."""
+    n, h, w, c = bundle.features.shape
+    d, s = bundle.table.vectors.shape
+    return b"".join([b"SDNB", struct.pack("<8I", 1, n, h, w, c, s, d, len(bundle.split.seen_ids)),
+                     *(a.tobytes() for a in bundle_tensors(bundle).values())])
+
+
+def v1_checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
+    """A version 1 "SDNC" checkpoint from (name, dims, payload) entries and
+    a TrainConfig or a config dict."""
     cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
     cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
     out = [b"SDNC", struct.pack("<II", 1, len(kind)), kind.encode("utf-8"),
@@ -174,13 +229,29 @@ def checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
     return b"".join(out)
 
 
-def per_fold_ddm_checkpoint(e, cfg) -> bytes:
+def v1_ddm_checkpoint(e, cfg) -> bytes:
+    """``e`` in the stacked version 1 ddm layout: "ddm.w1", ".b1", ".w2",
+    ".b2" and ".ids" as float64, and the training bundle's digest as 32
+    float64 byte values."""
+    tensors = {f"ddm.{name}": a for name, a in ddm_tensors(e).items()}
+    if e.bundle_sha256 is not None:
+        tensors["bundle_sha256"] = np.frombuffer(bytes.fromhex(e.bundle_sha256), np.uint8)
+    return v1_checkpoint_bytes(cfg, [(name, np.shape(a), np.asarray(a, dtype="<f8").tobytes())
+                                     for name, a in tensors.items()], kind="ddm")
+
+
+def per_fold_tensors(e) -> dict:
     """``e`` in the per-fold ddm layout of earlier versions: "ddm.<i>.w1",
     ".b1", ".w2", ".b2" and ".ids" per fold, unpadded, and "fold_count"."""
     tensors = {"fold_count": np.asarray(float(e.w1.shape[0]))}
     for i, n in enumerate(e.class_counts):
         tensors.update({f"ddm.{i}.w1": e.w1[i], f"ddm.{i}.b1": e.b1[i],
                         f"ddm.{i}.w2": e.w2[i, :, :n], f"ddm.{i}.b2": e.b2[i, :n],
-                        f"ddm.{i}.ids": e.fold_ids[i, :n]})
-    return checkpoint_bytes(cfg, [(name, np.shape(a), np.asarray(a, dtype="<f8").tobytes())
-                                  for name, a in tensors.items()], kind="ddm")
+                        f"ddm.{i}.ids": e.fold_ids[i, :n].astype(np.float64)})
+    return tensors
+
+
+def per_fold_ddm_checkpoint(e, cfg) -> bytes:
+    """``e`` as a per-fold version 1 ddm checkpoint."""
+    return v1_checkpoint_bytes(cfg, [(name, np.shape(a), np.asarray(a, dtype="<f8").tobytes())
+                                     for name, a in per_fold_tensors(e).items()], kind="ddm")

@@ -194,11 +194,10 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     d_scores = np.exp(log_probs)
     d_scores[label_idx] -= 1.0
     d_projected = (table.vectors.T @ d_scores) / k       # same for every head
-    grads = {}
+    grads = {"proj.w": np.stack([np.outer(feats[i], d_projected) for i in range(k)]),
+             "proj.b": np.stack([d_projected] * k)}
     d_maps = np.zeros_like(maps)
     for i in range(k):
-        grads[f"proj.{i}.w"] = np.outer(feats[i], d_projected)
-        grads[f"proj.{i}.b"] = d_projected.copy()
         d_maps[i] = (model.projectors.weights[i] @ d_projected) @ x.T
 
     # backward: diversity path, sqrt arguments clamped at 1e-12

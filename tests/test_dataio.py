@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from setnet.dataio import (MAGIC, DatasetBundle, SplitSpec, SyntheticSpec,
                            gen_synthetic, load_bundle, save_bundle)
 from setnet.errors import FormatError
-from setnet.model import SemanticTable
-from setnet.ood import partition_classes
+from setnet.model import SemanticTable, init_setnet
+from setnet.ood import init_ddm, partition_classes
+from setnet.train import TrainConfig, load_ddm_checkpoint, load_setnet_checkpoint, save_checkpoint
 
+from conftest import bundle_tensors, container_bytes, resealed
 from oracles import ridge_prototype_acc
 
 
@@ -110,7 +112,7 @@ def test_bad_version(tiny_bundle, tmp_path):
     save_bundle(tiny_bundle, path)
     raw = bytearray(path.read_bytes())
     raw[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(raw)
+    path.write_bytes(resealed(raw))
     with pytest.raises(FormatError) as exc:
         load_bundle(path)
     assert exc.value.offset == 4
@@ -136,20 +138,49 @@ def test_trailing_bytes(tiny_bundle, tmp_path):
 
 def test_label_referencing_missing_class(tiny_bundle, tmp_path):
     path = tmp_path / "b.sdnb"
-    save_bundle(tiny_bundle, path)
-    raw = bytearray(path.read_bytes())
-    d, s = len(tiny_bundle.table), tiny_bundle.table.semantic_dim
-    seen_count = tiny_bundle.split.seen_ids.shape[0]
-    labels_off = 36 + 4 * d + 4 * d * s + 4 * seen_count
-    raw[labels_off:labels_off + 4] = (999).to_bytes(4, "little")
-    path.write_bytes(raw)
+    tensors = bundle_tensors(tiny_bundle)
+    tensors["labels"][0] = 999
+    path.write_bytes(container_bytes("bundle", {}, tensors))
     with pytest.raises(FormatError) as exc:
         load_bundle(path)
     assert "class" in str(exc.value)
 
 
 def test_magic_constant():
-    assert MAGIC == b"SDNB"
+    assert MAGIC == b"SDNT"
+
+
+def _tiny_containers(root):
+    """A bundle, a SetNet checkpoint and a ddm checkpoint of a few hundred
+    bytes each, with their loaders."""
+    bundle = gen_synthetic(SyntheticSpec(seen_classes=2, unseen_classes=1, samples_per_class=2,
+                                         height=1, width=2, channels=2, semantic_dim=3,
+                                         attrs_per_class=1, seed=1))
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(head_count=2, hidden_channels=1, fold_count=2, ddm_hidden=1)
+    ddm = init_ddm([[0], [1]], 2, 1, [rng, rng])
+    ddm.theta, ddm.bundle_sha256 = 0.25, "ab" * 32
+    files = {"bundle": (root / "b.sdnb", load_bundle),
+             "setnet": (root / "m.sdnc", load_setnet_checkpoint),
+             "ddm": (root / "e.sdnc", load_ddm_checkpoint)}
+    save_bundle(bundle, files["bundle"][0])
+    save_checkpoint(files["setnet"][0], init_setnet(2, 1, 2, 3, 0.2, rng), cfg)
+    save_checkpoint(files["ddm"][0], ddm, cfg)
+    return files
+
+
+@pytest.mark.parametrize("kind", ["bundle", "setnet", "ddm"])
+def test_every_single_bit_flip_and_truncation_is_refused(tmp_path, kind):
+    path, load = _tiny_containers(tmp_path)[kind]
+    data = path.read_bytes()
+    load(path)
+    mutated = tmp_path / "mutated"
+    flips = [data[:pos] + bytes([data[pos] ^ 1 << bit]) + data[pos + 1:]
+             for pos in range(len(data)) for bit in range(8)]
+    for case in [data[:n] for n in range(len(data))] + flips:
+        mutated.write_bytes(case)
+        with pytest.raises(FormatError):
+            load(mutated)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
          "head_count": 2, "hidden_channels": 4, "fold_count": 3, "ddm_hidden": 8}
 
 GOLDEN = {
-    "data.sdnb": "c2dfb00b49e7db75abd1c207ced6b8dab1c94ccbd8f451f612f5640f25c048d2",
-    "zsl.sdnc": "0ea47905dcb13186ccfcc71edb376e1de0dd23d35a559919db75dd65d892963a",
-    "gzsl.sdnc": "6561a484a39c02b03abce31915e60765804768457ce71fb61c7870f4c8e7fe66",
+    "data.sdnb": "627fa0bf0a2c40490728164e2794bf91a53ca6342c40063040ac36a994fe6a22",
+    "zsl.sdnc": "f471d342eb9569e757d6c1da9e36c495c5c6e40cdd74633f53515050e8f5bccc",
+    "gzsl.sdnc": "b1b56637736d883f4d4fe25a01acbb53796037c353c3c6d6835635d55f40b368",
     "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
-    "ddm.sdnc": "c424da38628d92e43fb24ca06b272958564f20adb4df1c3c38898abda4879f4f",
-    "ddm-cal.sdnc": "611eae551a72feb8b357b750aeca1feb847378e9147315b6466284607f92bb79",
+    "ddm.sdnc": "21c01fc8571a0ce951e46f03ed06c16e4cff8e5e380b96e6b86e7d0611f96756",
+    "ddm-cal.sdnc": "5f8b951c464a2476432db4ef4aa88f283b6b573f329fc21d007a2c8338b1c304",
     "gzsl.json": "8e5248739ac59d54aa576c068ea99989159e3bff59a77a578763e9f6c0bce55c",
     "ood.json": "3dd849a961806e24f9b39d7b6302ec88511a4309708403f1ea57fbbf3dfcd055",
 }
@@ -46,8 +46,8 @@ SYNTH_K4 = dict(SYNTH, height=4, width=4, samples_per_class=11, seed=3)
 TRAIN_K4 = dict(TRAIN, learning_rate=4.0, head_count=4, hidden_channels=16)
 
 GOLDEN_K4 = {
-    "zsl.sdnc": "455d3006afd5dab658ca590268b2e7f32e2c95944b33249c8a8dd06c4ebc4029",
-    "ddm.sdnc": "0f421b89b3784c48c8fc2c3e7c75ad2f2a43ba087640d4f23a6d4d817164c499",
+    "zsl.sdnc": "fb1e49b9a0b7764bcdda737fbbc74a612a3bc2f868bb96b060e5e5952edf6831",
+    "ddm.sdnc": "caad48bdad11e25350aa54f2f310ed9f437baf0cc818f129f987ff6289477614",
 }
 
 
@@ -59,9 +59,9 @@ SYNTH_VARIANTS = {
 }
 
 GOLDEN_SYNTH = {
-    "jitter0": "2079fddb479dca896e8397371805cd23efcbe56f409fa18ee98f82d57f43fac4",
-    "noise0": "6a9202db382c2e1591cb26eb3197ee5b014c4dbd2d34553e1c70b08c79f95e28",
-    "jitter2_7x7": "9cffbf5d1faf0de6f9c2025595dc62f028cdac699199af21607580740554e971",
+    "jitter0": "1e5466e6c84a72ac0e77bf01bd001e645119ee4710825aec2ad7e815a2595f0c",
+    "noise0": "4a39a51df2a15253fef7dc3ece6790c435eb6e5551c37db5b71f47012b573391",
+    "jitter2_7x7": "93c1d3b8ef2ddd09b7aaa91bb4a321a39fdcf09c0859f9f78404a1107c0e353b",
 }
 
 

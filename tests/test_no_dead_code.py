@@ -1,4 +1,5 @@
-"""Every top-level function and class in ``setnet`` has a caller in ``setnet``.
+"""Every top-level function and class in ``setnet`` has a caller in ``setnet``,
+and no ``setnet`` module uses another one's private names.
 
 A helper that only tests call is library surface nobody runs. This walks the
 AST of every ``src/setnet`` module except ``__init__.py`` (its re-exports are
@@ -8,6 +9,11 @@ name in a docstring or a recursive call does not count. The only allowed
 exceptions are the functions the benchmark's per-layer metrics wrap (the
 ``LAYER_METRICS`` targets of ``perfbench/run.py``) and ``diffmath.grad_check``,
 the verifier of the gradient acceptance criterion.
+
+A name with a leading underscore (not a dunder) is private to its module:
+another module may neither import it (``from .dataio import _Cursor``) nor
+read it off a module it imported (``from . import diffmath as dm`` and then
+``dm._as_f64``).
 """
 
 import ast
@@ -55,3 +61,35 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_top_level_definition_has_a_caller_in_the_package():
     assert sorted(set(unreferenced_definitions()) - ALLOWED - layer_targets()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_cross_module_uses() -> list[str]:
+    """"module: name" for each private name of one setnet module that
+    another setnet module imports or reads."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        modules = set()  # the local names this module binds to setnet modules
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "setnet"
+                                                     or node.module.startswith("setnet.")):
+                for alias in node.names:
+                    if node.module in (None, "setnet"):
+                        modules.add(alias.asname or alias.name)
+                    if _private(alias.name):
+                        found.append(f"{path.stem}: {alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.asname and alias.name.startswith("setnet."))
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in nodes
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    assert private_cross_module_uses() == []

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -18,8 +17,9 @@ from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
                           load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
                           save_checkpoint, train_ddm, train_setnet)
 
-from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, checkpoint_bytes, fold_params,
-                      misfit_ddm, per_fold_ddm_checkpoint, safe_instance)
+from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, ddm_tensors,
+                      fold_params, misfit_ddm, per_fold_tensors, resealed, safe_instance,
+                      setnet_meta)
 from oracles import total_loss_per_sample, train_ddm_per_fold
 
 
@@ -148,7 +148,7 @@ def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
         assert np.array_equal(p, init.parameters()[name] - 0.7 * grads[name]), name
 
     before = trained.projectors.biases[1, 0]
-    trained.parameters()["proj.1.b"][0] += 1.0
+    trained.parameters()["proj.b"][1, 0] += 1.0
     assert trained.projectors.biases[1, 0] == before + 1.0
     trained.attention.w1[0, 0] = 2.5
     assert trained.parameters()["attn.w1"][0, 0] == 2.5
@@ -344,7 +344,9 @@ def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bund
     save_bundle(tiny_bundle, path)
     loaded = load_bundle(path)
     e = train_ddm(loaded, cfg)
-    assert e.bundle_sha256 == loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    raw = path.read_bytes()  # the stored checksum, of every byte before it
+    assert e.bundle_sha256 == loaded.sha256 == raw[-32:].hex()
+    assert loaded.sha256 == hashlib.sha256(raw[:-32]).hexdigest()
     other = load_bundle(path)
     other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
     with pytest.raises(ValueError, match="not the bundle the detector was trained on"):
@@ -354,18 +356,15 @@ def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bund
     calibrate_ensemble(e, tiny_bundle, 0.13)  # unknown digest: not checked
 
 
-@pytest.mark.parametrize("digest", [np.full(31, 7.0), np.full(32, 256.0), np.full(32, 0.5)],
+@pytest.mark.parametrize("digest", ["07" * 31, "zz" * 32, 0.5],
                          ids=["short", "out_of_range", "fractional"])
 def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest):
     cfg = TrainConfig(seed=5, epochs=0, fold_count=2, ddm_hidden=8)
     e = train_ddm(tiny_bundle, cfg)
-    tensors = {f"ddm.{name}": p for name, p in e.parameters().items()}
-    tensors.update({"ddm.ids": e.fold_ids, "bundle_sha256": digest})
-    entries = [(name, np.shape(arr), np.asarray(arr, dtype="<f8").tobytes())
-               for name, arr in tensors.items()]
+    meta = {"config": dataclasses.asdict(cfg), "bundle_sha256": digest}
     path = tmp_path / "bad.sdnc"
-    path.write_bytes(checkpoint_bytes(cfg, entries, kind="ddm"))
-    with pytest.raises(FormatError, match="bundle_sha256"):
+    path.write_bytes(container_bytes("ddm", meta, ddm_tensors(e)))
+    with pytest.raises(FormatError, match="^invalid ddm checkpoint: bundle_sha256 must be 64"):
         load_ddm_checkpoint(path)
 
 
@@ -430,35 +429,34 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 @pytest.mark.parametrize("defect, message", [
-    ("huge_dims", "truncated file while reading tensor attn.w1"),
-    ("missing_tensor", "missing tensor 'proj.1.w'"),
+    ("huge_dims", r"the tensors end at byte \d{21}, not where the checksum starts"),
+    ("missing_tensor", "setnet container is missing tensor 'proj.w'"),
     ("non_finite", "tensor attn.w1 contains non-finite values"),
-    ("too_many_dims", "tensor attn.w1 has 258 dimensions"),
-    ("config_head_count", "invalid setnet checkpoint: attention and projector head counts"),
+    ("too_many_dims", r"bad tensor entry \['attn.w1', '<f8', \[0, 0, 0, 0, 0, .* at most 4 dims"),
+    ("config_head_count", "invalid setnet checkpoint: the tensors do not have the config's"),
     ("attention_channels", "invalid setnet checkpoint: attention input channels"),
 ], ids=["huge_dims", "missing_tensor", "non_finite", "too_many_dims", "config_head_count",
         "attention_channels"])
 def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, message):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
-    tensors = dict(model.parameters(), diversity_weight=np.asarray(model.diversity_weight))
+    tensors = model.parameters()
     if defect == "non_finite":
         tensors["attn.w1"] = tensors["attn.w1"].copy()
         tensors["attn.w1"][1, 2] = np.inf
     if defect == "missing_tensor":
-        del tensors["proj.1.w"]
+        del tensors["proj.w"]
     if defect == "attention_channels":  # one input channel more than the projectors take
         tensors["attn.w1"] = np.vstack([tensors["attn.w1"], tensors["attn.w1"][:1]])
-    entries = [(name, arr.shape, np.asarray(arr, dtype="<f8").tobytes())
-               for name, arr in tensors.items()]
-    if defect == "huge_dims":
-        entries = [("attn.w1", (2**31, 2**31, 4), b"")]
-    if defect == "too_many_dims":  # one bit flip in an ndim field can give this
-        entries = [("attn.w1", (0,) * 258, b"")]
+    entries = None
+    if defect == "huge_dims":  # sizes that no file holds are refused before any allocation
+        entries = [["attn.w1", "<f8", [2**31, 2**31, 4]]]
+    if defect == "too_many_dims":
+        entries = [["attn.w1", "<f8", [0] * 258]]
     if defect == "config_head_count":
         cfg = dataclasses.replace(cfg, head_count=1)
     path = tmp_path / "bad.sdnc"
-    path.write_bytes(checkpoint_bytes(cfg, entries))
+    path.write_bytes(container_bytes("setnet", setnet_meta(cfg, model), tensors, entries))
     with pytest.raises(FormatError, match=message):
         load_setnet_checkpoint(path)
 
@@ -468,35 +466,34 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
 def test_checkpoint_reader_rejects_an_invalid_config(tiny_bundle, tmp_path, field, value, message):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
-    tensors = dict(model.parameters(), diversity_weight=np.asarray(model.diversity_weight))
-    entries = [(name, arr.shape, np.asarray(arr, dtype="<f8").tobytes())
-               for name, arr in tensors.items()]
+    meta = setnet_meta({**dataclasses.asdict(cfg), field: value}, model)
     path = tmp_path / "bad.sdnc"
-    path.write_bytes(checkpoint_bytes({**dataclasses.asdict(cfg), field: value}, entries))
+    path.write_bytes(container_bytes("setnet", meta, model.parameters()))
     with pytest.raises(FormatError, match=f"invalid train config: {message}"):
         load_setnet_checkpoint(path)
 
 
 @pytest.mark.parametrize("field", ["kind", "config", "tensor name"])
 def test_checkpoint_reader_rejects_text_that_is_not_utf8(tiny_bundle, tmp_path, field):
+    # every text of a container is in its header JSON, which starts at byte 12
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     path = tmp_path / "m.sdnc"
     save_checkpoint(path, train_setnet(tiny_bundle, cfg), cfg)
     data = bytearray(path.read_bytes())
-    cfg_len = struct.unpack_from("<I", data, 18)[0]
-    # the kind starts at byte 12, after magic, version and kind length; the config
-    # JSON at 22; the first tensor name after the config, tensor count and name length
-    offset = {"kind": 12, "config": 22 + 1, "tensor name": 22 + cfg_len + 8 + 2}[field]
+    text = {"kind": b'"setnet"', "config": b'"config"', "tensor name": b'"attn.w1"'}[field]
+    offset = data.index(text, 12) + 1
     data[offset] = 0xFF
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match=f"{field} is not UTF-8") as exc:
+    path.write_bytes(resealed(data))
+    with pytest.raises(FormatError, match="^header is not UTF-8") as exc:
         load_setnet_checkpoint(path)
     assert exc.value.offset == offset
 
 
 @pytest.fixture(scope="module")
 def checkpoint_files(tiny_bundle, tmp_path_factory):
-    """A trained SetNet and ddm checkpoint, their bytes and their loaders."""
+    """A trained SetNet and ddm checkpoint and a bundle, their bytes and
+    their loaders."""
+    from setnet.dataio import load_bundle, save_bundle
     root = tmp_path_factory.mktemp("fuzz")
     cfg = TrainConfig(seed=5, epochs=1, head_count=2, hidden_channels=4, fold_count=2,
                       ddm_hidden=8, learning_rate=0.2)
@@ -505,6 +502,8 @@ def checkpoint_files(tiny_bundle, tmp_path_factory):
                                   ("ddm", train_ddm, load_ddm_checkpoint)):
         save_checkpoint(root / kind, trainer(tiny_bundle, cfg), cfg)
         out[kind] = ((root / kind).read_bytes(), loader, root / f"{kind}.mutated")
+    save_bundle(tiny_bundle, root / "bundle")
+    out["bundle"] = ((root / "bundle").read_bytes(), load_bundle, root / "bundle.mutated")
     return out
 
 
@@ -521,17 +520,20 @@ def test_ddm_checkpoint_rejects_misfit_shapes(checkpoint_files, tmp_path, defect
 
 
 # fold class-id tables of a 2-fold detector with 2 ID classes per fold, and
-# the start of the reason each is refused
-_ORDER = "each fold's class ids must be strictly ascending ids >= 0"
+# the start of the reason each is refused; a table that is not int64 is
+# refused by the container's schema
+_ORDER = "invalid ddm checkpoint: each fold's class ids must be strictly ascending ids >= 0"
+_FLOATS = r"ddm tensor 'ids' is \('<f8', 2\), the schema has \('<i8', 2\)$"
 BAD_FOLD_IDS = {
-    "fractional": ([[0.5, 2], [0, 1]], "fold class ids must be integers"),
+    "fractional": ([[0.5, 2], [0, 1]], _FLOATS),
     "unsorted": ([[3, 1], [0, 1]], _ORDER),
     "duplicated": ([[2, 2], [0, 1]], _ORDER),
-    "overflowing": ([[1e300, 2], [0, 1]], "fold class ids must be integers"),
+    "overflowing": ([[1e300, 2], [0, 1]], _FLOATS),
     "negative": ([[-2, 2], [0, 1]], _ORDER),
     "padding_first": ([[-1, 2], [0, 1]], _ORDER),
-    "empty_fold": ([[-1, -1], [0, 1]], "fold 0 has no ID class"),
-    "narrower_than_w2": ([[2, -1], [0, -1]], "the widest fold has 1 ID classes, but w2 has 2"),
+    "empty_fold": ([[-1, -1], [0, 1]], "invalid ddm checkpoint: fold 0 has no ID class"),
+    "narrower_than_w2": ([[2, -1], [0, -1]],
+                         "invalid ddm checkpoint: the widest fold has 1 ID classes, but w2 has 2"),
 }
 
 
@@ -542,9 +544,9 @@ def test_ddm_checkpoint_rejects_a_bad_fold_id_table(checkpoint_files, tmp_path, 
     path.write_bytes(data)
     ensemble, cfg = load(path)
     assert ensemble.fold_ids.shape == (2, 2)
-    ensemble.fold_ids = np.array(ids, dtype=np.float64)
-    save_checkpoint(path, ensemble, cfg)
-    with pytest.raises(FormatError, match=f"^invalid ddm checkpoint: {reason}"):
+    tensors = dict(ddm_tensors(ensemble), ids=np.array(ids))  # int64 unless a value is a float
+    path.write_bytes(container_bytes("ddm", {"config": dataclasses.asdict(cfg)}, tensors))
+    with pytest.raises(FormatError, match=f"^{reason}"):
         load(path)
 
 
@@ -553,18 +555,18 @@ def test_a_per_fold_ddm_checkpoint_names_the_missing_stacked_tensor(checkpoint_f
     path = tmp_path / "ddm.sdnc"
     path.write_bytes(data)
     ensemble, cfg = load(path)
-    path.write_bytes(per_fold_ddm_checkpoint(ensemble, cfg))
-    with pytest.raises(FormatError, match="^checkpoint is missing tensor 'ddm.w1'$"):
+    meta = {"config": dataclasses.asdict(cfg)}
+    path.write_bytes(container_bytes("ddm", meta, per_fold_tensors(ensemble)))
+    with pytest.raises(FormatError, match="^ddm container is missing tensor 'w1'$"):
         load(path)
 
 
-_mutations = st.one_of(
-    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
-    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 399), st.integers(0, 7)),
-                                        min_size=1, max_size=3)))
+_flips = st.lists(st.tuples(st.integers(0, 399), st.integers(0, 7)), min_size=1, max_size=3)
+_mutations = st.one_of(st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+                       st.tuples(st.just("flip"), _flips), st.tuples(st.just("reseal"), _flips))
 
 
-@pytest.mark.parametrize("kind", ["setnet", "ddm"])
+@pytest.mark.parametrize("kind", ["setnet", "ddm", "bundle"])
 @settings(max_examples=300, deadline=None)
 @given(mutation=_mutations)
 def test_checkpoint_fuzz_raises_only_format_error(checkpoint_files, kind, mutation):
@@ -576,12 +578,14 @@ def test_checkpoint_fuzz_raises_only_format_error(checkpoint_files, kind, mutati
     else:
         for pos, bit in where:
             mutated[pos] ^= 1 << bit
+    if how == "reseal":  # flips that pass the checksum reach the header parser and the models
+        mutated = bytearray(resealed(mutated))
     path.write_bytes(bytes(mutated))
     try:
         load(path)
     except FormatError:
         return
-    assert how == "flip"  # a truncated checkpoint never loads
+    assert how == "reseal" or mutated == data  # only flips that undo each other load
 
 
 def test_checkpoint_identical_bytes(tiny_bundle, tmp_path):
