@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from .dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
-from .diffmath import in_chunks
 from .metrics import (EvalReport, harmonic_mean, per_class_accuracy, per_class_top1,
                       save_curves_csv, save_report, tnr_at_fnr)
 from .model import attention_maps, export_attention, predict
-from .ood import disagreement_degree, export_degrees_csv
+from .ood import export_degrees_csv
 from .pipeline import GzslSystem, classify_gzsl
-from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, load_ddm_checkpoint,
-                    load_setnet_checkpoint, pooled_features, save_checkpoint, train_ddm,
+from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, detector_degrees,
+                    load_ddm_checkpoint, load_setnet_checkpoint, save_checkpoint, train_ddm,
                     train_setnet)
 
 DEFAULT_FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
@@ -178,8 +177,7 @@ def _cmd_eval_zsl(args) -> None:
     idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
-    # gathered a chunk at a time: bundle.features[idx] would copy the whole test set
-    preds = in_chunks(lambda rows: predict(model, bundle.features[idx[rows]], table), idx.size)
+    preds = bundle.map_rows(idx, lambda maps: predict(model, maps, table))
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, table.class_ids)
     acc = per_class_top1(preds, labels, table.class_ids)
@@ -197,7 +195,7 @@ def _cmd_eval_gzsl(args) -> None:
     idx = bundle.test_indices()
     if idx.size == 0:
         raise CliError("bundle has no test samples")
-    preds = in_chunks(lambda rows: classify_gzsl(system, bundle.features[idx[rows]]), idx.size)
+    preds = bundle.map_rows(idx, lambda maps: classify_gzsl(system, maps))
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, bundle.table.class_ids)
     seen_ids = set(bundle.split.seen_ids.tolist())
@@ -226,8 +224,8 @@ def _cmd_eval_ood(args) -> None:
     unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:
         raise CliError("bundle needs both seen-class and unseen-class test samples")
-    seen_deg = disagreement_degree(ensemble, pooled_features(bundle, seen_idx))
-    unseen_deg = disagreement_degree(ensemble, pooled_features(bundle, unseen_idx))
+    seen_deg = detector_degrees(ensemble, bundle, seen_idx)
+    unseen_deg = detector_degrees(ensemble, bundle, unseen_idx)
     pairs = tnr_at_fnr(seen_deg, unseen_deg, grid)
     save_report(EvalReport(tnr_at_fnr=pairs), args.report)
     if args.curves is not None:

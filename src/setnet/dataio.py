@@ -18,6 +18,10 @@ batch; its semantic table is float64 holding float32 values, so save ->
 load is bitwise. A loaded bundle keeps the stored checksum as its
 ``sha256``, which binds a detector to its training bundle. Identical seeds
 give bitwise-identical bundles (numpy's default_rng, PCG64).
+
+Inference and the detector's pooled features read the bundle through
+``DatasetBundle.map_rows``, the one place that bounds their work: it gathers
+at most ``CHUNK_ROWS`` maps at a time and runs one batched call on each.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .model import SemanticTable
 
 MAGIC = b"SDNT"
 VERSION = 2
+CHUNK_ROWS = 256  # rows per inference forward, which bounds its float64 intermediates
 
 
 @dataclass
@@ -110,6 +115,16 @@ class DatasetBundle:
     def test_indices(self) -> np.ndarray:
         return np.nonzero(~self.split.train_flags)[0]
 
+    def map_rows(self, indices: np.ndarray, fn) -> np.ndarray:
+        """``fn(features[indices[a:b]])`` joined on the first axis, over the
+        fewest even slices of the indices with at most ``CHUNK_ROWS`` each (one
+        empty slice for no index), gathering one slice at a time. Even slices
+        leave no lone row, which numpy multiplies with another BLAS kernel."""
+        n = len(indices)
+        k = max(1, -(-n // CHUNK_ROWS))
+        ends = [i * n // k for i in range(k + 1)]
+        return np.concatenate([fn(self.features[indices[a:b]]) for a, b in zip(ends, ends[1:])])
+
     def seen_table(self) -> SemanticTable:
         return self.table.subset(self.split.seen_ids)
 
@@ -135,9 +150,12 @@ DTYPES = ("<f4", "<f8", "<u4", "<i8", "|u1")
 def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
     """Write ``tensors`` (name -> array, cast to the dtypes of ``kind``'s
     schema) and the JSON object ``meta``, streaming each tensor to the file
-    and the checksum."""
+    and the checksum. A tensor whose cast changes a value is refused."""
     schema = SCHEMAS[kind]
     arrays = {name: np.ascontiguousarray(a, dtype=schema[name][0]) for name, a in tensors.items()}
+    for name, a in arrays.items():
+        if a is not tensors[name] and not np.array_equal(a, tensors[name]):  # a cast or a copy
+            raise ValueError(f"tensor {name!r} does not fit {a.dtype.str} without changing a value")
     header = json.dumps({"kind": kind, "meta": meta, "tensors": [
         [name, schema[name][0], list(a.shape)] for name, a in arrays.items()]},
         sort_keys=True).encode("utf-8")
@@ -214,13 +232,10 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
 
 def save_bundle(bundle: DatasetBundle, path) -> None:
     """Write a bundle container; the bundle validates on construction."""
-    ids = bundle.table.class_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= 2**32):
-        raise ValueError("class ids must fit in u32")
     write_container(path, "bundle", {}, {
-        "class_ids": ids, "semantics": bundle.table.vectors, "seen_ids": bundle.split.seen_ids,
-        "labels": bundle.labels, "train_flags": bundle.split.train_flags,
-        "features": bundle.features})
+        "class_ids": bundle.table.class_ids, "semantics": bundle.table.vectors,
+        "seen_ids": bundle.split.seen_ids, "labels": bundle.labels,
+        "train_flags": bundle.split.train_flags, "features": bundle.features})
 
 
 def load_bundle(path) -> DatasetBundle:

@@ -16,10 +16,9 @@ The I sub-detectors live stacked on a leading fold axis in ``DdmEnsemble``
 training through the checkpoint to inference. One ``subddm_loss`` call gives
 every fold's loss and gradient for a training step, from one softmax pass
 shared by the CE, the KL and their gradients, with the two layers and the
-ReLU written out as stacked products; at inference one stacked
-forward per ``CHUNK_ROWS`` rows gives every fold's confidence for a (B, C)
-batch of pooled features, and a single (C,) feature gives one score per
-fold and a scalar degree.
+ReLU written out as stacked products; at inference one stacked forward
+gives every fold's confidence for a (B, C) batch of pooled features, and a
+single (C,) feature gives one score per fold and a scalar degree.
 """
 
 from __future__ import annotations
@@ -237,19 +236,17 @@ def subddm_loss(e: DdmEnsemble, feats: np.ndarray, labels, weights, grads: tuple
 
 def confidence(e: DdmEnsemble, feats: np.ndarray) -> np.ndarray:
     """Every fold's max softmax probability minus prediction entropy, 1 iff
-    one-hot, from one stacked forward per ``CHUNK_ROWS`` rows: (I,) for one
-    (C,) feature, (B, I) for a (B, C) batch."""
+    one-hot, from one stacked forward: (I,) for one (C,) feature, (B, I) for
+    a (B, C) batch."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim not in (1, 2) or feats.shape[-1] != e.in_dim:
-        raise ValueError(f"confidence takes a ({e.in_dim},) feature vector or a (B, {e.in_dim}) "
-                         f"batch, got shape {feats.shape}")
-    batch = np.atleast_2d(feats)
-
-    def chunk(rows):
-        p = dm.softmax(_forward(e, batch[rows])[2])  # (I, rows, N)
-        return (p.max(axis=-1) - dm.entropy(p)).T
-
-    scores = dm.in_chunks(chunk, len(batch))
+    if feats.ndim not in (1, 2):
+        raise ValueError(f"confidence takes a (C,) feature vector or a (B, C) batch, "
+                         f"got shape {feats.shape}")
+    if feats.shape[-1] != e.in_dim:
+        raise ValueError(f"channel mismatch: features have {feats.shape[-1]} channels, "
+                         f"the detector takes {e.in_dim}")
+    p = dm.softmax(_forward(e, np.atleast_2d(feats))[2])  # (I, B, N)
+    scores = (p.max(axis=-1) - dm.entropy(p)).T
     return scores[0] if feats.ndim == 1 else scores
 
 

@@ -1,11 +1,10 @@
 """Routing of test samples: detector first, then the matching classifier.
 
-A batch is gated ``CHUNK_ROWS`` rows at a time: every sample whose
-disagreement degree falls strictly below the calibrated threshold goes to
-the unseen-class-only model/table, the rest go to the full-table model, so a
-chunk costs one detector pass and at most two batched predictions. The two
-models may be the same object when sharing is preferred over independently
-seeded training.
+Every sample of a batch whose disagreement degree falls strictly below the
+calibrated threshold goes to the unseen-class-only model/table, the rest go
+to the full-table model, so a batch costs one detector pass and at most two
+batched predictions. The two models may be the same object when sharing is
+preferred over independently seeded training.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import in_chunks, spatial_mean
+from .diffmath import spatial_mean
 from .model import SemanticTable, SetNetModel, predict
 from .ood import DdmEnsemble, disagreement_degree
 
@@ -45,16 +44,10 @@ def classify_gzsl(sys: GzslSystem, fmaps: np.ndarray):
     theta = sys.detector.calibrated_theta()
     fmaps = np.asarray(fmaps)
     batch = fmaps if fmaps.ndim == 4 else fmaps[None]
-
-    def chunk(rows):
-        part = batch[rows]
-        unseen = disagreement_degree(sys.detector, spatial_mean(part)) < theta
-        preds = np.empty(part.shape[0], dtype=np.int64)
-        for routed, model, table in ((unseen, sys.zsl_model, sys.unseen_table),
-                                     (~unseen, sys.gzsl_model, sys.full_table)):
-            if routed.any():
-                preds[routed] = predict(model, part[routed], table)
-        return preds
-
-    preds = in_chunks(chunk, len(batch))
+    unseen = disagreement_degree(sys.detector, spatial_mean(batch)) < theta
+    preds = np.empty(batch.shape[0], dtype=np.int64)
+    for routed, model, table in ((unseen, sys.zsl_model, sys.unseen_table),
+                                 (~unseen, sys.gzsl_model, sys.full_table)):
+        if routed.any():
+            preds[routed] = predict(model, batch[routed], table)
     return int(preds[0]) if fmaps.ndim == 3 else preds

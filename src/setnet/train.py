@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DatasetBundle, read_container, write_container
-from .diffmath import in_chunks, spatial_mean
+from .diffmath import spatial_mean
 from .errors import FormatError
 from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, calibrate_theta, disagreement_degree, init_ddm, partition_classes,
@@ -185,9 +185,14 @@ def holdout_indices(bundle: DatasetBundle, seed: int) -> np.ndarray:
 
 
 def pooled_features(bundle: DatasetBundle, indices: np.ndarray) -> np.ndarray:
-    """Spatial-mean features, shape (len(indices), C), gathered ``CHUNK_ROWS``
-    rows at a time."""
-    return in_chunks(lambda rows: spatial_mean(bundle.features[indices[rows]]), len(indices))
+    """Spatial-mean features of the bundle rows ``indices``, (len(indices), C)."""
+    return bundle.map_rows(indices, spatial_mean)
+
+
+def detector_degrees(ensemble: DdmEnsemble, bundle: DatasetBundle, indices: np.ndarray):
+    """The ensemble's disagreement degrees of the bundle rows ``indices``
+    (spatial-mean features), (len(indices),)."""
+    return bundle.map_rows(indices, lambda maps: disagreement_degree(ensemble, spatial_mean(maps)))
 
 
 def _split_slots(n: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,8 +295,7 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
     held = holdout_indices(bundle, ensemble.holdout_seed)
     if held.size == 0:
         raise ValueError("no calibration samples available")
-    degrees = disagreement_degree(ensemble, pooled_features(bundle, held))
-    ensemble.theta = calibrate_theta(degrees, target_fnr)
+    ensemble.theta = calibrate_theta(detector_degrees(ensemble, bundle, held), target_fnr)
     return ensemble
 
 

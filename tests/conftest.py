@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from setnet.dataio import SyntheticSpec, gen_synthetic
+from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
 from setnet.model import SemanticTable, init_setnet
 from setnet.ood import init_ddm, partition_classes, subddm_loss
 
@@ -36,6 +36,16 @@ def tiny_bundle():
                                        samples_per_class=8, channels=8,
                                        semantic_dim=8, attrs_per_class=2,
                                        seed=3))
+
+
+def bundle_of(fmaps):
+    """A bundle holding the float32 (N, H, W, C) maps ``fmaps`` as N test
+    rows of one seen class, to feed them through ``map_rows``."""
+    n = len(fmaps)
+    return DatasetBundle(features=fmaps, labels=np.zeros(n, dtype=np.int64),
+                         table=SemanticTable(class_ids=[0], vectors=[[1.0]]),
+                         split=SplitSpec(seen_ids=[0], unseen_ids=[],
+                                         train_flags=np.zeros(n, dtype=bool)))
 
 
 def random_table(rng, d, s):

@@ -463,6 +463,27 @@ def test_eval_zsl_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
         "error: channel mismatch: feature maps have 6 channels, the model takes 8"]
 
 
+@pytest.mark.parametrize("command", ["eval-ood", "calibrate"])
+def test_detector_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys, command):
+    cfg = tmp_path / "six.json"
+    cfg.write_text(json.dumps({"synthetic": dict(SYNTH, channels=6)}))
+    bundle = tmp_path / "six.sdnb"
+    assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
+    ensemble, train_cfg = load_ddm_checkpoint(workdir["calibrated"])
+    ensemble.bundle_sha256 = None  # so the bundle digest check cannot refuse it first
+    bare = tmp_path / "bare.sdnc"
+    save_checkpoint(bare, ensemble, train_cfg)
+    out = tmp_path / "out"
+    rest = ["--fnr", "0.11", "--out"] if command == "calibrate" else ["--report"]
+    capsys.readouterr()
+    rc = main([command, "--ddm", str(bare), "--bundle", str(bundle), *rest, str(out)])
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert rc == 1 and not out.exists() and captured.out == ""
+    assert len(err_lines) == 2 and err_lines[0].startswith("warning:")
+    assert err_lines[1] == "error: channel mismatch: features have 6 channels, the detector takes 8"
+
+
 @pytest.fixture(scope="module")
 def foreign(workdir, tmp_path_factory):
     """A detector trained and calibrated on a seed-1 bundle, and a seed-2

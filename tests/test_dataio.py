@@ -146,6 +146,18 @@ def test_label_referencing_missing_class(tiny_bundle, tmp_path):
     assert "class" in str(exc.value)
 
 
+@pytest.mark.parametrize("class_id", [-1, 2**32])
+def test_save_refuses_a_class_id_that_does_not_fit_u32(tiny_bundle, tmp_path, class_id):
+    table = tiny_bundle.table  # one more class, which no sample or split names
+    wider = SemanticTable(class_ids=np.append(table.class_ids, class_id),
+                          vectors=np.vstack([table.vectors, table.vectors[:1]]))
+    bundle = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels, table=wider,
+                           split=tiny_bundle.split)
+    with pytest.raises(ValueError, match="^tensor 'class_ids' does not fit <u4 without changing"):
+        save_bundle(bundle, tmp_path / "b.sdnb")
+    assert not (tmp_path / "b.sdnb").exists()
+
+
 def test_magic_constant():
     assert MAGIC == b"SDNT"
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from setnet import dataio
 from setnet import diffmath as dm
 from setnet.model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel, _pool,
                           attention_maps, class_scores, diversity_loss, ensemble_logits,
                           export_attention, init_setnet, predict, total_loss)
 
-from conftest import random_model, random_table, safe_instance
+from conftest import bundle_of, random_model, random_table, safe_instance
 from oracles import (attention_maps_straightline, attentive_features_brute,
                      diversity_brute, diversity_grad_pairwise, ensemble_logits_brute)
 
@@ -330,23 +331,31 @@ def test_predict_matches_exhaustive_loop(seed):
     assert predict(model, fmap, table) == int(table.class_ids[best])
 
 
-@pytest.mark.parametrize("batch", [dm.CHUNK_ROWS + 1, 2 * dm.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("batch", [dataio.CHUNK_ROWS + 1, 2 * dataio.CHUNK_ROWS + 1])
 def test_chunked_predict_matches_rows_and_one_forward(batch, monkeypatch):
     rng = np.random.default_rng([batch, 0xC4C])
     model = random_model(rng, c=6, ch=4, k=3, s=5)
     table = random_table(rng, 8, 5)
     fmaps = rng.normal(size=(batch, 3, 4, 6)).astype(np.float32)  # as a bundle holds them
-    preds, scores = predict(model, fmaps, table), class_scores(model, fmaps, table)
+    bundle, rows = bundle_of(fmaps), np.arange(batch)
+
+    def scores_of():
+        return bundle.map_rows(rows, lambda maps: class_scores(model, maps, table))
+
+    preds, scores = bundle.map_rows(rows, lambda maps: predict(model, maps, table)), scores_of()
     assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
-    monkeypatch.setattr(dm, "CHUNK_ROWS", batch)  # the whole batch in one forward
-    assert np.array_equal(class_scores(model, fmaps, table), scores)
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    assert np.array_equal(scores_of(), scores)
     assert np.array_equal(class_scores(model, fmaps.astype(np.float64), table), scores)
 
 
 def test_chunks_are_even_and_cover_every_row(monkeypatch):
-    monkeypatch.setattr(dm, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+    bundle = bundle_of(np.arange(30, dtype=np.float32).reshape(30, 1, 1, 1))
     for n in range(0, 30):
-        sizes = dm.in_chunks(lambda rows: [rows.stop - rows.start], n).tolist()
+        rows = np.random.default_rng(n).permutation(30)[:n]
+        assert np.array_equal(bundle.map_rows(rows, lambda maps: maps), bundle.features[rows])
+        sizes = bundle.map_rows(rows, lambda maps: [len(maps)]).tolist()
         assert sum(sizes) == n and max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
         assert len(sizes) == max(1, -(-n // 4))
         assert min(sizes) >= 2 or n < 2  # no lone row in a batch

@@ -14,6 +14,11 @@ A name with a leading underscore (not a dunder) is private to its module:
 another module may neither import it (``from .dataio import _Cursor``) nor
 read it off a module it imported (``from . import diffmath as dm`` and then
 ``dm._as_f64``).
+
+The inference chunk rule sits where rows leave the bundle: only ``dataio``
+names ``CHUNK_ROWS``, and no function of ``model``, ``ood`` or ``pipeline``
+calls a chunk helper (a function that reads ``CHUNK_ROWS``), so no chunked
+call nests another.
 """
 
 import ast
@@ -45,9 +50,13 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def module_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
 def unreferenced_definitions() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    trees = module_trees()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -93,3 +102,22 @@ def private_cross_module_uses() -> list[str]:
 
 def test_no_module_uses_another_modules_private_names():
     assert private_cross_module_uses() == []
+
+
+def chunk_rule_offenders() -> list[str]:
+    """Each module other than ``dataio`` that names ``CHUNK_ROWS``, and each
+    "module.function" of ``model``, ``ood`` and ``pipeline`` that calls a
+    chunk helper."""
+    trees = module_trees()
+    helpers = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and "CHUNK_ROWS" in referenced_names(node)}
+    found = [module for module, tree in trees.items()
+             if module != "dataio" and "CHUNK_ROWS" in referenced_names(tree)]
+    for module in ("model", "ood", "pipeline"):
+        found += [f"{module}.{node.name}" for node in trees[module].body
+                  if isinstance(node, ast.FunctionDef) and referenced_names(node) & helpers]
+    return found
+
+
+def test_only_dataio_chunks_inference():
+    assert chunk_rule_offenders() == []

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from setnet import diffmath, pipeline
-from setnet.diffmath import CHUNK_ROWS, spatial_mean
+from setnet import dataio, pipeline
+from setnet.dataio import CHUNK_ROWS
+from setnet.diffmath import spatial_mean
 from setnet.errors import NotCalibratedError
 from setnet.model import predict
 from setnet.ood import disagreement_degree
 from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import TrainConfig, train_ddm, train_setnet
 
-from conftest import random_model, random_table
+from conftest import bundle_of, random_model, random_table
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +97,12 @@ def test_chunked_classify_matches_rows_and_one_forward(small_system, tiny_bundle
     ordered = np.sort(disagreement_degree(small_system.detector, spatial_mean(fmaps)))
     half = ordered.size // 2  # route about half the rows each way
     monkeypatch.setattr(small_system.detector, "theta", (ordered[half - 1] + ordered[half]) / 2)
-    preds = classify_gzsl(small_system, fmaps)
+    bundle, rows = bundle_of(fmaps), np.arange(batch)
+    preds = bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps))
     assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
-    monkeypatch.setattr(diffmath, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    assert np.array_equal(bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps)),
+                          preds)
     assert np.array_equal(classify_gzsl(small_system, fmaps), preds)
 
 

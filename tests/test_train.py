@@ -13,7 +13,7 @@ from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
 from setnet.errors import FormatError
 from setnet.model import total_loss
 from setnet.ood import disagreement_degree
-from setnet.train import (TrainConfig, calibrate_ensemble, holdout_indices,
+from setnet.train import (TrainConfig, calibrate_ensemble, detector_degrees, holdout_indices,
                           load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
                           save_checkpoint, train_ddm, train_setnet)
 
@@ -374,9 +374,9 @@ def test_calibration_never_sees_rows_the_detector_trained_on(tiny_bundle, tmp_pa
     the seed for another one."""
     calibrated_on = []
 
-    def recording(bundle, indices):
+    def recording(ensemble, bundle, indices):
         calibrated_on.append(indices)
-        return pooled_features(bundle, indices)
+        return detector_degrees(ensemble, bundle, indices)
 
     for seed in range(4):
         cfg = TrainConfig(seed=seed, epochs=1, fold_count=2, ddm_hidden=8, learning_rate=0.2)
@@ -394,7 +394,7 @@ def test_calibration_never_sees_rows_the_detector_trained_on(tiny_bundle, tmp_pa
         assert loaded.holdout_seed == seed
         calibrated_on.clear()
         with monkeypatch.context() as m:
-            m.setattr(setnet.train, "pooled_features", recording)
+            m.setattr(setnet.train, "detector_degrees", recording)
             for ensemble in (e, loaded):
                 calibrate_ensemble(ensemble, tiny_bundle, 0.13)
         assert len(calibrated_on) == 2
@@ -548,6 +548,17 @@ def test_ddm_checkpoint_rejects_a_bad_fold_id_table(checkpoint_files, tmp_path, 
     path.write_bytes(container_bytes("ddm", {"config": dataclasses.asdict(cfg)}, tensors))
     with pytest.raises(FormatError, match=f"^{reason}"):
         load(path)
+
+
+def test_a_checkpoint_refuses_fold_ids_its_schema_dtype_would_change(checkpoint_files, tmp_path):
+    data, load, _ = checkpoint_files["ddm"]
+    path = tmp_path / "ddm.sdnc"
+    path.write_bytes(data)
+    ensemble, cfg = load(path)
+    ensemble.fold_ids = np.where(ensemble.fold_ids >= 0, ensemble.fold_ids + 0.5, -1)
+    with pytest.raises(ValueError, match="^tensor 'ids' does not fit <i8 without changing a value$"):
+        save_checkpoint(tmp_path / "fractional.sdnc", ensemble, cfg)
+    assert not (tmp_path / "fractional.sdnc").exists()
 
 
 def test_a_per_fold_ddm_checkpoint_names_the_missing_stacked_tensor(checkpoint_files, tmp_path):
