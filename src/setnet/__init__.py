@@ -5,9 +5,8 @@ maps at desk scale."""
 from .dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
 from .errors import FormatError, NotCalibratedError
 from .metrics import EvalReport, harmonic_mean, per_class_top1, tnr_at_fnr
-from .model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel,
-                    attention_maps, diversity_loss, ensemble_logits, export_attention,
-                    predict, total_loss)
+from .model import (SemanticTable, SetNetModel, attention_maps, diversity_loss, ensemble_logits,
+                    export_attention, predict, total_loss)
 from .ood import (DdmEnsemble, Domain, FoldPartition, calibrate_theta,
                   confidence, detect, disagreement, partition_classes, subddm_loss)
 from .pipeline import GzslSystem, classify_gzsl

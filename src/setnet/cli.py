@@ -167,7 +167,7 @@ def _maybe_export_attention(args, model, bundle: DatasetBundle) -> None:
         idx = int(test[0]) if test.size else 0
     if not 0 <= idx < bundle.sample_count:
         raise CliError(f"--attn-sample {idx} out of range for {bundle.sample_count} samples")
-    export_attention(attention_maps(model, bundle.features[idx]), args.attn)
+    export_attention(attention_maps(model, bundle.features[idx:idx + 1])[0], args.attn)
 
 
 def _cmd_eval_zsl(args) -> None:

@@ -150,12 +150,16 @@ DTYPES = ("<f4", "<f8", "<u4", "<i8", "|u1")
 def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
     """Write ``tensors`` (name -> array, cast to the dtypes of ``kind``'s
     schema) and the JSON object ``meta``, streaming each tensor to the file
-    and the checksum. A tensor whose cast changes a value is refused."""
+    and the checksum. A tensor whose cast changes a value, or a float tensor
+    that holds a value ``read_container`` refuses, is refused before the file
+    is opened."""
     schema = SCHEMAS[kind]
     arrays = {name: np.ascontiguousarray(a, dtype=schema[name][0]) for name, a in tensors.items()}
     for name, a in arrays.items():
-        if a is not tensors[name] and not np.array_equal(a, tensors[name]):  # a cast or a copy
+        if a is not tensors[name] and not np.array_equal(a, tensors[name], equal_nan=True):
             raise ValueError(f"tensor {name!r} does not fit {a.dtype.str} without changing a value")
+        if a.dtype.kind == "f" and a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError(f"tensor {name!r} contains non-finite values")
     header = json.dumps({"kind": kind, "meta": meta, "tensors": [
         [name, schema[name][0], list(a.shape)] for name, a in arrays.items()]},
         sort_keys=True).encode("utf-8")

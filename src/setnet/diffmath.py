@@ -2,11 +2,11 @@
 
 Tensors are plain C-order ``numpy`` arrays in float64. The losses and their
 gradients work row-wise on the last axis, so a ``(B, D)`` batch of logits or
-distributions costs one call: a 1-D input gives a ``float`` and a batch gives
-the ``(B,)`` per-row values; ``softmax_with_log`` feeds a training loss and
-its gradient from one softmax pass. The two nets' layers are written in
-place in ``model`` and ``ood``, and ``grad_check`` verifies their training
-gradients against central differences.
+distributions costs one call and gives the ``(B,)`` per-row values;
+``softmax_with_log`` feeds a training loss and its gradient from one softmax
+pass. ``spatial_mean`` takes only a ``(B, H, W, C)`` batch. The two nets'
+layers are written in place in ``model`` and ``ood``, and ``grad_check``
+verifies their training gradients against central differences.
 
 A gradient set is a ``dict`` mapping parameter name -> gradient array of the
 same shape as the parameter.
@@ -48,11 +48,6 @@ def softmax_with_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # losses on probability vectors / logits, row-wise over the last axis
 
-def _per_row(values: np.ndarray, ndim: int):
-    """A last-axis reduction's result: a float for 1-D input, else the array."""
-    return float(values) if ndim == 1 else values
-
-
 def _onehot(z: np.ndarray, label) -> np.ndarray:
     """Boolean one-hot rows for integer labels, one label per row of z."""
     labels = np.asarray(label)
@@ -69,7 +64,7 @@ def cross_entropy(p: np.ndarray, log_p: np.ndarray, label) -> tuple:
     """Per-row CE -log_p[label] and dCE/dlogits = p - onehot(label), from
     ``softmax_with_log(logits)``."""
     hot = _onehot(log_p, label)
-    return _per_row(-log_p[hot].reshape(log_p.shape[:-1]), log_p.ndim), p - hot
+    return -log_p[hot].reshape(log_p.shape[:-1]), p - hot
 
 
 def cross_entropy_from_logits(logits: np.ndarray, label):
@@ -88,7 +83,7 @@ def entropy(p: np.ndarray):
     if (p < 0).any():
         raise ValueError("distribution entries must be nonnegative")
     plogp = p * np.log(np.where(p > 0, p, 1.0))
-    return _per_row(-plogp.sum(axis=-1), p.ndim)
+    return -plogp.sum(axis=-1)
 
 
 def kl_to_uniform(p: np.ndarray, classes=None):
@@ -120,12 +115,11 @@ def kl_to_uniform_grad_log(log_p: np.ndarray, classes=None) -> np.ndarray:
 # pooling
 
 def spatial_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the two spatial axes of an (H, W, C) map or a (B, H, W, C)
-    batch of them."""
+    """Mean over the two spatial axes, (B, C) for a (B, H, W, C) batch of maps."""
     x = _as_f64(x)
-    if x.ndim not in (3, 4):
-        raise ValueError(f"expected (H, W, C) or (B, H, W, C), got shape {x.shape}")
-    return x.mean(axis=(-3, -2))
+    if x.ndim != 4:
+        raise ValueError(f"expected a (B, H, W, C) batch of maps, got shape {x.shape}")
+    return x.mean(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

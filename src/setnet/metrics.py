@@ -95,15 +95,6 @@ class EvalReport:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
-        pairs = doc.get("tnr_at_fnr")
-        return cls(acc=doc.get("acc"), acc_seen=doc.get("acc_seen"),
-                   acc_unseen=doc.get("acc_unseen"), h=doc.get("h"),
-                   per_class={int(k): v for k, v in doc.get("per_class", {}).items()},
-                   tnr_at_fnr=[(f, t) for f, t in pairs] if pairs is not None else None)
-
 
 def save_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

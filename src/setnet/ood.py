@@ -17,8 +17,9 @@ training through the checkpoint to inference. One ``subddm_loss`` call gives
 every fold's loss and gradient for a training step, from one softmax pass
 shared by the CE, the KL and their gradients, with the two layers and the
 ReLU written out as stacked products; at inference one stacked forward
-gives every fold's confidence for a (B, C) batch of pooled features, and a
-single (C,) feature gives one score per fold and a scalar degree.
+gives every fold's confidence for a (B, C) batch of pooled features. The
+inference functions take only batches; ``detect`` gates one (C,) feature as
+a batch of one.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class FoldPartition:
         sizes = [len(f) for f in self.folds]
         if sizes and max(sizes) - min(sizes) > 1:
             raise ValueError("fold sizes may differ by at most 1")
-
-    def all_classes(self) -> list[int]:
-        return sorted(c for fold in self.folds for c in fold)
 
     def id_classes(self, fold_index: int) -> list[int]:
         """Sorted ID class ids for one sub-detector: everything outside its fold."""
@@ -236,32 +234,26 @@ def subddm_loss(e: DdmEnsemble, feats: np.ndarray, labels, weights, grads: tuple
 
 def confidence(e: DdmEnsemble, feats: np.ndarray) -> np.ndarray:
     """Every fold's max softmax probability minus prediction entropy, 1 iff
-    one-hot, from one stacked forward: (I,) for one (C,) feature, (B, I) for
-    a (B, C) batch."""
+    one-hot, (B, I) for a (B, C) batch, from one stacked forward."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim not in (1, 2):
-        raise ValueError(f"confidence takes a (C,) feature vector or a (B, C) batch, "
-                         f"got shape {feats.shape}")
-    if feats.shape[-1] != e.in_dim:
-        raise ValueError(f"channel mismatch: features have {feats.shape[-1]} channels, "
+    if feats.ndim != 2:
+        raise ValueError(f"expected a (B, C) batch of features, got shape {feats.shape}")
+    if feats.shape[1] != e.in_dim:
+        raise ValueError(f"channel mismatch: features have {feats.shape[1]} channels, "
                          f"the detector takes {e.in_dim}")
-    p = dm.softmax(_forward(e, np.atleast_2d(feats))[2])  # (I, B, N)
-    scores = (p.max(axis=-1) - dm.entropy(p)).T
-    return scores[0] if feats.ndim == 1 else scores
+    p = dm.softmax(_forward(e, feats)[2])  # (I, B, N)
+    return (p.max(axis=-1) - dm.entropy(p)).T
 
 
-def disagreement(scores):
-    """Mean of the largest I-1 confidence scores minus the smallest; >= 0.
-
-    Takes the (I,) scores of one input, giving a float, or a (B, I) batch,
-    giving (B,) degrees.
-    """
+def disagreement(scores) -> np.ndarray:
+    """Mean of the largest I-1 confidence scores minus the smallest, >= 0:
+    (B,) degrees for a (B, I) batch of scores."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim not in (1, 2) or s.shape[-1] < 2:
-        raise ValueError("disagreement needs at least 2 confidence scores")
-    ordered = np.sort(s, axis=-1, kind="stable")[..., ::-1]
-    degrees = ordered[..., :-1].mean(axis=-1) - ordered[..., -1]
-    return float(degrees) if s.ndim == 1 else degrees
+    if s.ndim != 2 or s.shape[1] < 2:
+        raise ValueError(f"expected a (B, I) batch of confidence scores with I >= 2, "
+                         f"got shape {s.shape}")
+    ordered = np.sort(s, axis=1, kind="stable")[:, ::-1]
+    return ordered[:, :-1].mean(axis=1) - ordered[:, -1]
 
 
 def calibrate_theta(seen_degrees, target_fnr: float) -> float:
@@ -278,20 +270,20 @@ def calibrate_theta(seen_degrees, target_fnr: float) -> float:
     return float(np.sort(degrees, kind="stable")[k])
 
 
-def disagreement_degree(e: DdmEnsemble, feats: np.ndarray):
-    """Disagreement of the fold confidences: a float for one (C,) feature,
-    (B,) degrees for a (B, C) batch."""
+def disagreement_degree(e: DdmEnsemble, feats: np.ndarray) -> np.ndarray:
+    """Disagreement of the fold confidences, (B,) for a (B, C) batch."""
     return disagreement(confidence(e, feats))
 
 
 def detect(e: DdmEnsemble, feat: np.ndarray) -> Domain:
-    """Unseen iff the disagreement degree of one (C,) feature falls strictly
-    below theta. Batches are gated with ``disagreement_degree(e, feats) <
-    theta`` instead."""
+    """Unseen iff the disagreement degree of one (C,) feature, scored as a
+    batch of one, falls strictly below theta. Batches are gated with
+    ``disagreement_degree(e, feats) < theta`` instead."""
     theta = e.calibrated_theta()
-    if np.ndim(feat) != 1:
+    feat = np.asarray(feat)
+    if feat.ndim != 1:
         raise ValueError("detect takes a single (C,) feature vector")
-    return Domain.UNSEEN if disagreement_degree(e, feat) < theta else Domain.SEEN
+    return Domain.UNSEEN if disagreement_degree(e, feat[None])[0] < theta else Domain.SEEN
 
 
 def export_degrees_csv(degrees, path) -> None:

@@ -35,19 +35,15 @@ class GzslSystem:
             raise ValueError("unseen-class table must be a strict subset of the full table")
 
 
-def classify_gzsl(sys: GzslSystem, fmaps: np.ndarray):
-    """Detector-gated prediction over the appropriate label set.
-
-    Takes one (H, W, C) map, giving an int, or a (B, H, W, C) batch, giving
-    the (B,) predicted class ids.
-    """
+def classify_gzsl(sys: GzslSystem, fmaps: np.ndarray) -> np.ndarray:
+    """Detector-gated prediction over the appropriate label set: the (B,)
+    predicted class ids of a (B, H, W, C) batch."""
     theta = sys.detector.calibrated_theta()
     fmaps = np.asarray(fmaps)
-    batch = fmaps if fmaps.ndim == 4 else fmaps[None]
-    unseen = disagreement_degree(sys.detector, spatial_mean(batch)) < theta
-    preds = np.empty(batch.shape[0], dtype=np.int64)
+    unseen = disagreement_degree(sys.detector, spatial_mean(fmaps)) < theta
+    preds = np.empty(fmaps.shape[0], dtype=np.int64)
     for routed, model, table in ((unseen, sys.zsl_model, sys.unseen_table),
                                  (~unseen, sys.gzsl_model, sys.full_table)):
         if routed.any():
-            preds[routed] = predict(model, batch[routed], table)
-    return int(preds[0]) if fmaps.ndim == 3 else preds
+            preds[routed] = predict(model, fmaps[routed], table)
+    return preds

@@ -15,12 +15,13 @@ stops training with a ``FloatingPointError`` that names the epoch and step,
 and the fold for the detector.
 
 A checkpoint is a ``dataio`` container of kind "setnet" or "ddm" whose
-meta holds the train config. "setnet" stores the model's five arrays as
-they are held, the projector ensemble stacked as "proj.w" (K, V, S) and
-"proj.b" (K, S), and its diversity weight in the meta. "ddm" stores the
-fold-stacked detector ("w1", "b1", "w2", "b2" and the -1-padded (I, N)
-class-id table "ids"), with the calibrated "theta" and the training
-bundle's "bundle_sha256" in the meta once they are set.
+meta holds the train config. "setnet" stores the model's five flat arrays
+under their ``parameters()`` names ("attn.w1", "attn.b1", "attn.w2", and
+the stacked projectors "proj.w" (K, V, S) and "proj.b" (K, S)), and its
+diversity weight in the meta. "ddm" stores the fold-stacked detector ("w1",
+"b1", "w2", "b2" and the -1-padded (I, N) class-id table "ids"), with the
+calibrated "theta" and the training bundle's "bundle_sha256" in the meta
+once they are set.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .dataio import DatasetBundle, read_container, write_container
 from .diffmath import spatial_mean
 from .errors import FormatError
-from .model import AttentionStack, ProjectorEnsemble, SetNetModel, init_setnet, loss_and_grads
+from .model import SetNetModel, init_setnet, loss_and_grads
 from .ood import (DdmEnsemble, calibrate_theta, disagreement_degree, init_ddm, partition_classes,
                   subddm_loss)
 
@@ -146,9 +147,8 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     shuffler = _rng(cfg.seed, 0x12)
     rows = np.zeros(bundle.sample_count, dtype=np.int64)
     rows[train_idx] = seen_table.indices_of(bundle.labels[train_idx])
-    att, proj = model.attention, model.projectors
     arrays = list(model.parameters().values())
-    flat, (att.w1, att.b1, att.w2, proj.weights, proj.biases) = _flatten(arrays)
+    flat, (model.w1, model.b1, model.w2, model.proj_w, model.proj_b) = _flatten(arrays)
     grad, grad_views = _flatten(arrays)  # laid out like flat; every step overwrites it
 
     def plan_epoch():
@@ -329,13 +329,10 @@ def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict, dict[str, np.n
 
 def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
     cfg, meta, t = _read_checkpoint(path, "setnet")
-    try:  # the constructors check that the tensor shapes fit together
-        model = SetNetModel(attention=AttentionStack(w1=t["attn.w1"], b1=t["attn.b1"],
-                                                     w2=t["attn.w2"]),
-                            projectors=ProjectorEnsemble(weights=t["proj.w"], biases=t["proj.b"]),
-                            diversity_weight=float(meta["diversity_weight"]))
-        if (model.head_count, model.attention.hidden_channels) != (cfg.head_count,
-                                                                   cfg.hidden_channels):
+    try:  # the constructor checks that the tensor shapes fit together
+        model = SetNetModel(w1=t["attn.w1"], b1=t["attn.b1"], w2=t["attn.w2"], proj_w=t["proj.w"],
+                            proj_b=t["proj.b"], diversity_weight=float(meta["diversity_weight"]))
+        if model.w2.shape != (cfg.hidden_channels, cfg.head_count):
             raise ValueError("the tensors do not have the config's head_count and hidden_channels")
         return model, cfg
     except (KeyError, TypeError, ValueError) as e:

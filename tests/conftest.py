@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
+from setnet.metrics import EvalReport
 from setnet.model import SemanticTable, init_setnet
 from setnet.ood import init_ddm, partition_classes, subddm_loss
 
@@ -48,6 +49,17 @@ def bundle_of(fmaps):
                                          train_flags=np.zeros(n, dtype=bool)))
 
 
+def report_from_json(text) -> EvalReport:
+    """A report read back from the JSON ``save_report`` writes; the
+    constructor re-validates it, the harmonic mean included."""
+    doc = json.loads(text)
+    pairs = doc.get("tnr_at_fnr")
+    return EvalReport(acc=doc.get("acc"), acc_seen=doc.get("acc_seen"),
+                      acc_unseen=doc.get("acc_unseen"), h=doc.get("h"),
+                      per_class={int(k): v for k, v in doc.get("per_class", {}).items()},
+                      tnr_at_fnr=None if pairs is None else [(f, t) for f, t in pairs])
+
+
 def random_table(rng, d, s):
     vecs = rng.normal(size=(d, s))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -70,7 +82,7 @@ def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3
         rng = np.random.default_rng([seed, attempt, 0xC4EC])
         model = random_model(rng, c, ch, k, s, lam)
         fmap = rng.normal(size=(h, w, c) if batch is None else (batch, h, w, c))
-        z1 = fmap.reshape(-1, c) @ model.attention.w1 + model.attention.b1
+        z1 = fmap.reshape(-1, c) @ model.w1 + model.b1
         if np.abs(z1).min() > margin:
             table = random_table(rng, d, s)
             label = int(rng.integers(d)) if batch is None else rng.integers(d, size=batch)

@@ -166,21 +166,19 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     The batched ``model.total_loss`` must equal the mean of this over a
     batch, for the loss and for every gradient.
     """
-    att = model.attention
     h, w, c = fmap.shape
     k = model.head_count
     x = fmap.reshape(h * w, c)
     label_idx = int(np.nonzero(table.class_ids == label)[0][0])
 
     # forward
-    z1 = x @ att.w1 + att.b1
+    z1 = x @ model.w1 + model.b1
     r = np.maximum(z1, 0.0)
-    z2 = (r @ att.w2).T                                  # (K, cells)
+    z2 = (r @ model.w2).T                                  # (K, cells)
     e = np.exp(z2 - z2.max(axis=1, keepdims=True))
     maps = e / e.sum(axis=1, keepdims=True)
     feats = maps @ x                                     # (K, C)
-    projected = np.stack([feats[i] @ model.projectors.weights[i] + model.projectors.biases[i]
-                          for i in range(k)])
+    projected = np.stack([feats[i] @ model.proj_w[i] + model.proj_b[i] for i in range(k)])
     scores = table.vectors @ projected.mean(axis=0)
     shifted = scores - scores.max()
     log_probs = shifted - math.log(np.exp(shifted).sum())
@@ -198,7 +196,7 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
              "proj.b": np.stack([d_projected] * k)}
     d_maps = np.zeros_like(maps)
     for i in range(k):
-        d_maps[i] = (model.projectors.weights[i] @ d_projected) @ x.T
+        d_maps[i] = (model.proj_w[i] @ d_projected) @ x.T
 
     # backward: diversity path, sqrt arguments clamped at 1e-12
     clamped = np.sqrt(np.maximum(maps, 1e-12))
@@ -208,7 +206,7 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
 
     # through the per-head softmax and the conv stack
     d_z2 = np.stack([maps[i] * (d_maps[i] - maps[i] @ d_maps[i]) for i in range(k)]).T
-    d_z1 = (d_z2 @ att.w2.T) * (z1 > 0)
+    d_z1 = (d_z2 @ model.w2.T) * (z1 > 0)
     grads["attn.w1"] = x.T @ d_z1
     grads["attn.b1"] = d_z1.sum(axis=0)
     grads["attn.w2"] = r.T @ d_z2

@@ -62,7 +62,7 @@ def unseen_eval(bundle):
 
 
 def zsl_acc(model, bundle, idx, table):
-    preds = [predict(model, bundle.features[i], table) for i in idx]
+    preds = [predict(model, bundle.features[i:i + 1], table)[0] for i in idx]
     return per_class_top1(preds, bundle.labels[idx], table.class_ids)
 
 
@@ -119,27 +119,26 @@ def test_criterion_2_formula_oracles():
 
         p = rng.uniform(size=6); p /= p.sum()
         q = rng.uniform(size=6); q /= q.sum()
-        pair = diversity_loss(np.stack([p, q])[:, None, :])  # 2 H^2(p, q)
+        pair = diversity_loss(np.stack([p, q])[None, :, None, :])[0]  # 2 H^2(p, q)
         worst["hellinger_sq"] = max(worst["hellinger_sq"],
                                     abs(pair - 2 * hellinger_sq_brute(p, q)))
 
-        maps = attention_maps(random_model(rng, c=5, ch=4, k=3), rng.normal(size=(3, 4, 5)))
+        maps = attention_maps(random_model(rng, c=5, ch=4, k=3), rng.normal(size=(1, 3, 4, 5)))
         worst["diversity_loss"] = max(worst["diversity_loss"],
-                                      abs(diversity_loss(maps) - diversity_brute(maps)))
+                                      abs(diversity_loss(maps)[0] - diversity_brute(maps[0])))
 
         model = random_model(rng, c=5, ch=4, k=2, s=4)
         feats = rng.normal(size=(2, 5))
         table = random_table(rng, 6, 4)
-        got = ensemble_logits(model, feats, table)
-        want = ensemble_logits_brute(model.projectors.weights, model.projectors.biases,
-                                     feats, table.vectors)
+        got = ensemble_logits(model, feats[None], table)[0]
+        want = ensemble_logits_brute(model.proj_w, model.proj_b, feats, table.vectors)
         worst["ensemble_logits"] = max(worst["ensemble_logits"], float(np.abs(got - want).max()))
 
         # a ragged 3-fold ensemble (3, 3 and 4 ID classes): every fold's column
         part = partition_classes(range(5), 3, seed)
         e = init_ddm([part.id_classes(i) for i in range(3)], 5, 8, [rng] * 3)
         feat = rng.normal(size=5)
-        got = confidence(e, feat)
+        got = confidence(e, feat[None])[0]
         for i, n in enumerate(e.class_counts):
             hidden = np.maximum(feat @ e.w1[i] + e.b1[i], 0.0)
             probs = dm.softmax(hidden @ e.w2[i, :, :n] + e.b2[i, :n])
@@ -147,7 +146,7 @@ def test_criterion_2_formula_oracles():
 
         scores = rng.normal(size=5)
         worst["disagreement"] = max(worst["disagreement"],
-                                    abs(disagreement(scores) - disagreement_brute(scores)))
+                                    abs(disagreement(scores[None])[0] - disagreement_brute(scores)))
 
         labels = rng.integers(0, 4, size=30)
         preds = rng.integers(0, 4, size=30)
@@ -211,9 +210,9 @@ def test_criterion_6_diversity_effect(bundle, zsl_models):
     def mean_pairwise(model):
         vals = []
         for i in test_idx:
-            maps = attention_maps(model, bundle.features[i])
-            k = maps.shape[0]
-            vals.append(diversity_loss(maps) / (k * (k - 1)))
+            maps = attention_maps(model, bundle.features[i:i + 1])
+            k = maps.shape[1]
+            vals.append(diversity_loss(maps)[0] / (k * (k - 1)))
         return float(np.mean(vals))
 
     with_reg = float(np.mean([mean_pairwise(models[s]) for s in SEEDS]))
@@ -244,8 +243,9 @@ def test_criterion_7_detector_routing_effect(bundle, zsl_models):
         calibrate_ensemble(ensemble, bundle, 0.11)
         system = GzslSystem(detector=ensemble, zsl_model=models[s], gzsl_model=gzsl_model,
                             unseen_table=bundle.unseen_table(), full_table=bundle.table)
-        routed_h.append(gzsl_h([classify_gzsl(system, bundle.features[i]) for i in test_idx]))
-        direct_h.append(gzsl_h([predict(gzsl_model, bundle.features[i], bundle.table)
+        routed_h.append(gzsl_h([classify_gzsl(system, bundle.features[i:i + 1])[0]
+                                for i in test_idx]))
+        direct_h.append(gzsl_h([predict(gzsl_model, bundle.features[i:i + 1], bundle.table)[0]
                                 for i in test_idx]))
     routed, direct = float(np.mean(routed_h)), float(np.mean(direct_h))
     report(7, routed >= direct,

@@ -11,14 +11,13 @@ import pytest
 import setnet
 from setnet.cli import main
 from setnet.dataio import load_bundle
-from setnet.metrics import EvalReport
 from setnet.model import predict
 from setnet.ood import disagreement_degree
 from setnet.train import (holdout_indices, load_ddm_checkpoint,
                           load_setnet_checkpoint, pooled_features, save_checkpoint)
 
 from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm, per_fold_ddm_checkpoint,
-                      resealed, v1_bundle_bytes, v1_ddm_checkpoint)
+                      report_from_json, resealed, v1_bundle_bytes, v1_ddm_checkpoint)
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -379,7 +378,7 @@ def test_eval_zsl_report(workdir, tmp_path, capsys):
                  "--attn", str(attn_path)]) == 0
     out = capsys.readouterr().out
     assert "%" in out
-    report = EvalReport.from_json(report_path.read_text())
+    report = report_from_json(report_path.read_text())
     assert report.acc is not None and 0 <= report.acc <= 1
     assert report.per_class
     blocks = [b for b in attn_path.read_text().split("\n\n") if b.strip()]
@@ -391,8 +390,8 @@ def test_eval_gzsl_report_consistent(workdir, tmp_path):
     assert main(["eval-gzsl", "--zsl", str(workdir["setnet"]), "--ddm",
                  str(workdir["calibrated"]), "--bundle", str(workdir["bundle"]),
                  "--report", str(report_path)]) == 0
-    report = EvalReport.from_json(report_path.read_text())
-    assert report.h is not None  # from_json re-validates Eq.-consistency
+    report = report_from_json(report_path.read_text())
+    assert report.h is not None  # report_from_json re-validates Eq.-consistency
 
 
 def test_eval_gzsl_degenerate_threshold_matches_direct(workdir, tmp_path):
@@ -404,18 +403,19 @@ def test_eval_gzsl_degenerate_threshold_matches_direct(workdir, tmp_path):
     report_path = tmp_path / "gzsl-never.json"
     assert main(["eval-gzsl", "--zsl", str(workdir["setnet"]), "--ddm", str(never),
                  "--bundle", str(workdir["bundle"]), "--report", str(report_path)]) == 0
-    report = EvalReport.from_json(report_path.read_text())
+    report = report_from_json(report_path.read_text())
     bundle = load_bundle(workdir["bundle"])
     model, _ = load_setnet_checkpoint(workdir["setnet"])
     for i in bundle.test_indices():
         cls = int(bundle.labels[i])
-        want = predict(model, bundle.features[i], bundle.table)
+        want = predict(model, bundle.features[i:i + 1], bundle.table)[0]
         if cls in report.per_class and want != cls:
             assert report.per_class[cls] < 1.0
             break
     # routed == direct for every class accuracy
     from setnet.metrics import per_class_accuracy
-    direct = [predict(model, bundle.features[i], bundle.table) for i in bundle.test_indices()]
+    direct = [predict(model, bundle.features[i:i + 1], bundle.table)[0]
+              for i in bundle.test_indices()]
     want_pc = per_class_accuracy(direct, bundle.labels[bundle.test_indices()],
                                  bundle.table.class_ids)
     assert report.per_class == want_pc
@@ -427,7 +427,7 @@ def test_eval_ood_curves(workdir, tmp_path):
     assert main(["eval-ood", "--ddm", str(workdir["calibrated"]), "--bundle",
                  str(workdir["bundle"]), "--report", str(report_path),
                  "--curves", str(curves_path)]) == 0
-    report = EvalReport.from_json(report_path.read_text())
+    report = report_from_json(report_path.read_text())
     tnrs = [t for _, t in report.tnr_at_fnr]
     assert all(a <= b + 1e-12 for a, b in zip(tnrs, tnrs[1:]))
     lines = curves_path.read_text().splitlines()

@@ -26,8 +26,9 @@ def spatial_softmax(logits):
 
 def hellinger_sq(p, q):
     """H^2(p, q) as training computes it: half the diversity loss of the
-    two-head stack [p, q], whose two ordered pairs each count H^2(p, q)."""
-    return diversity_loss(np.stack([p, q])[:, None, :]) / 2
+    two-head stack [p, q], as a batch of one, whose two ordered pairs each
+    count H^2(p, q)."""
+    return diversity_loss(np.stack([p, q])[None, :, None, :])[0] / 2
 
 
 def setnet_group_error(seed, names):
@@ -141,8 +142,9 @@ def test_hellinger_grad_matches_fd(seed):
     def loss_fn(params):
         # the two ordered pairs of the stack [p, q] each count H^2(p, q), so
         # half the closed-form diversity gradient is the gradient of H^2
-        _, grad = diversity_loss(np.stack([params["p"], params["q"]])[:, None, :], grad=True)
-        return hellinger_sq_brute(params["p"], params["q"]), {"p": grad[0, 0] / 2, "q": grad[1, 0] / 2}
+        _, grad = diversity_loss(np.stack([params["p"], params["q"]])[None, :, None, :], grad=True)
+        return hellinger_sq_brute(params["p"], params["q"]), {"p": grad[0, 0, 0] / 2,
+                                                               "q": grad[0, 1, 0] / 2}
 
     assert dm.grad_check(loss_fn, {"p": p, "q": q}, eps=1e-4) < 1e-4
 
@@ -241,19 +243,20 @@ def test_losses_rowwise_match_per_row_calls(seed):
         "kl": dm.kl_to_uniform(p),
         "kl_grad": dm.kl_to_uniform_grad_log(dm.softmax_with_log(z)[1]),
     }
+    one = [slice(i, i + 1) for i in range(6)]  # each row as a batch of one
     rows = {
-        "ce": [dm.cross_entropy_from_logits(z[i], labels[i]) for i in range(6)],
-        "ce_grad": [dm.cross_entropy_grad(z[i], labels[i]) for i in range(6)],
-        "entropy": [dm.entropy(p[i]) for i in range(6)],
-        "kl": [dm.kl_to_uniform(p[i]) for i in range(6)],
-        "kl_grad": [dm.kl_to_uniform_grad_log(dm.softmax_with_log(z[i])[1]) for i in range(6)],
+        "ce": [dm.cross_entropy_from_logits(z[r], labels[r])[0] for r in one],
+        "ce_grad": [dm.cross_entropy_grad(z[r], labels[r])[0] for r in one],
+        "entropy": [dm.entropy(p[r])[0] for r in one],
+        "kl": [dm.kl_to_uniform(p[r])[0] for r in one],
+        "kl_grad": [dm.kl_to_uniform_grad_log(dm.softmax_with_log(z[r])[1])[0] for r in one],
     }
     for name, got in batched.items():
         want = np.asarray(rows[name])
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-15, name
-    assert isinstance(dm.cross_entropy_from_logits(z[0], labels[0]), float)
-    assert isinstance(dm.entropy(p[0]), float)
+    assert dm.cross_entropy_from_logits(z[:1], labels[:1]).shape == (1,)
+    assert dm.entropy(p[:1]).shape == (1,)
 
 
 def test_cross_entropy_rowwise_label_checks():
@@ -269,7 +272,7 @@ def test_spatial_mean_batch_matches_single_maps():
     got = dm.spatial_mean(x)
     assert got.shape == (5, 2)
     for i in range(5):
-        np.testing.assert_array_equal(got[i], dm.spatial_mean(x[i]))
+        np.testing.assert_array_equal(got[i], dm.spatial_mean(x[i:i + 1])[0])
     with pytest.raises(ValueError):
         dm.spatial_mean(np.zeros((3, 4)))
 
@@ -304,8 +307,7 @@ def test_conv1x1_channel_mismatch():
 def test_layer_backwards_on_a_batch_match_single_stacks():
     model, fmaps, table, labels = safe_instance(4, h=3, w=5, batch=3)
     rows = table.indices_of(labels)
-    att, proj = model.attention, model.projectors
-    params = (att.w1, att.b1, att.w2, proj.weights, proj.biases)
+    params = (model.w1, model.b1, model.w2, model.proj_w, model.proj_b)
 
     def run(fm, rw):
         grads = tuple(np.empty_like(p) for p in params)

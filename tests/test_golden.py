@@ -1,7 +1,8 @@
 """Golden digests: the determinism contract as a test.
 
 A fixed tiny config runs every CLI stage in process, and the SHA-256 of
-every bundle, checkpoint and report it writes is pinned below. A second
+every bundle, checkpoint, report and ``--attn`` attention CSV it writes is
+pinned below. A second
 config trains at the desk head count (K=4, so the diversity sum runs over
 several head pairs) with a ragged last batch on 4x4 maps, and pins the
 checkpoints of both trainers. Three more configs pin the bundle alone: no
@@ -39,6 +40,8 @@ GOLDEN = {
     "ddm-cal.sdnc": "5f8b951c464a2476432db4ef4aa88f283b6b573f329fc21d007a2c8338b1c304",
     "gzsl.json": "8e5248739ac59d54aa576c068ea99989159e3bff59a77a578763e9f6c0bce55c",
     "ood.json": "3dd849a961806e24f9b39d7b6302ec88511a4309708403f1ea57fbbf3dfcd055",
+    "zsl-attn.csv": "8bc1d980e6fd4ef8831862febcf61d721b709e459a79ff7145500e09c8c91b11",
+    "gzsl-attn.csv": "f5a77935ca3442ec66ca3e8112408954865dab68d4a7eeb8f361a2709e0abb96",
 }
 
 # K=4 heads, hidden 16, batch 8 over 45 training samples (a last batch of 5)
@@ -82,10 +85,10 @@ def _pipeline(root):
         ("calibrate", "--ddm", root / "ddm.sdnc", "--bundle", root / "data.sdnb",
          "--fnr", 0.11, "--out", root / "ddm-cal.sdnc"),
         ("eval-zsl", "--setnet", root / "zsl.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "zsl.json"),
+         "--report", root / "zsl.json", "--attn", root / "zsl-attn.csv"),
         ("eval-gzsl", "--zsl", root / "zsl.sdnc", "--gzsl", root / "gzsl.sdnc",
          "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "gzsl.json"),
+         "--report", root / "gzsl.json", "--attn", root / "gzsl-attn.csv"),
         ("eval-ood", "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
          "--report", root / "ood.json"),
     ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from setnet.metrics import (EvalReport, harmonic_mean, per_class_accuracy,
                             per_class_top1, save_curves_csv, save_report, tnr_at_fnr)
 
+from conftest import report_from_json
 from oracles import per_class_top1_brute, tnr_at_fnr_brute
 
 
@@ -141,7 +142,7 @@ def test_report_round_trip(tmp_path):
     save_report(report, path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"acc", "acc_seen", "acc_unseen", "h", "per_class", "tnr_at_fnr"}
-    back = EvalReport.from_json(path.read_text())
+    back = report_from_json(path.read_text())
     assert back.per_class == report.per_class
     assert back.h == report.h
     assert back.tnr_at_fnr == [(0.05, 0.8)]

@@ -3,9 +3,9 @@ import pytest
 
 from setnet import dataio
 from setnet import diffmath as dm
-from setnet.model import (AttentionStack, ProjectorEnsemble, SemanticTable, SetNetModel, _pool,
-                          attention_maps, class_scores, diversity_loss, ensemble_logits,
-                          export_attention, init_setnet, predict, total_loss)
+from setnet.model import (SemanticTable, SetNetModel, _pool, attention_maps, class_scores,
+                          diversity_loss, ensemble_logits, export_attention, init_setnet, predict,
+                          total_loss)
 
 from conftest import bundle_of, random_model, random_table, safe_instance
 from oracles import (attention_maps_straightline, attentive_features_brute,
@@ -14,9 +14,8 @@ from oracles import (attention_maps_straightline, attentive_features_brute,
 
 def identity_model(v, lam=0.0):
     """K=1 model whose projector is the identity (V = S), zero biases."""
-    attention = AttentionStack(w1=np.zeros((v, 2)), b1=np.zeros(2), w2=np.zeros((2, 1)))
-    projectors = ProjectorEnsemble(weights=np.eye(v)[None], biases=np.zeros((1, v)))
-    return SetNetModel(attention=attention, projectors=projectors, diversity_weight=lam)
+    return SetNetModel(w1=np.zeros((v, 2)), b1=np.zeros(2), w2=np.zeros((2, 1)),
+                       proj_w=np.eye(v)[None], proj_b=np.zeros((1, v)), diversity_weight=lam)
 
 
 def pooled(model, fmap):
@@ -37,8 +36,8 @@ def load_attention(path):
 def test_attention_maps_uniform_for_zero_input():
     rng = np.random.default_rng(0)
     model = random_model(rng, c=8, ch=6, k=3)
-    model.attention.b1[:] = 0
-    maps = attention_maps(model, np.zeros((4, 4, 8)))
+    model.b1[:] = 0
+    maps = attention_maps(model, np.zeros((1, 4, 4, 8)))
     np.testing.assert_allclose(maps, 1 / 16, atol=1e-15)
 
 
@@ -46,7 +45,7 @@ def test_attention_maps_uniform_for_zero_input():
 def test_attention_maps_normalized(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, c=8, ch=6, k=4)
-    maps = attention_maps(model, rng.normal(scale=3, size=(5, 3, 8)))
+    maps = attention_maps(model, rng.normal(scale=3, size=(1, 5, 3, 8)))[0]
     assert (maps >= 0).all()
     np.testing.assert_allclose(maps.reshape(4, -1).sum(axis=1), 1.0, atol=1e-9)
 
@@ -56,9 +55,8 @@ def test_attention_maps_match_straightline_oracle(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, c=8, ch=6, k=3)
     fmap = rng.normal(size=(4, 4, 8))
-    got = attention_maps(model, fmap)
-    att = model.attention
-    want = attention_maps_straightline(att.w1, att.b1, att.w2, fmap)
+    got = attention_maps(model, fmap[None])[0]
+    want = attention_maps_straightline(model.w1, model.b1, model.w2, fmap)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -69,14 +67,14 @@ def test_attention_maps_batch_matches_single_maps():
     batch = attention_maps(model, fmaps)
     assert batch.shape == (4, 3, 5, 3)
     # one forward runs the same per-map products as B single calls
-    np.testing.assert_array_equal(batch, np.stack([attention_maps(model, f) for f in fmaps]))
-    np.testing.assert_array_equal(attention_maps(model, fmaps[:1])[0], attention_maps(model, fmaps[0]))
+    np.testing.assert_array_equal(batch, np.stack([attention_maps(model, f[None])[0]
+                                                   for f in fmaps]))
 
 
 def test_attention_maps_channel_mismatch():
     model = random_model(np.random.default_rng(1), c=8)
     with pytest.raises(ValueError):
-        attention_maps(model, np.zeros((4, 4, 7)))
+        attention_maps(model, np.zeros((1, 4, 4, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +84,7 @@ def test_attentive_features_uniform_is_spatial_mean():
     rng = np.random.default_rng(2)
     fmap = rng.normal(size=(3, 5, 7))
     model = random_model(rng, c=7, ch=4, k=2)
-    model.attention.w2[:] = 0  # every head's logits are constant: uniform maps
+    model.w2[:] = 0  # every head's logits are constant: uniform maps
     got = pooled(model, fmap)
     np.testing.assert_allclose(got, np.tile(fmap.mean(axis=(0, 1)), (2, 1)), atol=1e-12)
 
@@ -95,9 +93,8 @@ def test_attentive_features_point_mass_selects_cell():
     rng = np.random.default_rng(3)
     fmap = rng.normal(size=(4, 4, 6))
     fmap[2, 1, 0] = 1000.0  # channel 0 drives the one head's logits; exp(-996) is 0
-    attention = AttentionStack(w1=np.eye(6, 1), b1=np.zeros(1), w2=np.ones((1, 1)))
-    projectors = ProjectorEnsemble(weights=np.zeros((1, 6, 2)), biases=np.zeros((1, 2)))
-    model = SetNetModel(attention=attention, projectors=projectors)
+    model = SetNetModel(w1=np.eye(6, 1), b1=np.zeros(1), w2=np.ones((1, 1)),
+                        proj_w=np.zeros((1, 6, 2)), proj_b=np.zeros((1, 2)))
     np.testing.assert_allclose(pooled(model, fmap)[0], fmap[2, 1], atol=0)
 
 
@@ -107,7 +104,7 @@ def test_attentive_features_match_brute_force(seed):
     fmap = rng.normal(size=(3, 4, 5))
     model = random_model(rng, c=5, ch=4, k=3)
     got = pooled(model, fmap)
-    maps = attention_maps(model, fmap)
+    maps = attention_maps(model, fmap[None])[0]
     assert np.abs(got - attentive_features_brute(fmap, maps)).max() < 1e-12
 
 
@@ -116,24 +113,24 @@ def test_attentive_features_match_brute_force(seed):
 
 def test_diversity_zero_for_identical_maps():
     maps = np.tile(np.full((1, 2, 2), 0.25), (4, 1, 1))
-    assert diversity_loss(maps) == pytest.approx(0.0, abs=1e-12)
+    assert diversity_loss(maps[None])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diversity_disjoint_pair():
     maps = np.zeros((2, 2, 2))
     maps[0, 0, 0] = 1.0
     maps[1, 1, 1] = 1.0
-    assert diversity_loss(maps) == pytest.approx(2.0, abs=1e-12)
+    assert diversity_loss(maps[None])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_diversity_matches_brute_force_and_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     maps = dm.softmax(rng.normal(size=(3, 16))).reshape(3, 4, 4)
-    got = diversity_loss(maps)
+    got = diversity_loss(maps[None])[0]
     assert got == pytest.approx(diversity_brute(maps), abs=1e-12)
     perm = maps[rng.permutation(3)]
-    assert diversity_loss(perm) == pytest.approx(got, abs=1e-12)
+    assert diversity_loss(perm[None])[0] == pytest.approx(got, abs=1e-12)
     assert 0 <= got <= 3 * 2
 
 
@@ -145,7 +142,7 @@ def test_diversity_grad_clamps_both_roots(seed):
     maps = dm.softmax(60 * rng.normal(size=(2, 4, 16))).reshape(2, 4, 4, 4)
     assert (maps < 1e-30).mean() > 0.3
     values, grad = diversity_loss(maps, grad=True)
-    np.testing.assert_array_equal(values, [diversity_loss(m) for m in maps])
+    np.testing.assert_array_equal(values, [diversity_loss(m[None])[0] for m in maps])
     for got, m in zip(grad, maps):
         want = diversity_grad_pairwise(m)
         assert (np.abs(got - want) / np.maximum(np.abs(want), 1.0)).max() <= 1e-12
@@ -153,7 +150,7 @@ def test_diversity_grad_clamps_both_roots(seed):
 
 def test_diversity_rejects_empty():
     with pytest.raises(ValueError):
-        diversity_loss(np.zeros((0, 2, 2)))
+        diversity_loss(np.zeros((1, 0, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def test_ensemble_logits_identity_projection():
     model = identity_model(4)
     feats = np.array([[0.3, -0.7, 2.0, 0.1]])
     table = SemanticTable(class_ids=np.arange(4), vectors=np.eye(4))
-    np.testing.assert_allclose(ensemble_logits(model, feats, table), feats[0], atol=1e-15)
+    np.testing.assert_allclose(ensemble_logits(model, feats[None], table)[0], feats[0], atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -172,9 +169,8 @@ def test_ensemble_logits_match_loop_oracle(seed):
     model = random_model(rng, c=6, ch=4, k=2, s=5)
     feats = rng.normal(size=(2, 6))
     table = random_table(rng, 4, 5)
-    got = ensemble_logits(model, feats, table)
-    want = ensemble_logits_brute(model.projectors.weights, model.projectors.biases,
-                                 feats, table.vectors)
+    got = ensemble_logits(model, feats[None], table)[0]
+    want = ensemble_logits_brute(model.proj_w, model.proj_b, feats, table.vectors)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -184,8 +180,8 @@ def test_ensemble_logits_mean_vs_sum_argmax():
     table = random_table(rng, 7, 5)
     fmap = rng.normal(size=(3, 3, 6))
     feats = pooled(model, fmap)
-    mean_logits = ensemble_logits(model, feats, table)
-    sum_scores = class_scores(model, fmap, table)
+    mean_logits = ensemble_logits(model, feats[None], table)[0]
+    sum_scores = class_scores(model, fmap[None], table)[0]
     assert int(np.argmax(mean_logits)) == int(np.argmax(sum_scores))
 
 
@@ -196,13 +192,13 @@ def test_ensemble_logits_linear_in_each_head(seed):
     model = random_model(rng, c=6, ch=4, k=3, s=5)
     table = random_table(rng, 4, 5)
     feats = rng.normal(size=(3, 6))
-    base = ensemble_logits(model, feats, table)
+    base = ensemble_logits(model, feats[None], table)
     for head in range(3):
         d1, d2 = rng.normal(size=6), rng.normal(size=6)
-        bumped = [feats.copy() for _ in range(3)]
-        bumped[0][head] += d1
-        bumped[1][head] += d2
-        bumped[2][head] += d1 + d2
+        bumped = [feats[None].copy() for _ in range(3)]
+        bumped[0][0, head] += d1
+        bumped[1][0, head] += d2
+        bumped[2][0, head] += d1 + d2
         inc1 = ensemble_logits(model, bumped[0], table) - base
         inc2 = ensemble_logits(model, bumped[1], table) - base
         both = ensemble_logits(model, bumped[2], table) - base
@@ -214,9 +210,9 @@ def test_ensemble_logits_dim_mismatch():
     model = random_model(rng, c=6, s=5)
     table = random_table(rng, 4, 6)  # wrong semantic dim
     with pytest.raises(ValueError):
-        ensemble_logits(model, rng.normal(size=(3, 6)), table)
+        ensemble_logits(model, rng.normal(size=(1, 3, 6)), table)
     with pytest.raises(ValueError):
-        ensemble_logits(model, rng.normal(size=(3, 7)), random_table(rng, 4, 5))
+        ensemble_logits(model, rng.normal(size=(1, 3, 7)), random_table(rng, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +223,8 @@ def test_total_loss_reduces_to_cls_when_weight_zero():
     model.diversity_weight = 0.0
     total, _ = total_loss(model, fmap[None], [label], table)
     feats = pooled(model, fmap)
-    expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats, table),
-                                            int(table.indices_of(label)))
+    expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats[None], table),
+                                            table.indices_of([label]))[0]
     assert total == pytest.approx(expected, abs=1e-12)
 
 
@@ -236,7 +232,7 @@ def test_total_loss_identical_maps_zero_diversity():
     rng = np.random.default_rng(6)
     model = random_model(rng, c=8, ch=6, k=3, s=5, lam=0.7)
     # identical columns make every head produce the same logits
-    model.attention.w2[:] = model.attention.w2[:, :1]
+    model.w2[:] = model.w2[:, :1]
     table = random_table(rng, 5, 5)
     fmap = rng.normal(size=(4, 4, 8))
     with_reg, _ = total_loss(model, fmap[None], [2], table)
@@ -300,7 +296,7 @@ def test_predict_single_class_table():
     rng = np.random.default_rng(7)
     model = random_model(rng, c=6, s=5)
     table = random_table(rng, 1, 5)
-    assert predict(model, rng.normal(size=(3, 3, 6)), table) == 0
+    assert predict(model, rng.normal(size=(1, 3, 3, 6)), table).tolist() == [0]
 
 
 def test_predict_matching_row_wins():
@@ -308,7 +304,7 @@ def test_predict_matching_row_wins():
     fmap = np.zeros((2, 2, 4))
     fmap[:, :, 1] = 1.0  # pooled feature = e_1 regardless of attention
     table = SemanticTable(class_ids=np.array([10, 20, 30, 40]), vectors=np.eye(4))
-    assert predict(model, fmap, table) == 20
+    assert predict(model, fmap[None], table).tolist() == [20]
 
 
 def test_predict_tie_breaks_to_smallest_id():
@@ -317,7 +313,7 @@ def test_predict_tie_breaks_to_smallest_id():
         p[:] = 0  # all scores identical
     table = SemanticTable(class_ids=np.array([7, 3, 9]),
                           vectors=np.eye(4)[:3])
-    assert predict(model, np.zeros((2, 2, 4)), table) == 3
+    assert predict(model, np.zeros((1, 2, 2, 4)), table).tolist() == [3]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -325,10 +321,10 @@ def test_predict_matches_exhaustive_loop(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, c=6, ch=4, k=2, s=5)
     table = random_table(rng, 8, 5)
-    fmap = rng.normal(size=(3, 4, 6))
-    scores = class_scores(model, fmap, table)
+    fmap = rng.normal(size=(1, 3, 4, 6))
+    scores = class_scores(model, fmap, table)[0]
     best = max(range(8), key=lambda d: (scores[d], -int(table.class_ids[d])))
-    assert predict(model, fmap, table) == int(table.class_ids[best])
+    assert predict(model, fmap, table).tolist() == [int(table.class_ids[best])]
 
 
 @pytest.mark.parametrize("batch", [dataio.CHUNK_ROWS + 1, 2 * dataio.CHUNK_ROWS + 1])
@@ -343,7 +339,7 @@ def test_chunked_predict_matches_rows_and_one_forward(batch, monkeypatch):
         return bundle.map_rows(rows, lambda maps: class_scores(model, maps, table))
 
     preds, scores = bundle.map_rows(rows, lambda maps: predict(model, maps, table)), scores_of()
-    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
+    assert preds.tolist() == [predict(model, fmap[None], table)[0] for fmap in fmaps]
     monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
     assert np.array_equal(scores_of(), scores)
     assert np.array_equal(class_scores(model, fmaps.astype(np.float64), table), scores)
@@ -370,11 +366,11 @@ def test_batched_predict_matches_per_sample(batch):
     scores = class_scores(model, fmaps, table)
     assert scores.shape == (batch, 8)
     for i in range(batch):
-        np.testing.assert_allclose(scores[i], class_scores(model, fmaps[i], table),
+        np.testing.assert_allclose(scores[i], class_scores(model, fmaps[i:i + 1], table)[0],
                                    rtol=0, atol=1e-12)
     preds = predict(model, fmaps, table)
     assert preds.shape == (batch,)
-    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
+    assert preds.tolist() == [predict(model, fmap[None], table)[0] for fmap in fmaps]
 
 
 def test_batched_predict_ties_break_to_smallest_id_per_row():
@@ -386,14 +382,14 @@ def test_batched_predict_ties_break_to_smallest_id_per_row():
     fmaps[3, :, :, [0, 3]] = 1.0     # row 3: 30 ties 20
     preds = predict(model, fmaps, table)
     assert preds.tolist() == [10, 40, 30, 20]
-    assert preds.tolist() == [predict(model, fmap, table) for fmap in fmaps]
+    assert preds.tolist() == [predict(model, fmap[None], table)[0] for fmap in fmaps]
 
 
 def test_predict_empty_table():
     model = identity_model(4)
     table = SemanticTable(class_ids=np.empty(0, dtype=np.int64), vectors=np.empty((0, 4)))
     with pytest.raises(ValueError):
-        predict(model, np.zeros((2, 2, 4)), table)
+        predict(model, np.zeros((1, 2, 2, 4)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +451,7 @@ def test_model_head_count_mismatch():
     rng = np.random.default_rng(10)
     m = random_model(rng, c=6, k=2)
     with pytest.raises(ValueError):
-        SetNetModel(attention=m.attention,
-                    projectors=ProjectorEnsemble(weights=np.zeros((3, 6, 5)),
-                                                 biases=np.zeros((3, 5))))
+        SetNetModel(w1=m.w1, b1=m.b1, w2=m.w2, proj_w=np.zeros((3, 6, 5)), proj_b=np.zeros((3, 5)))
 
 
 def test_init_setnet_seeded_determinism():

@@ -1,14 +1,16 @@
-"""Every top-level function and class in ``setnet`` has a caller in ``setnet``,
-and no ``setnet`` module uses another one's private names.
+"""Every top-level function and class in ``setnet``, and every method and
+property of its classes, has a caller in ``setnet``, and no ``setnet`` module
+uses another one's private names.
 
 A helper that only tests call is library surface nobody runs. This walks the
 AST of every ``src/setnet`` module except ``__init__.py`` (its re-exports are
-not callers) and looks for each top-level definition's name as a ``Name`` or
-an ``Attribute`` anywhere in the package outside the definition itself, so a
-name in a docstring or a recursive call does not count. The only allowed
-exceptions are the functions the benchmark's per-layer metrics wrap (the
-``LAYER_METRICS`` targets of ``perfbench/run.py``) and ``diffmath.grad_check``,
-the verifier of the gradient acceptance criterion.
+not callers) and looks for each definition's name as a ``Name`` or an
+``Attribute`` anywhere in the package outside the definition itself, so a
+name in a docstring or a recursive call does not count. Dunder methods are
+exempt: Python calls them. The only allowed exceptions are the functions the
+benchmark's per-layer metrics wrap (the ``LAYER_METRICS`` targets of
+``perfbench/run.py``), ``diffmath.grad_check``, the verifier of the gradient
+acceptance criterion, and the ``ALLOWED`` methods that a base class calls.
 
 A name with a leading underscore (not a dunder) is private to its module:
 another module may neither import it (``from .dataio import _Cursor``) nor
@@ -27,7 +29,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "setnet"
-ALLOWED = {"diffmath.grad_check"}
+ALLOWED = {
+    "diffmath.grad_check",
+    "cli._Parser.error",  # argparse calls it: the override keeps errors to one line
+}
 
 
 def layer_targets() -> set[str]:
@@ -55,21 +60,43 @@ def module_trees() -> dict[str, ast.Module]:
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def methods(module: str, tree: ast.Module):
+    """(node, "module.Class.name") of every method and property of the
+    module's top-level classes, dunders left out."""
+    return [(item, f"{module}.{node.name}.{item.name}") for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not _dunder(item.name)]
+
+
+def unreferenced(definitions) -> list[str]:
+    """The qualified name of each (node, qualified name) definition whose name
+    no package module uses outside the node itself."""
+    trees = module_trees().values()
+    return [name for node, name in definitions
+            if not any(node.name in referenced_names(tree, skip=node) for tree in trees)]
+
+
 def unreferenced_definitions() -> list[str]:
-    trees = module_trees()
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            used = any(node.name in referenced_names(other, skip=node) for other in trees.values())
-            if not used:
-                unused.append(f"{module}.{node.name}")
-    return unused
+    return unreferenced((node, f"{module}.{node.name}")
+                        for module, tree in module_trees().items() for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+
+
+def unreferenced_methods() -> list[str]:
+    return unreferenced(item for module, tree in module_trees().items()
+                        for item in methods(module, tree))
 
 
 def test_every_top_level_definition_has_a_caller_in_the_package():
     assert sorted(set(unreferenced_definitions()) - ALLOWED - layer_targets()) == []
+
+
+def test_every_method_and_property_has_a_caller_in_the_package():
+    assert sorted(set(unreferenced_methods()) - ALLOWED) == []
 
 
 def _private(name: str) -> bool:

@@ -27,7 +27,7 @@ from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_
 def test_partition_even_split():
     part = partition_classes(range(10), 5, seed=0)
     assert sorted(len(f) for f in part.folds) == [2, 2, 2, 2, 2]
-    assert part.all_classes() == list(range(10))
+    assert sorted(c for fold in part.folds for c in fold) == list(range(10))
 
 
 def test_partition_round_robin_sizes():
@@ -57,7 +57,7 @@ def test_partition_covers_disjointly(n, fold_count, seed):
         fold_count = n
     ids = list(range(100, 100 + n))
     part = partition_classes(ids, fold_count, seed)
-    assert part.all_classes() == ids
+    assert sorted(c for fold in part.folds for c in fold) == ids
     sizes = [len(f) for f in part.folds]
     assert max(sizes) - min(sizes) <= 1
     assert part.id_classes(0) == sorted(set(ids) - set(part.folds[0]))
@@ -201,7 +201,7 @@ def test_confidence_one_hot_is_one():
     e = make_ensemble(rng, ids=(0, 1))
     zero_fold(e)
     e.b2[0] = [50.0, 0.0]
-    assert confidence(e, np.zeros(6))[0] == pytest.approx(1.0, abs=1e-8)
+    assert confidence(e, np.zeros((1, 6)))[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("c", [2, 3, 5])
@@ -210,7 +210,7 @@ def test_confidence_uniform_closed_form(c):
     e = make_ensemble(rng, ids=tuple(range(c)))
     e.w2[0] = 0
     e.b2[0] = 0
-    got = confidence(e, rng.normal(size=6))[0]
+    got = confidence(e, rng.normal(size=(1, 6)))[0, 0]
     assert got == pytest.approx(1 / c - math.log(c), abs=1e-12)
 
 
@@ -219,7 +219,7 @@ def test_confidence_at_most_one(seed):
     rng = np.random.default_rng(seed)
     e = make_ensemble(rng)
     feat = rng.normal(scale=3, size=6)
-    got = confidence(e, feat)
+    got = confidence(e, feat[None])[0]
     assert got.shape == (2,)
     for i, score in enumerate(got):
         assert score <= 1.0 + 1e-12
@@ -234,33 +234,33 @@ def test_batched_confidence_matches_per_row(batch):
     feats = rng.normal(scale=3, size=(batch, 6))
     got = confidence(e, feats)
     assert got.shape == (batch, 2)
-    np.testing.assert_allclose(got, [confidence(e, f) for f in feats], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, [confidence(e, f[None])[0] for f in feats], rtol=0, atol=1e-12)
 
 
 def test_confidence_dim_mismatch():
     e = make_ensemble(np.random.default_rng(5))
     with pytest.raises(ValueError):
-        confidence(e, np.zeros(7))
+        confidence(e, np.zeros((1, 7)))
 
 
 # ---------------------------------------------------------------------------
 # disagreement
 
 def test_disagreement_all_equal_is_zero():
-    assert disagreement([0.4, 0.4, 0.4]) == pytest.approx(0.0, abs=1e-15)
+    assert disagreement([[0.4, 0.4, 0.4]])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_disagreement_frozen_example():
-    assert disagreement([0.9, 0.8, 0.7, 0.6, 0.1]) == pytest.approx(0.65, abs=1e-12)
+    assert disagreement([[0.9, 0.8, 0.7, 0.6, 0.1]])[0] == pytest.approx(0.65, abs=1e-12)
 
 
 def test_disagreement_two_scores_is_range():
-    assert disagreement([0.3, 0.7]) == pytest.approx(0.4, abs=1e-12)
+    assert disagreement([[0.3, 0.7]])[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_disagreement_needs_two():
     with pytest.raises(ValueError):
-        disagreement([0.5])
+        disagreement([[0.5]])
     with pytest.raises(ValueError):
         disagreement([[0.5], [0.4]])
 
@@ -270,18 +270,18 @@ def test_disagreement_of_a_batch_is_per_row():
     scores = rng.uniform(-2, 1, size=(9, 5))
     got = disagreement(scores)
     assert got.shape == (9,)
-    assert got.tolist() == [disagreement(row) for row in scores]
+    assert got.tolist() == [disagreement(row[None])[0] for row in scores]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=9), st.floats(-3, 3))
 def test_disagreement_properties(scores, shift):
-    d = disagreement(scores)
+    d = disagreement([scores])[0]
     assert d >= -1e-12
     assert d == pytest.approx(disagreement_brute(scores), abs=1e-12)
     rng = np.random.default_rng(0)
-    assert disagreement(rng.permutation(scores)) == pytest.approx(d, abs=1e-12)
-    assert disagreement(np.asarray(scores) + shift) == pytest.approx(d, abs=1e-9)
+    assert disagreement([rng.permutation(scores)])[0] == pytest.approx(d, abs=1e-12)
+    assert disagreement([np.asarray(scores) + shift])[0] == pytest.approx(d, abs=1e-9)
     if d <= 1e-12:
         assert max(scores) - min(scores) == pytest.approx(0.0, abs=1e-9)
 
@@ -338,7 +338,7 @@ def fixed_ensemble(theta=None):
 def test_detect_boundary_is_seen():
     e = fixed_ensemble()
     feat = np.random.default_rng(7).normal(size=6)
-    d = disagreement_degree(e, feat)
+    d = disagreement_degree(e, feat[None])[0]
     e.theta = d
     assert detect(e, feat) is Domain.SEEN
     e.theta = d + 1e-9
@@ -350,7 +350,7 @@ def test_detect_equal_confidences_flag_unseen():
     for i in range(3):
         zero_fold(e, i)  # every sub-detector outputs the same uniform prediction
     feat = np.random.default_rng(8).normal(size=6)
-    assert disagreement_degree(e, feat) == pytest.approx(0.0, abs=1e-12)
+    assert disagreement_degree(e, feat[None])[0] == pytest.approx(0.0, abs=1e-12)
     assert detect(e, feat) is Domain.UNSEEN
 
 
@@ -361,7 +361,7 @@ def test_batched_degree_matches_per_sample(batch):
     assert confidence(e, feats).shape == (batch, 3)
     degrees = disagreement_degree(e, feats)
     assert degrees.shape == (batch,)
-    np.testing.assert_allclose(degrees, [disagreement_degree(e, f) for f in feats],
+    np.testing.assert_allclose(degrees, [disagreement_degree(e, f[None])[0] for f in feats],
                                rtol=0, atol=1e-12)
 
 
@@ -374,7 +374,7 @@ def test_chunked_degree_matches_one_forward_and_rows(batch, monkeypatch):
     degrees = detector_degrees(e, bundle, rows)
     # numpy multiplies a lone row with its matrix-vector kernel, which sums in
     # another order, so row by row agrees only to about one unit in the last place
-    np.testing.assert_allclose(degrees, [disagreement_degree(e, f) for f in feats],
+    np.testing.assert_allclose(degrees, [disagreement_degree(e, f[None])[0] for f in feats],
                                rtol=0, atol=1e-15)
     monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
     assert np.array_equal(detector_degrees(e, bundle, rows), degrees)

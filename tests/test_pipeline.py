@@ -37,41 +37,41 @@ def test_routing_unseen_stub(small_system, tiny_bundle, monkeypatch):
     monkeypatch.setattr(pipeline, "disagreement_degree", constant_gate(-np.inf))
     unseen = set(tiny_bundle.split.unseen_ids.tolist())
     for i in tiny_bundle.test_indices()[:20]:
-        assert classify_gzsl(small_system, tiny_bundle.features[i]) in unseen
+        assert classify_gzsl(small_system, tiny_bundle.features[i:i + 1])[0] in unseen
 
 
 def test_routing_seen_stub(small_system, tiny_bundle, monkeypatch):
     monkeypatch.setattr(pipeline, "disagreement_degree", constant_gate(np.inf))
     for i in tiny_bundle.test_indices()[:20]:
-        got = classify_gzsl(small_system, tiny_bundle.features[i])
-        want = predict(small_system.gzsl_model, tiny_bundle.features[i],
+        got = classify_gzsl(small_system, tiny_bundle.features[i:i + 1])
+        want = predict(small_system.gzsl_model, tiny_bundle.features[i:i + 1],
                        small_system.full_table)
-        assert got == want
+        assert got.tolist() == want.tolist()
 
 
 def test_degenerate_threshold_never_flags(small_system, tiny_bundle):
     # disagreement degrees are finite, so a hugely negative theta flags nothing
     small_system.detector.theta = -1e300
     for i in tiny_bundle.test_indices()[:20]:
-        got = classify_gzsl(small_system, tiny_bundle.features[i])
-        want = predict(small_system.gzsl_model, tiny_bundle.features[i],
+        got = classify_gzsl(small_system, tiny_bundle.features[i:i + 1])
+        want = predict(small_system.gzsl_model, tiny_bundle.features[i:i + 1],
                        small_system.full_table)
-        assert got == want
+        assert got.tolist() == want.tolist()
 
 
 def test_oracle_detector_matches_zsl_accuracy(small_system, tiny_bundle, monkeypatch):
     unseen = set(tiny_bundle.split.unseen_ids.tolist())
     idx = [i for i in tiny_bundle.test_indices() if int(tiny_bundle.labels[i]) in unseen]
-    truth = {tuple(np.round(spatial_mean(tiny_bundle.features[i]), 12)) for i in idx}
+    truth = {tuple(np.round(spatial_mean(tiny_bundle.features[i:i + 1])[0], 12)) for i in idx}
 
     def oracle(e, feats):
         # below any theta for unseen-class rows, above it for the rest
         return np.array([-np.inf if tuple(np.round(f, 12)) in truth else np.inf for f in feats])
 
     monkeypatch.setattr(pipeline, "disagreement_degree", oracle)
-    routed = [classify_gzsl(small_system, tiny_bundle.features[i]) for i in idx]
-    direct = [predict(small_system.zsl_model, tiny_bundle.features[i],
-                      small_system.unseen_table) for i in idx]
+    routed = [classify_gzsl(small_system, tiny_bundle.features[i:i + 1])[0] for i in idx]
+    direct = [predict(small_system.zsl_model, tiny_bundle.features[i:i + 1],
+                      small_system.unseen_table)[0] for i in idx]
     assert routed == direct
 
 
@@ -85,7 +85,7 @@ def test_batched_classify_matches_single_maps(small_system, tiny_bundle, monkeyp
     monkeypatch.setattr(small_system.detector, "theta", theta)
     preds = classify_gzsl(small_system, fmaps)
     assert preds.shape == (fmaps.shape[0],)
-    assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
+    assert preds.tolist() == [classify_gzsl(small_system, fmap[None])[0] for fmap in fmaps]
 
 
 @pytest.mark.parametrize("batch", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
@@ -99,7 +99,7 @@ def test_chunked_classify_matches_rows_and_one_forward(small_system, tiny_bundle
     monkeypatch.setattr(small_system.detector, "theta", (ordered[half - 1] + ordered[half]) / 2)
     bundle, rows = bundle_of(fmaps), np.arange(batch)
     preds = bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps))
-    assert preds.tolist() == [classify_gzsl(small_system, fmap) for fmap in fmaps]
+    assert preds.tolist() == [classify_gzsl(small_system, fmap[None])[0] for fmap in fmaps]
     monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
     assert np.array_equal(bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps)),
                           preds)
@@ -130,16 +130,17 @@ def test_restricted_argmax_consistent_with_full(seed):
     table = random_table(rng, 8, 5)
     unseen_ids = [2, 5, 7]
     sub = table.subset(unseen_ids)
-    fmap = rng.normal(size=(3, 3, 6))
-    full_winner = predict(model, fmap, table)
+    fmap = rng.normal(size=(1, 3, 3, 6))
+    full_winner = predict(model, fmap, table)[0]
     if full_winner in unseen_ids:
-        assert predict(model, fmap, sub) == full_winner
+        assert predict(model, fmap, sub)[0] == full_winner
 
 
 def test_single_unseen_class(small_system, tiny_bundle):
     only = small_system.unseen_table.subset([int(tiny_bundle.split.unseen_ids[0])])
-    fmap = tiny_bundle.features[tiny_bundle.test_indices()[0]]
-    assert predict(small_system.zsl_model, fmap, only) == int(tiny_bundle.split.unseen_ids[0])
+    fmap = tiny_bundle.features[tiny_bundle.test_indices()[:1]]
+    want = [int(tiny_bundle.split.unseen_ids[0])]
+    assert predict(small_system.zsl_model, fmap, only).tolist() == want
 
 
 def test_system_requires_strict_subset(small_system, tiny_bundle):

@@ -147,10 +147,10 @@ def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
     for name, p in trained.parameters().items():
         assert np.array_equal(p, init.parameters()[name] - 0.7 * grads[name]), name
 
-    before = trained.projectors.biases[1, 0]
+    before = trained.proj_b[1, 0]
     trained.parameters()["proj.b"][1, 0] += 1.0
-    assert trained.projectors.biases[1, 0] == before + 1.0
-    trained.attention.w1[0, 0] = 2.5
+    assert trained.proj_b[1, 0] == before + 1.0
+    trained.w1[0, 0] = 2.5
     assert trained.parameters()["attn.w1"][0, 0] == 2.5
     first, second = tmp_path / "a.sdnc", tmp_path / "b.sdnc"
     save_checkpoint(first, trained, TrainConfig(epochs=1, **cfg))
@@ -434,7 +434,8 @@ def test_checkpoint_bad_magic(tmp_path):
     ("non_finite", "tensor attn.w1 contains non-finite values"),
     ("too_many_dims", r"bad tensor entry \['attn.w1', '<f8', \[0, 0, 0, 0, 0, .* at most 4 dims"),
     ("config_head_count", "invalid setnet checkpoint: the tensors do not have the config's"),
-    ("attention_channels", "invalid setnet checkpoint: attention input channels"),
+    ("attention_channels", r"invalid setnet checkpoint: expected w1 \(C, C_h\), b1 \(C_h,\), "
+                           r"w2 \(C_h, K\), proj_w \(K, C, S\) and proj_b \(K, S\)"),
 ], ids=["huge_dims", "missing_tensor", "non_finite", "too_many_dims", "config_head_count",
         "attention_channels"])
 def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, message):
@@ -559,6 +560,22 @@ def test_a_checkpoint_refuses_fold_ids_its_schema_dtype_would_change(checkpoint_
     with pytest.raises(ValueError, match="^tensor 'ids' does not fit <i8 without changing a value$"):
         save_checkpoint(tmp_path / "fractional.sdnc", ensemble, cfg)
     assert not (tmp_path / "fractional.sdnc").exists()
+
+
+@pytest.mark.parametrize("kind, value", [("setnet", np.nan), ("ddm", -np.inf)])
+def test_a_checkpoint_refuses_a_non_finite_tensor_before_writing(checkpoint_files, tmp_path,
+                                                                 kind, value):
+    # the reader refuses non-finite floats, so the writer must not leave such a file
+    data, load, _ = checkpoint_files[kind]
+    path = tmp_path / "good.sdnc"
+    path.write_bytes(data)
+    model, cfg = load(path)
+    model.w1 = model.w1.copy()  # the loaded arrays are read-only views of the file
+    model.w1.flat[0] = value
+    name = "attn.w1" if kind == "setnet" else "w1"
+    with pytest.raises(ValueError, match=f"^tensor '{name}' contains non-finite values$"):
+        save_checkpoint(tmp_path / "bad.sdnc", model, cfg)
+    assert not (tmp_path / "bad.sdnc").exists()
 
 
 def test_a_per_fold_ddm_checkpoint_names_the_missing_stacked_tensor(checkpoint_files, tmp_path):
