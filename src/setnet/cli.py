@@ -4,9 +4,19 @@ One JSON config file is the source of truth for a run; flags override
 individual values. Every command is deterministic given identical inputs
 and seeds, and every failure exits nonzero with a single ``error:`` line on
 stderr.
+
+Each command is one short process, so its entry owns the garbage collector:
+``python -m setnet.cli`` imports with it off, and ``run`` (the ``setnet``
+script too) freezes what the imports made, which lives until exit, so that no
+collection walks it again. ``main(argv)`` leaves the collector as it finds it.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # the process entry imports with the collector off
+    gc.disable()
 
 import argparse
 import dataclasses
@@ -323,5 +333,11 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    gc.freeze()
+    gc.enable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,10 +2,10 @@
 
 A fixed tiny config runs every CLI stage in process, and the SHA-256 of
 every bundle, checkpoint, report and ``--attn`` attention CSV it writes is
-pinned below. A second
-config trains at the desk head count (K=4, so the diversity sum runs over
-several head pairs) with a ragged last batch on 4x4 maps, and pins the
-checkpoints of both trainers. Three more configs pin the bundle alone: no
+pinned below; the same stages run as ``python -m setnet.cli`` processes
+must write the same bytes. A second config trains at the desk head count
+(K=4, so the diversity sum runs over several head pairs) with a ragged last
+batch on 4x4 maps, and pins the checkpoints of both trainers. Three more configs pin the bundle alone: no
 jitter, no noise, and a jitter of 2 on a 7x7 grid, where the clamp at the
 map border is reached from both sides. Identical seeds must give identical
 bytes across changes as well as within one run. The digests depend on the
@@ -149,3 +149,18 @@ def test_no_cli_stage_imports_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr.strip().splitlines()[-1:]
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_module_entry_writes_the_in_process_bytes(artifacts, tmp_path):
+    """Every stage of the tiny config, run as ``python -m setnet.cli`` (the
+    process entry with its collector policy), writes the bytes that ``main``
+    writes in process."""
+    package_root = os.path.dirname(os.path.dirname(setnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    for argv in _pipeline(tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "setnet.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv[0], proc.stderr.strip().splitlines()[-1:])
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN} == artifacts
