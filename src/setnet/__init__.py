@@ -5,13 +5,13 @@ setnet`` loads no numpy and no submodule: each public name loads on first read."
 import importlib
 
 _HOME = {name: module for module, names in {  # public name -> home module, for PEP 562
-    "dataio": "DatasetBundle SplitSpec SyntheticSpec gen_synthetic load_bundle save_bundle",
+    "dataio": "DatasetBundle SyntheticSpec gen_synthetic load_bundle save_bundle",
     "errors": "FormatError NotCalibratedError", "pipeline": "GzslSystem classify_gzsl",
     "metrics": "EvalReport harmonic_mean per_class_top1 tnr_at_fnr",
     "model": "SemanticTable SetNetModel attention_maps diversity_loss ensemble_logits "
              "export_attention predict total_loss",
-    "ood": "DdmEnsemble Domain FoldPartition calibrate_theta confidence detect disagreement "
-           "partition_classes subddm_loss",
+    "ood": "DdmEnsemble Domain calibrate_theta confidence detect disagreement partition_classes "
+           "subddm_loss",
     "train": "TrainConfig calibrate_ensemble load_ddm_checkpoint load_setnet_checkpoint "
              "save_checkpoint train_ddm train_setnet",
 }.items() for name in names.split()}

@@ -36,9 +36,7 @@ from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, dete
                     train_setnet)
 
 DEFAULT_FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
-_TOP_KEYS = {"train", "synthetic", "fnr_grid", "paths"}
-_PATH_KEYS = {"bundle", "out", "report", "curves", "attention",
-              "setnet", "ddm", "zsl", "gzsl"}
+_TOP_KEYS = {"train", "synthetic", "fnr_grid"}
 
 
 class CliError(Exception):
@@ -65,12 +63,6 @@ def _load_config(path) -> dict:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise CliError(f"unknown config key {sorted(unknown)[0]!r}")
-    paths = doc.get("paths", {})
-    if not isinstance(paths, dict):
-        raise CliError("config key 'paths' must be an object")
-    bad = set(paths) - _PATH_KEYS
-    if bad:
-        raise CliError(f"unknown config key paths.{sorted(bad)[0]!r}")
     return doc
 
 
@@ -85,15 +77,6 @@ def _build(cls, section: dict, what: str, overrides: dict):
         return cls(**merged)
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid {what} config: {e}") from e
-
-
-def _require(config: dict, key: str, flag_value, flag_name: str):
-    if flag_value is not None:
-        return flag_value
-    value = config.get("paths", {}).get(key)
-    if value is None:
-        raise CliError(f"missing required key: pass {flag_name} or set paths.{key}")
-    return value
 
 
 def _section(config: dict, key: str) -> dict:
@@ -120,9 +103,8 @@ def _cmd_gen_synth(args) -> None:
     config = _load_config(args.config)
     spec = _build(SyntheticSpec, _section(config, "synthetic"), "synthetic",
                   {"seed": args.seed})
-    out = _require(config, "out", args.out, "--out")
-    save_bundle(gen_synthetic(spec), out)
-    print(f"wrote bundle to {out}")
+    save_bundle(gen_synthetic(spec), args.out)
+    print(f"wrote bundle to {args.out}")
 
 
 def _train_overrides(args) -> dict:
@@ -136,23 +118,33 @@ def _cmd_train(args) -> None:
     """train-setnet and train-ddm: stream the epoch,loss CSV, then save."""
     config = _load_config(args.config)
     cfg = _build(TrainConfig, _section(config, "train"), "train", _train_overrides(args))
-    bundle = load_bundle(_require(config, "bundle", args.bundle, "--bundle"))
-    out = _require(config, "out", args.out, "--out")
+    bundle = load_bundle(args.bundle)
     print("epoch,loss")
     trainer = train_setnet if args.command == "train-setnet" else train_ddm
-    save_checkpoint(out, trainer(bundle, cfg, epoch_callback=_print_epoch), cfg)
+    save_checkpoint(args.out, trainer(bundle, cfg, epoch_callback=_print_epoch), cfg)
+
+
+def _check_bundle(model, bundle: DatasetBundle, name: str) -> None:
+    """Refuse the bundle unless the ``name`` model was trained on it; one that
+    does not record its training bundle is used with a warning."""
+    if model.bundle_sha256 is None:
+        print(f"warning: {name} checkpoint does not record its training bundle; "
+              "the bundle is not checked", file=sys.stderr)
+    check_training_bundle(model, bundle, name)
+
+
+def _load_model(path, bundle: DatasetBundle):
+    """The SetNet checkpoint ``path``, refused unless trained on ``bundle``."""
+    model, _ = load_setnet_checkpoint(path)
+    _check_bundle(model, bundle, f"model {path}")
+    return model
 
 
 def _load_detector(args):
-    """The --ddm detector, its config and the --bundle bundle, refused unless
-    the detector was trained on that bundle. A checkpoint that does not
-    record its training bundle is used with a warning."""
+    """The --ddm detector, its config and the --bundle bundle, refused unless trained on it."""
     ensemble, cfg = load_ddm_checkpoint(args.ddm)
     bundle = load_bundle(args.bundle)
-    if ensemble.bundle_sha256 is None:
-        print("warning: detector checkpoint does not record its training bundle; "
-              "the bundle is not checked", file=sys.stderr)
-    check_training_bundle(ensemble, bundle)
+    _check_bundle(ensemble, bundle, "detector")
     return ensemble, cfg, bundle
 
 
@@ -181,10 +173,10 @@ def _maybe_export_attention(args, model, bundle: DatasetBundle) -> None:
 
 
 def _cmd_eval_zsl(args) -> None:
-    model, _ = load_setnet_checkpoint(args.setnet)
     bundle = load_bundle(args.bundle)
+    model = _load_model(args.setnet, bundle)
     table = bundle.unseen_table()
-    idx = _test_indices_in(bundle, bundle.split.unseen_ids)
+    idx = _test_indices_in(bundle, bundle.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
     preds = bundle.map_rows(idx, lambda maps: predict(model, maps, table))
@@ -197,9 +189,9 @@ def _cmd_eval_zsl(args) -> None:
 
 
 def _cmd_eval_gzsl(args) -> None:
-    zsl_model, _ = load_setnet_checkpoint(args.zsl)
-    gzsl_model = zsl_model if args.gzsl is None else load_setnet_checkpoint(args.gzsl)[0]
     ensemble, _, bundle = _load_detector(args)
+    zsl_model = _load_model(args.zsl, bundle)
+    gzsl_model = zsl_model if args.gzsl is None else _load_model(args.gzsl, bundle)
     system = GzslSystem(detector=ensemble, zsl_model=zsl_model, gzsl_model=gzsl_model,
                         unseen_table=bundle.unseen_table(), full_table=bundle.table)
     idx = bundle.test_indices()
@@ -208,10 +200,9 @@ def _cmd_eval_gzsl(args) -> None:
     preds = bundle.map_rows(idx, lambda maps: classify_gzsl(system, maps))
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, bundle.table.class_ids)
-    seen_ids = set(bundle.split.seen_ids.tolist())
-    unseen_ids = set(bundle.split.unseen_ids.tolist())
+    seen_ids = set(bundle.seen_ids.tolist())  # every other table class is unseen
     seen = [a for c, a in per_class.items() if c in seen_ids]
-    unseen = [a for c, a in per_class.items() if c in unseen_ids]
+    unseen = [a for c, a in per_class.items() if c not in seen_ids]
     acc_seen = float(np.mean(seen)) if seen else 0.0
     acc_unseen = float(np.mean(unseen)) if unseen else 0.0
     h = harmonic_mean(acc_unseen, acc_seen)
@@ -230,8 +221,8 @@ def _cmd_eval_ood(args) -> None:
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in grid)):
         raise CliError("config key 'fnr_grid' must be a nonempty list of numbers")
     ensemble, _, bundle = _load_detector(args)
-    seen_idx = _test_indices_in(bundle, bundle.split.seen_ids)
-    unseen_idx = _test_indices_in(bundle, bundle.split.unseen_ids)
+    seen_idx = _test_indices_in(bundle, bundle.seen_ids)
+    unseen_idx = _test_indices_in(bundle, bundle.unseen_ids)
     if seen_idx.size == 0 or unseen_idx.size == 0:
         raise CliError("bundle needs both seen-class and unseen-class test samples")
     seen_deg = detector_degrees(ensemble, bundle, seen_idx)
@@ -259,16 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic feature-map bundle")
     p.add_argument("--config", required=True, help="run config JSON with a 'synthetic' section")
-    p.add_argument("--out", help="output bundle path (.sdnb)")
+    p.add_argument("--out", required=True, help="output bundle path (.sdnb)")
     p.add_argument("--seed", type=int, help="override synthetic.seed")
     p.set_defaults(func=_cmd_gen_synth)
 
     for name, desc in (("train-setnet", "train a classification model"),
                        ("train-ddm", "train a detector ensemble")):
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--bundle", help="input bundle path")
+        p.add_argument("--bundle", required=True, help="input bundle path")
         p.add_argument("--config", required=True, help="run config JSON with a 'train' section")
-        p.add_argument("--out", help="output checkpoint path")
+        p.add_argument("--out", required=True, help="output checkpoint path")
         p.add_argument("--seed", type=int)
         p.add_argument("--epochs", type=int)
         p.add_argument("--learning-rate", type=float)

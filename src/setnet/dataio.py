@@ -16,7 +16,7 @@ raises only ``FormatError`` and returns read-only views of the bytes read.
 A bundle's features stay float32, which the model upcasts exactly per
 batch; its semantic table is float64 holding float32 values, so save ->
 load is bitwise. A loaded bundle keeps the stored checksum as its
-``sha256``, which binds a detector to its training bundle. Identical seeds
+``sha256``, which binds a trained model to its bundle. Identical seeds
 give bitwise-identical bundles (numpy's default_rng, PCG64).
 
 Inference and the detector's pooled features read the bundle through
@@ -31,7 +31,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,42 +44,32 @@ CHUNK_ROWS = 256  # rows per inference forward, which bounds its float64 interme
 
 
 @dataclass
-class SplitSpec:
-    """Seen/unseen class ids plus per-sample train flags."""
-
-    seen_ids: np.ndarray    # sorted int64
-    unseen_ids: np.ndarray  # sorted int64
-    train_flags: np.ndarray  # (N,) bool
-
-    def __post_init__(self):
-        self.seen_ids = np.sort(np.asarray(self.seen_ids, dtype=np.int64))
-        self.unseen_ids = np.sort(np.asarray(self.unseen_ids, dtype=np.int64))
-        self.train_flags = np.asarray(self.train_flags, dtype=bool)
-        if np.isin(self.seen_ids, self.unseen_ids).any():
-            raise ValueError("seen and unseen class sets must be disjoint")
-
-
-@dataclass
 class DatasetBundle:
     """Feature maps + labels + semantic table + split, jointly validated.
 
-    ``sha256`` is the hex SHA-256 stored in the file the bundle was loaded
-    from; None for a bundle built in memory.
+    The split is held as the container stores it, seen class ids and a train
+    flag per sample; ``unseen_ids``, the table's other ids, is derived, so
+    save -> load cannot change it. ``sha256`` is the hex SHA-256 stored in the
+    file the bundle was loaded from; None for a bundle built in memory.
     """
 
-    features: np.ndarray  # (N, H, W, C) float32; float64 input must be f32-exact
-    labels: np.ndarray    # (N,) int64
+    features: np.ndarray     # (N, H, W, C) float32; float64 input must be f32-exact
+    labels: np.ndarray       # (N,) int64
     table: SemanticTable
-    split: SplitSpec
+    seen_ids: np.ndarray     # sorted int64
+    train_flags: np.ndarray  # (N,) bool
     sha256: str | None = None
+    unseen_ids: np.ndarray = field(init=False)  # sorted int64: the table's other ids
 
     def __post_init__(self):
         features = np.asarray(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.seen_ids = np.sort(np.asarray(self.seen_ids, dtype=np.int64))
+        self.train_flags = np.asarray(self.train_flags, dtype=bool)
         if features.ndim != 4:
             raise ValueError("features must be (N, H, W, C)")
         n = features.shape[0]
-        if self.labels.shape != (n,) or self.split.train_flags.shape != (n,):
+        if self.labels.shape != (n,) or self.train_flags.shape != (n,):
             raise ValueError("labels/flags length does not match sample count")
         if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
             raise ValueError("features contain non-finite values")  # min/max carry NaN and inf
@@ -90,15 +80,14 @@ class DatasetBundle:
         if not exact:
             raise ValueError("bundle floats must be exactly float32-representable")
         self.features = features
-        known = set(self.table.class_ids.tolist())
-        if not set(self.labels.tolist()) <= known:
+        ids = self.table.class_ids
+        if not np.isin(self.labels, ids).all():
             raise ValueError("a label references a class missing from the semantic table")
-        declared = set(self.split.seen_ids.tolist()) | set(self.split.unseen_ids.tolist())
-        if not declared <= known:
-            raise ValueError("split references classes missing from the semantic table")
-        seen = set(self.split.seen_ids.tolist())
-        train_classes = set(self.labels[self.split.train_flags].tolist())
-        if not train_classes <= seen:
+        seen = np.isin(ids, self.seen_ids)
+        if seen.sum() != self.seen_ids.size:
+            raise ValueError("seen ids must be distinct classes of the semantic table")
+        self.unseen_ids = np.sort(ids[~seen])
+        if not np.isin(self.labels[self.train_flags], self.seen_ids).all():
             raise ValueError("training samples must belong to seen classes")
 
     @property
@@ -110,10 +99,10 @@ class DatasetBundle:
         return tuple(self.features.shape[1:])
 
     def train_indices(self) -> np.ndarray:
-        return np.nonzero(self.split.train_flags)[0]
+        return np.nonzero(self.train_flags)[0]
 
     def test_indices(self) -> np.ndarray:
-        return np.nonzero(~self.split.train_flags)[0]
+        return np.nonzero(~self.train_flags)[0]
 
     def map_rows(self, indices: np.ndarray, fn) -> np.ndarray:
         """``fn(features[indices[a:b]])`` joined on the first axis, over the
@@ -126,10 +115,10 @@ class DatasetBundle:
         return np.concatenate([fn(self.features[indices[a:b]]) for a, b in zip(ends, ends[1:])])
 
     def seen_table(self) -> SemanticTable:
-        return self.table.subset(self.split.seen_ids)
+        return self.table.subset(self.seen_ids)
 
     def unseen_table(self) -> SemanticTable:
-        return self.table.subset(self.split.unseen_ids)
+        return self.table.subset(self.unseen_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +227,18 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
     """Write a bundle container; the bundle validates on construction."""
     write_container(path, "bundle", {}, {
         "class_ids": bundle.table.class_ids, "semantics": bundle.table.vectors,
-        "seen_ids": bundle.split.seen_ids, "labels": bundle.labels,
-        "train_flags": bundle.split.train_flags, "features": bundle.features})
+        "seen_ids": bundle.seen_ids, "labels": bundle.labels,
+        "train_flags": bundle.train_flags, "features": bundle.features})
 
 
 def load_bundle(path) -> DatasetBundle:
     _, t, digest = read_container(path, "bundle")
     if np.any(t["train_flags"] > 1):
         raise FormatError("train flags must be 0 or 1")
-    class_ids = t["class_ids"].astype(np.int64)
     try:
-        split = SplitSpec(seen_ids=t["seen_ids"], train_flags=t["train_flags"].astype(bool),
-                          unseen_ids=class_ids[~np.isin(class_ids, t["seen_ids"])])
-        return DatasetBundle(features=t["features"], labels=t["labels"], split=split, sha256=digest,
-                             table=SemanticTable(class_ids=class_ids, vectors=t["semantics"]))
+        return DatasetBundle(features=t["features"], labels=t["labels"], seen_ids=t["seen_ids"],
+                             train_flags=t["train_flags"], sha256=digest,
+                             table=SemanticTable(class_ids=t["class_ids"], vectors=t["semantics"]))
     except ValueError as e:
         raise FormatError(f"invalid bundle: {e}") from e
 
@@ -357,6 +344,5 @@ def gen_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         n_test = int(round(block.shape[0] * 0.2))
         if n_test:
             flags[rng.choice(block, size=n_test, replace=False)] = False
-    split = SplitSpec(seen_ids=np.arange(spec.seen_classes),
-                      unseen_ids=np.arange(spec.seen_classes, total_classes), train_flags=flags)
-    return DatasetBundle(features=features, labels=labels, table=table, split=split)
+    return DatasetBundle(features=features, labels=labels, table=table,
+                         seen_ids=np.arange(spec.seen_classes), train_flags=flags)

@@ -86,7 +86,9 @@ class SetNetModel:
     second bias: a per-head constant shifts every cell of its map equally and
     cancels exactly under the spatial softmax. Head k's affine projector maps
     its pooled (C,) feature to semantic space with ``proj_w[k]`` (C, S) and
-    ``proj_b[k]`` (S,).
+    ``proj_b[k]`` (S,). ``bundle_sha256`` is the SHA-256 stored in the bundle
+    file the model was trained on, when known; ``train.check_training_bundle``
+    refuses any other.
     """
 
     w1: np.ndarray
@@ -95,6 +97,7 @@ class SetNetModel:
     proj_w: np.ndarray
     proj_b: np.ndarray
     diversity_weight: float = 0.2
+    bundle_sha256: str | None = None
 
     def __post_init__(self):
         c, hidden = self.w1.shape if self.w1.ndim == 2 else (-1, -1)

@@ -1,15 +1,16 @@
 """Inner-disagreement out-of-distribution detection.
 
-Seen classes are split into I folds. For each fold one small classifier
-(sub-detector) is trained with the other I-1 folds as its in-distribution
-classes and the fold itself as virtual OOD data: cross-entropy on ID
-samples plus KL-to-uniform on the virtual OOD predictions. At test time
-every sub-detector emits a confidence score (max softmax probability minus
-prediction entropy); the disagreement degree is the mean of the top I-1
-scores minus the smallest. Seen-class inputs are ID data for most
-sub-detectors and OOD for one, so they produce large disagreement; inputs
-from classes nobody saw score uniformly low and produce small disagreement.
-A degree below the calibrated threshold flags the input as unseen.
+``partition_classes`` splits the seen classes into I folds (lists of ids).
+For each fold one small classifier (sub-detector) is trained with the other
+seen classes as its in-distribution classes and the fold itself as virtual
+OOD data: cross-entropy on ID samples plus KL-to-uniform on the virtual OOD
+predictions. At test time every sub-detector emits a confidence score (max
+softmax probability minus prediction entropy); the disagreement degree is
+the mean of the top I-1 scores minus the smallest. Seen-class inputs are ID
+data for most sub-detectors and OOD for one, so they produce large
+disagreement; inputs from classes nobody saw score uniformly low and produce
+small disagreement. A degree below the calibrated threshold flags the input
+as unseen.
 
 The I sub-detectors live stacked on a leading fold axis in ``DdmEnsemble``
 (output columns zero-padded to the widest fold and masked with -inf), from
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +40,10 @@ class Domain(enum.Enum):
     UNSEEN = "unseen"
 
 
-@dataclass
-class FoldPartition:
-    """Disjoint seen-class folds whose sizes differ by at most one."""
-
-    fold_count: int
-    folds: list[list[int]]
-
-    def __post_init__(self):
-        if self.fold_count != len(self.folds):
-            raise ValueError("fold count does not match fold list")
-        flat = [c for fold in self.folds for c in fold]
-        if len(set(flat)) != len(flat):
-            raise ValueError("folds must be pairwise disjoint")
-        sizes = [len(f) for f in self.folds]
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise ValueError("fold sizes may differ by at most 1")
-
-    def id_classes(self, fold_index: int) -> list[int]:
-        """Sorted ID class ids for one sub-detector: everything outside its fold."""
-        return sorted(c for i, fold in enumerate(self.folds) if i != fold_index for c in fold)
-
-
-def partition_classes(seen_ids, fold_count: int, seed: int) -> FoldPartition:
-    """Seeded shuffle of the seen classes followed by round-robin assignment."""
+def partition_classes(seen_ids, fold_count: int, seed: int) -> list[list[int]]:
+    """Disjoint folds of the seen classes whose sizes differ by at most one:
+    a seeded shuffle followed by round-robin assignment. A fold's sub-detector
+    takes the seen classes outside it as its ID classes."""
     ids = [int(c) for c in seen_ids]
     if len(set(ids)) != len(ids):
         raise ValueError("seen class ids must be unique")
@@ -76,7 +56,7 @@ def partition_classes(seen_ids, fold_count: int, seed: int) -> FoldPartition:
     folds: list[list[int]] = [[] for _ in range(fold_count)]
     for j, idx in enumerate(order):
         folds[j % fold_count].append(ids[idx])
-    return FoldPartition(fold_count=fold_count, folds=folds)
+    return folds
 
 
 @dataclass
@@ -88,8 +68,8 @@ class DdmEnsemble:
     ``b1[i]`` (H,), a ReLU, ``w2[i]`` (H, N) and ``b2[i]`` (N,) to logits over
     its ID classes ``fold_ids[i]``: sorted ids padded with -1 to the widest
     fold's N, whose columns are masked out. ``bundle_sha256`` is the SHA-256
-    stored in the bundle file the detector was trained on (64 lowercase hex
-    digits), when known; ``train.check_training_bundle`` refuses any other.
+    stored in the bundle file the detector was trained on, when known;
+    ``train.check_training_bundle`` refuses any other.
     ``holdout_seed`` names the calibration holdout its folds never saw.
     """
 
@@ -114,9 +94,6 @@ class DdmEnsemble:
         self.fold_ids = _check_fold_ids(self.fold_ids)
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        digest = self.bundle_sha256
-        if digest is not None and not re.fullmatch("[0-9a-f]{64}", str(digest)):
-            raise ValueError(f"bundle_sha256 must be 64 lowercase hex digits, got {digest!r:.80}")
 
     @property
     def in_dim(self) -> int:

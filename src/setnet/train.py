@@ -15,18 +15,20 @@ stops training with a ``FloatingPointError`` that names the epoch and step,
 and the fold for the detector.
 
 A checkpoint is a ``dataio`` container of kind "setnet" or "ddm" whose
-meta holds the train config. "setnet" stores the model's five flat arrays
-under their ``parameters()`` names ("attn.w1", "attn.b1", "attn.w2", and
-the stacked projectors "proj.w" (K, V, S) and "proj.b" (K, S)), and its
-diversity weight in the meta. "ddm" stores the fold-stacked detector ("w1",
-"b1", "w2", "b2" and the -1-padded (I, N) class-id table "ids"), with the
-calibrated "theta" and the training bundle's "bundle_sha256" in the meta
-once they are set.
+meta holds the train config and, once set, the training bundle's stored
+SHA-256 as "bundle_sha256" (64 lowercase hex digits), which
+``check_training_bundle`` compares with a bundle's. "setnet" stores the
+model's five flat arrays under their ``parameters()`` names ("attn.w1",
+"attn.b1", "attn.w2", and the stacked projectors "proj.w" (K, V, S) and
+"proj.b" (K, S)), and its diversity weight in the meta. "ddm" stores the
+fold-stacked detector ("w1", "b1", "w2", "b2" and the -1-padded (I, N)
+class-id table "ids"), with the calibrated "theta" in the meta once set.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from dataclasses import dataclass
 
@@ -134,7 +136,7 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     """SGD on the minibatch-mean total loss over seen-class training samples.
 
     ``epoch_callback(epoch, mean_loss)``, when given, sees every epoch's
-    mean per-sample training loss.
+    mean per-sample training loss. The model carries the bundle's file digest.
     """
     train_idx = bundle.train_indices()
     if train_idx.size == 0:
@@ -162,6 +164,7 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
                               cfg.diversity_sign, grad_views), grad
 
     _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
+    model.bundle_sha256 = bundle.sha256
     return model
 
 
@@ -173,8 +176,8 @@ def holdout_indices(bundle: DatasetBundle, seed: int) -> np.ndarray:
     calibration and excluded from sub-detector training."""
     rng = _rng(seed, 0xCA1)
     held: list[np.ndarray] = []
-    for cls in bundle.split.seen_ids:
-        block = np.nonzero((bundle.labels == cls) & bundle.split.train_flags)[0]
+    for cls in bundle.seen_ids:
+        block = np.nonzero((bundle.labels == cls) & bundle.train_flags)[0]
         if block.size < 2:
             continue
         n_hold = max(1, int(round(block.size * HOLDOUT_FRACTION)))
@@ -205,7 +208,8 @@ def _split_slots(n: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> DdmEnsemble:
-    """Train one sub-detector per fold on its ID/virtual-OOD split.
+    """Train one sub-detector per fold of ``partition_classes``: the seen
+    classes outside the fold are its ID classes, the fold its virtual OOD.
 
     Every fold keeps its own schedule: its init draws, its shuffler stream,
     and an epoch of ceil(ID rows / batch size) steps (at least one), over
@@ -218,7 +222,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     file digest and its holdout seed, cfg.seed; that calibration holdout never
     reaches any sub-detector.
     """
-    partition = partition_classes(bundle.split.seen_ids.tolist(), cfg.fold_count, cfg.seed)
+    partition = partition_classes(bundle.seen_ids, cfg.fold_count, cfg.seed)
     train_idx = bundle.train_indices()
     train_idx = train_idx[~np.isin(train_idx, holdout_indices(bundle, cfg.seed))]
     if train_idx.size == 0:
@@ -226,7 +230,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     labels = bundle.labels[train_idx]
     n, folds = train_idx.size, cfg.fold_count
     feats = np.vstack([pooled_features(bundle, train_idx), np.zeros((1, bundle.map_shape[2]))])
-    ids = [partition.id_classes(i) for i in range(folds)]
+    ids = [bundle.seen_ids[~np.isin(bundle.seen_ids, fold)] for fold in partition]
     e = init_ddm(ids, feats.shape[1], cfg.ddm_hidden,
                  [_rng(cfg.seed, 0xDD, i) for i in range(folds)])
     arrays = [e.w1, e.b1, e.w2, e.b2]
@@ -239,7 +243,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     local = np.full((folds, n + 1), -1)
     layout = []  # per fold: ID rows, OOD rows, and (step, slot, weight) of each in order
     for i in range(folds):
-        is_ood = np.isin(labels, partition.folds[i])
+        is_ood = np.isin(labels, partition[i])
         id_rows, ood_rows = np.flatnonzero(~is_ood), np.flatnonzero(is_ood)
         local[i, id_rows] = np.searchsorted(ids[i], labels[id_rows])  # sorted ids
         n_steps = max(1, -(-id_rows.size // cfg.batch_size))
@@ -275,12 +279,13 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     return e
 
 
-def check_training_bundle(ensemble: DdmEnsemble, bundle: DatasetBundle) -> None:
-    """Refuse a bundle whose file digest differs from the one the ensemble
-    was trained on; the check is skipped when either digest is unknown."""
-    known = ensemble.bundle_sha256 is not None and bundle.sha256 is not None
-    if known and ensemble.bundle_sha256 != bundle.sha256:
-        raise ValueError("bundle is not the bundle the detector was trained on")
+def check_training_bundle(model, bundle: DatasetBundle, name: str = "detector") -> None:
+    """Refuse a bundle whose file digest differs from the one ``model``, a
+    ``DdmEnsemble`` or a ``SetNetModel`` called ``name`` in the message, was
+    trained on; the check is skipped when either digest is unknown."""
+    known = model.bundle_sha256 is not None and bundle.sha256 is not None
+    if known and model.bundle_sha256 != bundle.sha256:
+        raise ValueError(f"bundle is not the bundle the {name} was trained on")
 
 
 def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
@@ -302,8 +307,15 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _checked_digest(digest):
+    """A training-bundle digest as checkpoints hold it: None or 64 lowercase hex digits."""
+    if digest is not None and not re.fullmatch("[0-9a-f]{64}", str(digest)):
+        raise ValueError(f"bundle_sha256 must be 64 lowercase hex digits, got {digest!r:.80}")
+    return digest
+
+
 def save_checkpoint(path, model, cfg: TrainConfig) -> None:
-    """Write a SetNetModel or DdmEnsemble with its config."""
+    """Write a SetNetModel or DdmEnsemble with its config and training-bundle digest."""
     meta = {"config": dataclasses.asdict(cfg)}
     if isinstance(model, SetNetModel):
         kind, tensors = "setnet", model.parameters()
@@ -312,11 +324,11 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
         if model.holdout_seed not in (None, cfg.seed):
             raise ValueError("config seed differs from the detector's holdout seed")
         kind, tensors = "ddm", dict(model.parameters(), ids=model.fold_ids)
-        meta.update((name, value) for name, value in (("theta", model.theta),
-                    ("bundle_sha256", model.bundle_sha256)) if value is not None)
+        meta["theta"] = model.theta
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
-    write_container(path, kind, meta, tensors)
+    meta["bundle_sha256"] = _checked_digest(model.bundle_sha256)
+    write_container(path, kind, {k: v for k, v in meta.items() if v is not None}, tensors)
 
 
 def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict, dict[str, np.ndarray]]:
@@ -331,7 +343,8 @@ def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
     cfg, meta, t = _read_checkpoint(path, "setnet")
     try:  # the constructor checks that the tensor shapes fit together
         model = SetNetModel(w1=t["attn.w1"], b1=t["attn.b1"], w2=t["attn.w2"], proj_w=t["proj.w"],
-                            proj_b=t["proj.b"], diversity_weight=float(meta["diversity_weight"]))
+                            proj_b=t["proj.b"], diversity_weight=float(meta["diversity_weight"]),
+                            bundle_sha256=_checked_digest(meta.get("bundle_sha256")))
         if model.w2.shape != (cfg.hidden_channels, cfg.head_count):
             raise ValueError("the tensors do not have the config's head_count and hidden_channels")
         return model, cfg
@@ -341,9 +354,9 @@ def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
 
 def load_ddm_checkpoint(path) -> tuple[DdmEnsemble, TrainConfig]:
     cfg, meta, t = _read_checkpoint(path, "ddm")
-    try:  # the constructor checks the shapes, the fold class-id table and the digest
+    try:  # the constructor checks the shapes and the fold class-id table
         return DdmEnsemble(w1=t["w1"], b1=t["b1"], w2=t["w2"], b2=t["b2"], fold_ids=t["ids"],
-                           theta=meta.get("theta"), bundle_sha256=meta.get("bundle_sha256"),
-                           holdout_seed=cfg.seed), cfg
+                           theta=meta.get("theta"), holdout_seed=cfg.seed,
+                           bundle_sha256=_checked_digest(meta.get("bundle_sha256"))), cfg
     except (TypeError, ValueError) as e:
         raise FormatError(f"invalid ddm checkpoint: {e}") from e

@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
+from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic
 from setnet.metrics import EvalReport
 from setnet.model import SemanticTable, init_setnet
 from setnet.ood import init_ddm, partition_classes, subddm_loss
@@ -45,8 +45,7 @@ def bundle_of(fmaps):
     n = len(fmaps)
     return DatasetBundle(features=fmaps, labels=np.zeros(n, dtype=np.int64),
                          table=SemanticTable(class_ids=[0], vectors=[[1.0]]),
-                         split=SplitSpec(seen_ids=[0], unseen_ids=[],
-                                         train_flags=np.zeros(n, dtype=bool)))
+                         seen_ids=[0], train_flags=np.zeros(n, dtype=bool))
 
 
 def report_from_json(text) -> EvalReport:
@@ -103,11 +102,16 @@ def fold_params(e, i):
             "w2": e.w2[i, :, :n], "b2": e.b2[i, :n]}
 
 
+def id_classes(seen_ids, folds):
+    """Each fold's sorted ID classes: the seen classes outside it."""
+    return [sorted(set(seen_ids) - set(fold)) for fold in folds]
+
+
 def ragged_ensemble(rng, in_dim=6, hidden=8):
     """Three stacked sub-detectors for 5 classes in 3 folds: 3, 3 and 4 ID
     classes, so two folds have a padding column."""
-    part = partition_classes(range(5), 3, seed=0)
-    return init_ddm([part.id_classes(i) for i in range(3)], in_dim, hidden, [rng] * 3)
+    return init_ddm(id_classes(range(5), partition_classes(range(5), 3, seed=0)), in_dim, hidden,
+                    [rng] * 3)
 
 
 def ragged_chunks(rng, e, finished=None):
@@ -221,9 +225,9 @@ def bundle_tensors(bundle) -> dict:
     """The tensors of a bundle container, with the dtypes the format stores."""
     return {"class_ids": bundle.table.class_ids.astype("<u4"),
             "semantics": bundle.table.vectors.astype("<f4"),
-            "seen_ids": bundle.split.seen_ids.astype("<u4"),
+            "seen_ids": bundle.seen_ids.astype("<u4"),
             "labels": bundle.labels.astype("<u4"),
-            "train_flags": bundle.split.train_flags.astype("<u1"),
+            "train_flags": bundle.train_flags.astype("<u1"),
             "features": bundle.features.astype("<f4")}
 
 
@@ -234,7 +238,7 @@ def v1_bundle_bytes(bundle) -> bytes:
     """``bundle`` in the version 1 "SDNB" layout."""
     n, h, w, c = bundle.features.shape
     d, s = bundle.table.vectors.shape
-    return b"".join([b"SDNB", struct.pack("<8I", 1, n, h, w, c, s, d, len(bundle.split.seen_ids)),
+    return b"".join([b"SDNB", struct.pack("<8I", 1, n, h, w, c, s, d, len(bundle.seen_ids)),
                      *(a.tobytes() for a in bundle_tensors(bundle).values())])
 
 

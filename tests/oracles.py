@@ -147,7 +147,7 @@ def ridge_prototype_acc(bundle):
     y = np.stack([bundle.table.vectors[id_to_row[int(bundle.labels[i])]] for i in tr])
     w = np.linalg.lstsq(x, y, rcond=None)[0]
 
-    unseen = set(bundle.split.unseen_ids.tolist())
+    unseen = set(bundle.unseen_ids.tolist())
     idx = [i for i in bundle.test_indices() if int(bundle.labels[i]) in unseen]
     ut = bundle.unseen_table()
     preds = []
@@ -281,7 +281,8 @@ def train_ddm_per_fold(bundle, cfg):
     from setnet.ood import partition_classes
     from setnet.train import holdout_indices, pooled_features
 
-    partition = partition_classes(bundle.split.seen_ids.tolist(), cfg.fold_count, cfg.seed)
+    seen = bundle.seen_ids.tolist()
+    folds = partition_classes(seen, cfg.fold_count, cfg.seed)
     held = set(holdout_indices(bundle, cfg.seed).tolist())
     train_idx = np.array([i for i in bundle.train_indices() if i not in held], dtype=np.int64)
     feats = pooled_features(bundle, train_idx)
@@ -289,9 +290,9 @@ def train_ddm_per_fold(bundle, cfg):
     subs = []
     epoch_losses = np.zeros(cfg.epochs)
     for i in range(cfg.fold_count):
-        is_ood = np.isin(labels, partition.folds[i])
+        is_ood = np.isin(labels, folds[i])
         id_rows, ood_rows = np.nonzero(~is_ood)[0], np.nonzero(is_ood)[0]
-        sub = init_fold_per_fold(partition.id_classes(i), feats.shape[1], cfg.ddm_hidden,
+        sub = init_fold_per_fold(sorted(set(seen) - set(folds[i])), feats.shape[1], cfg.ddm_hidden,
                                  np.random.default_rng([cfg.seed, 0xDD, i]))
         shuffler = np.random.default_rng([cfg.seed, 0xDE, i])
         for epoch in range(cfg.epochs):

@@ -21,8 +21,8 @@ from setnet.train import (TrainConfig, calibrate_ensemble, load_setnet_checkpoin
                           save_checkpoint, train_ddm, train_setnet)
 
 import conftest
-from conftest import (fold_ids_of, random_model, random_table, safe_instance, stacked_batch,
-                      subddm_loss_and_grads)
+from conftest import (fold_ids_of, id_classes, random_model, random_table, safe_instance,
+                      stacked_batch, subddm_loss_and_grads)
 from oracles import (confidence_brute, disagreement_brute, diversity_brute,
                      ensemble_logits_brute, hellinger_sq_brute, per_class_top1_brute,
                      ridge_prototype_acc, tnr_at_fnr_brute)
@@ -56,7 +56,7 @@ def zsl_models(bundle):
 
 @pytest.fixture(scope="module")
 def unseen_eval(bundle):
-    unseen = set(bundle.split.unseen_ids.tolist())
+    unseen = set(bundle.unseen_ids.tolist())
     idx = np.array([i for i in bundle.test_indices() if int(bundle.labels[i]) in unseen])
     return idx, bundle.unseen_table()
 
@@ -86,8 +86,7 @@ def test_criterion_1_gradient_fidelity():
     classes = list(range(5))
     for seed in range(20):
         rng = np.random.default_rng([seed, 0xACC1])
-        part = partition_classes(classes, 3, seed)
-        e = init_ddm([part.id_classes(i) for i in range(3)], 8, 16, [rng] * 3)
+        e = init_ddm(id_classes(classes, partition_classes(classes, 3, seed)), 8, 16, [rng] * 3)
         chunks = []
         for i, (n_id, n_ood) in enumerate([(4, 3), (3, 2), (2, 1)]):
             feats = rng.normal(size=(n_id + n_ood, 4, 4, 8)).mean(axis=(1, 2))
@@ -135,8 +134,7 @@ def test_criterion_2_formula_oracles():
         worst["ensemble_logits"] = max(worst["ensemble_logits"], float(np.abs(got - want).max()))
 
         # a ragged 3-fold ensemble (3, 3 and 4 ID classes): every fold's column
-        part = partition_classes(range(5), 3, seed)
-        e = init_ddm([part.id_classes(i) for i in range(3)], 5, 8, [rng] * 3)
+        e = init_ddm(id_classes(range(5), partition_classes(range(5), 3, seed)), 5, 8, [rng] * 3)
         feat = rng.normal(size=5)
         got = confidence(e, feat[None])[0]
         for i, n in enumerate(e.class_counts):
@@ -227,8 +225,8 @@ def test_criterion_6_diversity_effect(bundle, zsl_models):
 def test_criterion_7_detector_routing_effect(bundle, zsl_models):
     models, _ = zsl_models
     test_idx = bundle.test_indices()
-    seen = set(bundle.split.seen_ids.tolist())
-    unseen = set(bundle.split.unseen_ids.tolist())
+    seen = set(bundle.seen_ids.tolist())
+    unseen = set(bundle.unseen_ids.tolist())
 
     def gzsl_h(preds):
         pc = per_class_accuracy(preds, bundle.labels[test_idx], bundle.table.class_ids)

@@ -453,13 +453,16 @@ def test_eval_zsl_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
     cfg.write_text(json.dumps({"synthetic": dict(SYNTH, channels=6)}))
     bundle = tmp_path / "six.sdnb"
     assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
+    bare = bare_setnet(workdir, tmp_path)  # so the bundle digest check cannot refuse it first
     report = tmp_path / "zsl.json"
     capsys.readouterr()
-    rc = main(["eval-zsl", "--setnet", str(workdir["setnet"]), "--bundle", str(bundle),
+    rc = main(["eval-zsl", "--setnet", str(bare), "--bundle", str(bundle),
                "--report", str(report)])
     captured = capsys.readouterr()
     assert rc == 1 and not report.exists() and captured.out == ""
     assert captured.err.splitlines() == [
+        f"warning: model {bare} checkpoint does not record its training bundle; "
+        "the bundle is not checked",
         "error: channel mismatch: feature maps have 6 channels, the model takes 8"]
 
 
@@ -484,21 +487,33 @@ def test_detector_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
     assert err_lines[1] == "error: channel mismatch: features have 6 channels, the detector takes 8"
 
 
+def bare_setnet(workdir, root):
+    """The workdir SetNet checkpoint without its training-bundle digest."""
+    model, cfg = load_setnet_checkpoint(workdir["setnet"])
+    assert model.bundle_sha256 is not None
+    model.bundle_sha256 = None
+    bare = root / "bare-setnet.sdnc"
+    save_checkpoint(bare, model, cfg)
+    return bare
+
+
 @pytest.fixture(scope="module")
 def foreign(workdir, tmp_path_factory):
-    """A detector trained and calibrated on a seed-1 bundle, and a seed-2
-    bundle it was not trained on."""
+    """A SetNet and a detector trained, and the detector calibrated, on a
+    seed-1 bundle, and a seed-2 bundle neither was trained on."""
     root = tmp_path_factory.mktemp("foreign")
     bundles = {seed: root / f"seed{seed}.sdnb" for seed in (1, 2)}
     for seed, path in bundles.items():
         assert main(["gen-synth", "--config", str(workdir["cfg"]), "--out", str(path),
                      "--seed", str(seed)]) == 0
-    ddm, calibrated = root / "ddm1.sdnc", root / "ddm1-cal.sdnc"
+    setnet, ddm, calibrated = root / "setnet1.sdnc", root / "ddm1.sdnc", root / "ddm1-cal.sdnc"
+    assert main(["train-setnet", "--bundle", str(bundles[1]), "--config", str(workdir["cfg"]),
+                 "--out", str(setnet)]) == 0
     assert main(["train-ddm", "--bundle", str(bundles[1]), "--config", str(workdir["cfg"]),
                  "--out", str(ddm), "--learning-rate", "0.2"]) == 0
     assert main(["calibrate", "--ddm", str(ddm), "--bundle", str(bundles[1]),
                  "--fnr", "0.11", "--out", str(calibrated)]) == 0
-    return {"bundles": bundles, "ddm": calibrated}
+    return {"bundles": bundles, "setnet": setnet, "ddm": calibrated}
 
 
 def eval_argv(command, setnet, ddm, bundle, report):
@@ -507,17 +522,83 @@ def eval_argv(command, setnet, ddm, bundle, report):
 
 
 @pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
-def test_eval_refuses_a_bundle_the_detector_was_not_trained_on(workdir, foreign, tmp_path,
-                                                               capsys, command):
+def test_eval_refuses_a_bundle_the_detector_was_not_trained_on(foreign, tmp_path, capsys, command):
     capsys.readouterr()
     report = tmp_path / "r.json"
-    rc = main(eval_argv(command, workdir["setnet"], foreign["ddm"], foreign["bundles"][2], report))
+    rc = main(eval_argv(command, foreign["setnet"], foreign["ddm"], foreign["bundles"][2], report))
     captured = capsys.readouterr()
     err_lines = captured.err.strip().splitlines()
     assert rc == 1 and not report.exists() and captured.out == ""
     assert len(err_lines) == 1 and err_lines[0].startswith("error:")
     assert "not the bundle the detector was trained on" in err_lines[0]
-    assert main(eval_argv(command, workdir["setnet"], foreign["ddm"], foreign["bundles"][1], report)) == 0
+    assert main(eval_argv(command, foreign["setnet"], foreign["ddm"], foreign["bundles"][1],
+                          report)) == 0
+
+
+@pytest.fixture(scope="module")
+def swapped_split(tmp_path_factory):
+    """Bundles A (4 seen, 2 unseen classes) and B (2 seen, 4 unseen) from one
+    synthetic seed, so they hold the same maps and table and differ only in
+    the split: B's "unseen" classes 2 and 3 are seen classes of A. A SetNet
+    trained on each, and a detector trained and calibrated on B."""
+    root = tmp_path_factory.mktemp("swapped")
+    files = {name: root / name for name in ("a.sdnb", "b.sdnb", "a.sdnc", "b.sdnc", "ddm-b.sdnc")}
+    for name, seen in (("a", 4), ("b", 2)):
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps({"synthetic": dict(SYNTH, seen_classes=seen,
+                                                     unseen_classes=6 - seen), "train": TRAIN}))
+        bundle = str(files[f"{name}.sdnb"])
+        assert main(["gen-synth", "--config", str(cfg), "--out", bundle]) == 0
+        assert main(["train-setnet", "--bundle", bundle, "--config", str(cfg),
+                     "--out", str(files[f"{name}.sdnc"])]) == 0
+    assert main(["train-ddm", "--bundle", str(files["b.sdnb"]), "--config", str(root / "b.json"),
+                 "--out", str(files["ddm-b.sdnc"]), "--learning-rate", "0.2"]) == 0
+    assert main(["calibrate", "--ddm", str(files["ddm-b.sdnc"]), "--bundle", str(files["b.sdnb"]),
+                 "--fnr", "0.11", "--out", str(files["ddm-b.sdnc"])]) == 0
+    return files
+
+
+@pytest.mark.parametrize("models", [("eval-zsl", "a.sdnc"), ("eval-gzsl", "a.sdnc"),
+                                    ("eval-gzsl", "b.sdnc", "a.sdnc")],
+                         ids=["zsl", "gzsl_zsl_route", "gzsl_full_route"])
+def test_eval_refuses_a_model_trained_on_another_split(swapped_split, tmp_path, capsys, models):
+    """A model trained on A and scored on B would call its own training
+    classes unseen; each command names the checkpoint it refuses."""
+    command, *names = models
+    flags = ["--setnet"] if command == "eval-zsl" else ["--zsl", "--gzsl"]
+    argv = [command, "--bundle", str(swapped_split["b.sdnb"]), "--report", str(tmp_path / "r.json")]
+    if command == "eval-gzsl":
+        argv += ["--ddm", str(swapped_split["ddm-b.sdnc"])]
+    capsys.readouterr()
+    given = [a for flag, name in zip(flags, names) for a in (flag, str(swapped_split[name]))]
+    rc = main(argv + given)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and not (tmp_path / "r.json").exists()
+    assert captured.err.splitlines() == [
+        f"error: bundle is not the bundle the model {swapped_split['a.sdnc']} was trained on"]
+    own = [a for flag in flags[:len(names)] for a in (flag, str(swapped_split["b.sdnc"]))]
+    assert main(argv + own) == 0
+
+
+@pytest.mark.parametrize("command", ["eval-zsl", "eval-gzsl"])
+def test_eval_warns_for_a_model_without_bundle_digest(workdir, tmp_path, capsys, command):
+    bare = bare_setnet(workdir, tmp_path)
+    reports = {setnet: tmp_path / f"{setnet.stem}.json" for setnet in (bare, workdir["setnet"])}
+
+    def argv(setnet):
+        if command == "eval-zsl":
+            return ["eval-zsl", "--setnet", str(setnet), "--bundle", str(workdir["bundle"]),
+                    "--report", str(reports[setnet])]
+        return eval_argv(command, setnet, workdir["calibrated"], workdir["bundle"], reports[setnet])
+
+    capsys.readouterr()
+    assert main(argv(bare)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: model {bare} checkpoint does not record its training bundle; "
+        "the bundle is not checked"]
+    assert main(argv(workdir["setnet"])) == 0
+    assert capsys.readouterr().err == ""
+    assert reports[bare].read_bytes() == reports[workdir["setnet"]].read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
@@ -567,6 +648,31 @@ def test_missing_flag_fails_with_prefix(capsys):
     rc = main(["calibrate", "--fnr", "0.1"])
     assert rc != 0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_config_paths_section_is_an_unknown_key(workdir, tmp_path, capsys):
+    """Paths come from flags only: a "paths" section is refused, not ignored,
+    and --bundle and --out are required."""
+    cfg = tmp_path / "paths.json"
+    cfg.write_text(json.dumps({"train": TRAIN, "paths": {"report": str(tmp_path / "r.json"),
+                                                         "setnet": str(tmp_path / "m.sdnc")}}))
+    out = tmp_path / "x.sdnc"
+    capsys.readouterr()
+    rc = main(["train-setnet", "--bundle", str(workdir["bundle"]), "--config", str(cfg),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == ["error: unknown config key 'paths'"]
+    for command, flag in (("gen-synth", "--out"), ("train-setnet", "--out"),
+                          ("train-ddm", "--bundle")):
+        argv = [command, "--config", str(workdir["cfg"]), "--bundle", str(workdir["bundle"]),
+                "--out", str(out)]
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        if command == "gen-synth":
+            del argv[argv.index("--bundle"):argv.index("--bundle") + 2]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the following arguments are required: {flag}"]
 
 
 def test_console_script_entry_point(workdir, tmp_path):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setnet.dataio import (MAGIC, DatasetBundle, SplitSpec, SyntheticSpec,
-                           gen_synthetic, load_bundle, save_bundle)
+from setnet.dataio import (MAGIC, DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle,
+                           save_bundle)
 from setnet.errors import FormatError
 from setnet.model import SemanticTable, init_setnet
 from setnet.ood import init_ddm, partition_classes
@@ -19,9 +19,14 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
             and np.array_equal(a.labels, b.labels)
             and np.array_equal(a.table.class_ids, b.table.class_ids)
             and np.array_equal(a.table.vectors, b.table.vectors)
-            and np.array_equal(a.split.seen_ids, b.split.seen_ids)
-            and np.array_equal(a.split.unseen_ids, b.split.unseen_ids)
-            and np.array_equal(a.split.train_flags, b.split.train_flags))
+            and np.array_equal(a.seen_ids, b.seen_ids)
+            and np.array_equal(a.unseen_ids, b.unseen_ids)
+            and np.array_equal(a.train_flags, b.train_flags))
+
+
+def tables_equal(a: SemanticTable, b: SemanticTable) -> bool:
+    return (np.array_equal(a.class_ids, b.class_ids) and a.class_ids.dtype == b.class_ids.dtype
+            and np.array_equal(a.vectors, b.vectors) and a.vectors.dtype == b.vectors.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -43,26 +48,33 @@ def test_round_trip_stable_bytes(tiny_bundle, tmp_path):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_round_trip_random_bundles(tmp_path_factory, seed):
+    # distinct class ids anywhere in the u32 range, in table order; a random
+    # seen subset, from none to all; rows of every class, train rows only of
+    # seen classes, so unseen classes have test rows
     rng = np.random.default_rng(seed)
     d, s = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-    n, h, w, c = int(rng.integers(1, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    n, h, w, c = (int(rng.integers(lo, hi)) for lo, hi in ((0, 8), (1, 4), (1, 4), (1, 5)))
     vecs = rng.normal(size=(d, s))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     vecs = vecs.astype(np.float32).astype(np.float64)
-    table = SemanticTable(class_ids=np.arange(d), vectors=vecs)
-    n_seen = int(rng.integers(1, d + 1))
-    seen = np.arange(n_seen)
-    labels = rng.integers(0, n_seen, size=n)  # train-safe labels
-    flags = rng.integers(0, 2, size=n).astype(bool)
+    class_ids = rng.choice([*range(8), 1000, 2**31, 2**32 - 1], size=d, replace=False)
+    table = SemanticTable(class_ids=class_ids, vectors=vecs)
+    seen = rng.choice(class_ids, size=int(rng.integers(0, d + 1)), replace=False)
+    labels = np.concatenate([class_ids, rng.choice(class_ids, size=n)])
+    flags = rng.integers(0, 2, size=labels.size).astype(bool) & np.isin(labels, seen)
     bundle = DatasetBundle(
-        features=rng.normal(size=(n, h, w, c)).astype(np.float32).astype(np.float64),
-        labels=labels,
-        table=table,
-        split=SplitSpec(seen_ids=seen, unseen_ids=np.arange(n_seen, d), train_flags=flags),
-    )
+        features=rng.normal(size=(labels.size, h, w, c)).astype(np.float32).astype(np.float64),
+        labels=labels, table=table, seen_ids=seen, train_flags=flags)
     path = tmp_path_factory.mktemp("rt") / "b.sdnb"
     save_bundle(bundle, path)
-    assert bundles_equal(bundle, load_bundle(path))
+    loaded = load_bundle(path)
+    assert bundles_equal(bundle, loaded)
+    for name in ("features", "labels", "seen_ids", "unseen_ids", "train_flags"):
+        assert getattr(loaded, name).dtype == getattr(bundle, name).dtype, name
+    np.testing.assert_array_equal(loaded.unseen_ids, np.sort(class_ids[~np.isin(class_ids, seen)]))
+    assert tables_equal(bundle.table, loaded.table)
+    assert tables_equal(bundle.seen_table(), loaded.seen_table())
+    assert tables_equal(bundle.unseen_table(), loaded.unseen_table())
 
 
 def test_loaded_features_are_a_read_only_f32_view_of_the_file_bytes(tiny_bundle, tmp_path):
@@ -77,7 +89,8 @@ def test_loaded_features_are_a_read_only_f32_view_of_the_file_bytes(tiny_bundle,
 
 def test_bundle_keeps_f32_features_and_converts_f64_once(tiny_bundle):
     f32 = np.array(tiny_bundle.features)
-    parts = dict(labels=tiny_bundle.labels, table=tiny_bundle.table, split=tiny_bundle.split)
+    parts = dict(labels=tiny_bundle.labels, table=tiny_bundle.table,
+                 seen_ids=tiny_bundle.seen_ids, train_flags=tiny_bundle.train_flags)
     assert DatasetBundle(features=f32, **parts).features is f32
     converted = DatasetBundle(features=f32.astype(np.float64), **parts).features
     assert converted.dtype == np.float32 and np.array_equal(converted, f32)
@@ -90,7 +103,7 @@ def test_bundle_rejects_non_finite_features(tiny_bundle, dtype, bad):
     features[3, 1, 2, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         DatasetBundle(features=features, labels=tiny_bundle.labels, table=tiny_bundle.table,
-                      split=tiny_bundle.split)
+                      seen_ids=tiny_bundle.seen_ids, train_flags=tiny_bundle.train_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +161,11 @@ def test_label_referencing_missing_class(tiny_bundle, tmp_path):
 
 @pytest.mark.parametrize("class_id", [-1, 2**32])
 def test_save_refuses_a_class_id_that_does_not_fit_u32(tiny_bundle, tmp_path, class_id):
-    table = tiny_bundle.table  # one more class, which no sample or split names
+    table = tiny_bundle.table  # one more class, which no sample names
     wider = SemanticTable(class_ids=np.append(table.class_ids, class_id),
                           vectors=np.vstack([table.vectors, table.vectors[:1]]))
     bundle = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels, table=wider,
-                           split=tiny_bundle.split)
+                           seen_ids=tiny_bundle.seen_ids, train_flags=tiny_bundle.train_flags)
     with pytest.raises(ValueError, match="^tensor 'class_ids' does not fit <u4 without changing"):
         save_bundle(bundle, tmp_path / "b.sdnb")
     assert not (tmp_path / "b.sdnb").exists()
@@ -229,14 +242,14 @@ def test_gen_satisfies_invariants(default_bundle):
     assert b.features.shape == (450, 4, 4, 32)
     norms = np.linalg.norm(b.table.vectors, axis=1)
     assert np.abs(norms - 1).max() <= 1e-9
-    train_classes = set(b.labels[b.split.train_flags].tolist())
-    assert train_classes <= set(b.split.seen_ids.tolist())
-    unseen_rows = np.isin(b.labels, b.split.unseen_ids)
-    assert not b.split.train_flags[unseen_rows].any()
+    train_classes = set(b.labels[b.train_flags].tolist())
+    assert train_classes <= set(b.seen_ids.tolist())
+    unseen_rows = np.isin(b.labels, b.unseen_ids)
+    assert not b.train_flags[unseen_rows].any()
     # 80/20 per seen class
-    for cls in b.split.seen_ids:
+    for cls in b.seen_ids:
         rows = b.labels == cls
-        assert int(b.split.train_flags[rows].sum()) == 24
+        assert int(b.train_flags[rows].sum()) == 24
 
 
 def test_gen_prototype_oracle_beats_chance(default_bundle):
@@ -296,10 +309,10 @@ def test_spec_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
 # folds over the split
 
 def test_make_folds_never_contain_unseen(default_bundle):
-    part = partition_classes(default_bundle.split.seen_ids.tolist(), 5, seed=3)
-    unseen = set(default_bundle.split.unseen_ids.tolist())
-    assert not any(set(f) & unseen for f in part.folds)
-    assert [len(f) for f in part.folds] == [2, 2, 2, 2, 2]
+    folds = partition_classes(default_bundle.seen_ids.tolist(), 5, seed=3)
+    unseen = set(default_bundle.unseen_ids.tolist())
+    assert not any(set(f) & unseen for f in folds)
+    assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +322,24 @@ def test_bundle_rejects_nonrepresentable_floats(tiny_bundle):
     with pytest.raises(ValueError):
         DatasetBundle(features=tiny_bundle.features.astype(np.float64) + 1e-12,
                       labels=tiny_bundle.labels, table=tiny_bundle.table,
-                      split=tiny_bundle.split)
+                      seen_ids=tiny_bundle.seen_ids, train_flags=tiny_bundle.train_flags)
 
 
 def test_bundle_rejects_unseen_train_sample(tiny_bundle):
-    flags = tiny_bundle.split.train_flags.copy()
-    unseen_rows = np.nonzero(np.isin(tiny_bundle.labels, tiny_bundle.split.unseen_ids))[0]
+    flags = tiny_bundle.train_flags.copy()
+    unseen_rows = np.nonzero(np.isin(tiny_bundle.labels, tiny_bundle.unseen_ids))[0]
     flags[unseen_rows[0]] = True
     with pytest.raises(ValueError):
         DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
-                      table=tiny_bundle.table,
-                      split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                                      unseen_ids=tiny_bundle.split.unseen_ids,
-                                      train_flags=flags))
+                      table=tiny_bundle.table, seen_ids=tiny_bundle.seen_ids, train_flags=flags)
 
 
-def test_split_rejects_overlap():
-    with pytest.raises(ValueError):
-        SplitSpec(seen_ids=np.array([0, 1]), unseen_ids=np.array([1, 2]),
-                  train_flags=np.zeros(3, dtype=bool))
+@pytest.mark.parametrize("extra", [99, 0], ids=["not_in_table", "repeated"])
+def test_bundle_refuses_seen_ids_that_are_not_distinct_table_ids(tiny_bundle, extra):
+    with pytest.raises(ValueError, match="^seen ids must be distinct classes of the semantic"):
+        DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
+                      table=tiny_bundle.table, seen_ids=np.append(tiny_bundle.seen_ids, extra),
+                      train_flags=tiny_bundle.train_flags)
 
 
 def test_unordered_class_ids_split_as_set_operations_would(tmp_path):
@@ -337,16 +349,12 @@ def test_unordered_class_ids_split_as_set_operations_would(tmp_path):
     table = SemanticTable(class_ids=class_ids, vectors=vecs.astype(np.float32).astype(np.float64))
     seen = np.array([9, 2, 11])
     bundle = DatasetBundle(features=np.zeros((4, 2, 2, 3)), labels=np.array([9, 2, 7, 11]),
-                           table=table,
-                           split=SplitSpec(seen_ids=seen, unseen_ids=np.array([0, 5, 7]),
-                                           train_flags=np.array([True, True, False, False])))
+                           table=table, seen_ids=seen,
+                           train_flags=np.array([True, True, False, False]))
     path = tmp_path / "b.sdnb"
     save_bundle(bundle, path)
     loaded = load_bundle(path)
-    np.testing.assert_array_equal(loaded.split.unseen_ids, np.setdiff1d(class_ids, seen))
-    assert loaded.split.unseen_ids.dtype == np.setdiff1d(class_ids, seen).dtype
-    np.testing.assert_array_equal(loaded.split.seen_ids, [2, 9, 11])
+    np.testing.assert_array_equal(loaded.unseen_ids, np.setdiff1d(class_ids, seen))
+    assert loaded.unseen_ids.dtype == np.setdiff1d(class_ids, seen).dtype
+    np.testing.assert_array_equal(loaded.seen_ids, [2, 9, 11])
     assert bundles_equal(bundle, loaded)
-    for unseen in ([11, 0], [5, 2, 7], [9, 11, 2]):  # partial and full overlaps, out of order
-        with pytest.raises(ValueError, match="disjoint"):
-            SplitSpec(seen_ids=seen, unseen_ids=np.array(unseen), train_flags=np.zeros(4, bool))

@@ -12,6 +12,13 @@ bytes across changes as well as within one run. The digests depend on the
 floating-point build (numpy and its BLAS), so a different build may need
 its own baseline. Change a digest only on purpose, and log every
 re-baseline in CHANGES.md.
+
+Run as a script, with setnet importable (installed, or ``PYTHONPATH=src``),
+it prints every pinned artifact's current digest on stdout as the dict
+literals below (the commands' own output goes to stderr), for an
+on-purpose re-baseline:
+
+    python tests/test_golden.py
 """
 
 import hashlib
@@ -33,8 +40,8 @@ TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
 
 GOLDEN = {
     "data.sdnb": "627fa0bf0a2c40490728164e2794bf91a53ca6342c40063040ac36a994fe6a22",
-    "zsl.sdnc": "f471d342eb9569e757d6c1da9e36c495c5c6e40cdd74633f53515050e8f5bccc",
-    "gzsl.sdnc": "b1b56637736d883f4d4fe25a01acbb53796037c353c3c6d6835635d55f40b368",
+    "zsl.sdnc": "cd8f1fa9bb0a32a61055cc4a155f707f70bf642fe1d5a491928a891d1bf0bb9c",
+    "gzsl.sdnc": "374dadaafe6b30c74d100d08a50c4cbf1e76fee7464d76fc7fc0716b34086923",
     "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
     "ddm.sdnc": "21c01fc8571a0ce951e46f03ed06c16e4cff8e5e380b96e6b86e7d0611f96756",
     "ddm-cal.sdnc": "5f8b951c464a2476432db4ef4aa88f283b6b573f329fc21d007a2c8338b1c304",
@@ -49,7 +56,7 @@ SYNTH_K4 = dict(SYNTH, height=4, width=4, samples_per_class=11, seed=3)
 TRAIN_K4 = dict(TRAIN, learning_rate=4.0, head_count=4, hidden_channels=16)
 
 GOLDEN_K4 = {
-    "zsl.sdnc": "fb1e49b9a0b7764bcdda737fbbc74a612a3bc2f868bb96b060e5e5952edf6831",
+    "zsl.sdnc": "6bdfb72fcf8bdc4632c12fd5f3285b3f11c6ff46e75bd9280708ef86efdf25a6",
     "ddm.sdnc": "caad48bdad11e25350aa54f2f310ed9f437baf0cc818f129f987ff6289477614",
 }
 
@@ -70,6 +77,10 @@ GOLDEN_SYNTH = {
 
 def _run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _pipeline(root):
@@ -95,12 +106,35 @@ def _pipeline(root):
     return [[str(a) for a in argv] for argv in stages]
 
 
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _pipeline_digests(root) -> dict:
+    """The digest of every ``GOLDEN`` artifact, from a run under root."""
     for argv in _pipeline(root):
         _run(*argv)
-    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in GOLDEN}
+    return {name: _digest(root / name) for name in GOLDEN}
+
+
+def _k4_digests(root) -> dict:
+    """The digest of every ``GOLDEN_K4`` checkpoint, from a run under root."""
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH_K4, "train": TRAIN_K4}))
+    _run("gen-synth", "--config", cfg, "--out", root / "data.sdnb")
+    train = ("--bundle", root / "data.sdnb", "--config", cfg)
+    _run("train-setnet", *train, "--out", root / "zsl.sdnc")
+    _run("train-ddm", *train, "--learning-rate", 0.2, "--out", root / "ddm.sdnc")
+    return {name: _digest(root / name) for name in GOLDEN_K4}
+
+
+def _synth_digest(root, variant) -> str:
+    """The digest of the ``variant`` bundle, written under root."""
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH_VARIANTS[variant]}))
+    _run("gen-synth", "--config", cfg, "--out", root / "data.sdnb")
+    return _digest(root / "data.sdnb")
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    return _pipeline_digests(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -110,14 +144,7 @@ def test_golden_digest(artifacts, name):
 
 @pytest.fixture(scope="module")
 def artifacts_k4(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden_k4")
-    cfg = root / "run.json"
-    cfg.write_text(json.dumps({"synthetic": SYNTH_K4, "train": TRAIN_K4}))
-    _run("gen-synth", "--config", cfg, "--out", root / "data.sdnb")
-    train = ("--bundle", root / "data.sdnb", "--config", cfg)
-    _run("train-setnet", *train, "--out", root / "zsl.sdnc")
-    _run("train-ddm", *train, "--learning-rate", 0.2, "--out", root / "ddm.sdnc")
-    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in GOLDEN_K4}
+    return _k4_digests(tmp_path_factory.mktemp("golden_k4"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_K4))
@@ -127,10 +154,7 @@ def test_golden_digest_desk_heads(artifacts_k4, name):
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_SYNTH))
 def test_golden_bundle_digest(tmp_path, variant):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"synthetic": SYNTH_VARIANTS[variant]}))
-    _run("gen-synth", "--config", cfg, "--out", tmp_path / "data.sdnb")
-    assert hashlib.sha256((tmp_path / "data.sdnb").read_bytes()).hexdigest() == GOLDEN_SYNTH[variant]
+    assert _synth_digest(tmp_path, variant) == GOLDEN_SYNTH[variant]
 
 
 def test_no_cli_stage_imports_numpy_ma(tmp_path):
@@ -162,5 +186,23 @@ def test_module_entry_writes_the_in_process_bytes(artifacts, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "setnet.cli", *argv],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, (argv[0], proc.stderr.strip().splitlines()[-1:])
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in GOLDEN} == artifacts
+    assert {name: _digest(tmp_path / name) for name in GOLDEN} == artifacts
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        roots = [Path(tmp, name) for name in ("tiny", "k4", *GOLDEN_SYNTH)]
+        for root in roots:
+            root.mkdir()
+        current = {"GOLDEN": _pipeline_digests(roots[0]), "GOLDEN_K4": _k4_digests(roots[1]),
+                   "GOLDEN_SYNTH": {variant: _synth_digest(root, variant)
+                                    for variant, root in zip(GOLDEN_SYNTH, roots[2:])}}
+    for name, digests in current.items():
+        print(f"{name} = {{")
+        for key, digest in digests.items():
+            print(f'    "{key}": "{digest}",')
+        print("}\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from setnet import dataio
 from setnet import diffmath as dm
 from setnet.errors import NotCalibratedError
-from setnet.ood import (Domain, FoldPartition, calibrate_theta, confidence, detect,
+from setnet.ood import (Domain, calibrate_theta, confidence, detect,
                         disagreement, disagreement_degree, export_degrees_csv, init_ddm,
                         partition_classes)
 from setnet.train import detector_degrees
@@ -25,22 +25,22 @@ from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_
 # fold partitioning
 
 def test_partition_even_split():
-    part = partition_classes(range(10), 5, seed=0)
-    assert sorted(len(f) for f in part.folds) == [2, 2, 2, 2, 2]
-    assert sorted(c for fold in part.folds for c in fold) == list(range(10))
+    folds = partition_classes(range(10), 5, seed=0)
+    assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 2]
+    assert sorted(c for fold in folds for c in fold) == list(range(10))
 
 
 def test_partition_round_robin_sizes():
-    part = partition_classes(range(7), 5, seed=1)
-    assert [len(f) for f in part.folds] == [2, 2, 1, 1, 1]
+    folds = partition_classes(range(7), 5, seed=1)
+    assert [len(f) for f in folds] == [2, 2, 1, 1, 1]
 
 
 def test_partition_deterministic():
     a = partition_classes(range(9), 4, seed=7)
     b = partition_classes(range(9), 4, seed=7)
-    assert a.folds == b.folds
+    assert a == b
     c = partition_classes(range(9), 4, seed=8)
-    assert a.folds != c.folds  # overwhelmingly likely for 9 classes
+    assert a != c  # overwhelmingly likely for 9 classes
 
 
 def test_partition_errors():
@@ -56,18 +56,11 @@ def test_partition_covers_disjointly(n, fold_count, seed):
     if fold_count > n:
         fold_count = n
     ids = list(range(100, 100 + n))
-    part = partition_classes(ids, fold_count, seed)
-    assert sorted(c for fold in part.folds for c in fold) == ids
-    sizes = [len(f) for f in part.folds]
+    folds = partition_classes(ids, fold_count, seed)
+    assert len(folds) == fold_count
+    assert sorted(c for fold in folds for c in fold) == ids
+    sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 1
-    assert part.id_classes(0) == sorted(set(ids) - set(part.folds[0]))
-
-
-def test_fold_partition_validation():
-    with pytest.raises(ValueError):
-        FoldPartition(fold_count=2, folds=[[1, 2], [2, 3]])
-    with pytest.raises(ValueError):
-        FoldPartition(fold_count=2, folds=[[1, 2, 3, 4], [5]])
 
 
 # ---------------------------------------------------------------------------

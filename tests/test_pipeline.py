@@ -35,7 +35,7 @@ def constant_gate(degree):
 
 def test_routing_unseen_stub(small_system, tiny_bundle, monkeypatch):
     monkeypatch.setattr(pipeline, "disagreement_degree", constant_gate(-np.inf))
-    unseen = set(tiny_bundle.split.unseen_ids.tolist())
+    unseen = set(tiny_bundle.unseen_ids.tolist())
     for i in tiny_bundle.test_indices()[:20]:
         assert classify_gzsl(small_system, tiny_bundle.features[i:i + 1])[0] in unseen
 
@@ -60,7 +60,7 @@ def test_degenerate_threshold_never_flags(small_system, tiny_bundle):
 
 
 def test_oracle_detector_matches_zsl_accuracy(small_system, tiny_bundle, monkeypatch):
-    unseen = set(tiny_bundle.split.unseen_ids.tolist())
+    unseen = set(tiny_bundle.unseen_ids.tolist())
     idx = [i for i in tiny_bundle.test_indices() if int(tiny_bundle.labels[i]) in unseen]
     truth = {tuple(np.round(spatial_mean(tiny_bundle.features[i:i + 1])[0], 12)) for i in idx}
 
@@ -137,9 +137,9 @@ def test_restricted_argmax_consistent_with_full(seed):
 
 
 def test_single_unseen_class(small_system, tiny_bundle):
-    only = small_system.unseen_table.subset([int(tiny_bundle.split.unseen_ids[0])])
+    only = small_system.unseen_table.subset([int(tiny_bundle.unseen_ids[0])])
     fmap = tiny_bundle.features[tiny_bundle.test_indices()[:1]]
-    want = [int(tiny_bundle.split.unseen_ids[0])]
+    want = [int(tiny_bundle.unseen_ids[0])]
     assert predict(small_system.zsl_model, fmap, only).tolist() == want
 
 

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setnet.train
-from setnet.dataio import DatasetBundle, SplitSpec, SyntheticSpec, gen_synthetic
+from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
 from setnet.errors import FormatError
 from setnet.model import total_loss
 from setnet.ood import disagreement_degree
-from setnet.train import (TrainConfig, calibrate_ensemble, detector_degrees, holdout_indices,
-                          load_ddm_checkpoint, load_setnet_checkpoint, pooled_features,
-                          save_checkpoint, train_ddm, train_setnet)
+from setnet.train import (TrainConfig, calibrate_ensemble, check_training_bundle,
+                          detector_degrees, holdout_indices, load_ddm_checkpoint,
+                          load_setnet_checkpoint, pooled_features, save_checkpoint, train_ddm,
+                          train_setnet)
 
 from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, ddm_tensors,
                       fold_params, misfit_ddm, per_fold_tensors, resealed, safe_instance,
@@ -75,9 +76,7 @@ def test_train_deterministic(tiny_bundle):
 def test_train_requires_training_samples(tiny_bundle):
     empty = DatasetBundle(
         features=tiny_bundle.features, labels=tiny_bundle.labels, table=tiny_bundle.table,
-        split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                        unseen_ids=tiny_bundle.split.unseen_ids,
-                        train_flags=np.zeros_like(tiny_bundle.split.train_flags)))
+        seen_ids=tiny_bundle.seen_ids, train_flags=np.zeros_like(tiny_bundle.train_flags))
     with pytest.raises(ValueError):
         train_setnet(empty, TrainConfig(epochs=1))
 
@@ -118,10 +117,8 @@ def test_batched_loss_is_mean_of_per_sample_oracle(tiny_bundle):
         flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
         flags[batch] = True
         small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
-                              table=tiny_bundle.table,
-                              split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                                              unseen_ids=tiny_bundle.split.unseen_ids,
-                                              train_flags=flags))
+                              table=tiny_bundle.table, seen_ids=tiny_bundle.seen_ids,
+                              train_flags=flags)
         stepped = train_setnet(small, TrainConfig(epochs=1, **cfg))
         for name, p in stepped.parameters().items():
             assert np.abs(p - (init.parameters()[name] - lr * grads[name])).max() <= 1e-12
@@ -135,10 +132,8 @@ def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
     flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
     flags[idx] = True
     small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
-                          table=tiny_bundle.table,
-                          split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                                          unseen_ids=tiny_bundle.split.unseen_ids,
-                                          train_flags=flags))
+                          table=tiny_bundle.table, seen_ids=tiny_bundle.seen_ids,
+                          train_flags=flags)
     cfg = dict(seed=3, learning_rate=0.7, batch_size=8, head_count=3, hidden_channels=4)
     init = train_setnet(small, TrainConfig(epochs=0, **cfg))
     order = idx[np.random.default_rng([3, 0x12]).permutation(idx.size)]  # the trainer's shuffle
@@ -167,10 +162,8 @@ def test_flat_gradient_slots_hold_the_total_loss_gradients(tiny_bundle, monkeypa
     flags = np.zeros(tiny_bundle.sample_count, dtype=bool)
     flags[idx] = True
     small = DatasetBundle(features=tiny_bundle.features, labels=tiny_bundle.labels,
-                          table=tiny_bundle.table,
-                          split=SplitSpec(seen_ids=tiny_bundle.split.seen_ids,
-                                          unseen_ids=tiny_bundle.split.unseen_ids,
-                                          train_flags=flags))
+                          table=tiny_bundle.table, seen_ids=tiny_bundle.seen_ids,
+                          train_flags=flags)
     cfg = dict(seed=7, learning_rate=0.7, batch_size=8, head_count=4, hidden_channels=4)
     steps = []
 
@@ -277,10 +270,10 @@ def test_train_ddm_id_accuracy_beats_chance(default_bundle):
 def test_holdout_excluded_and_deterministic(default_bundle):
     held = holdout_indices(default_bundle, seed=0)
     np.testing.assert_array_equal(held, holdout_indices(default_bundle, seed=0))
-    assert default_bundle.split.train_flags[held].all()
+    assert default_bundle.train_flags[held].all()
     # 20% of 24 training samples per seen class
     labels = default_bundle.labels[held]
-    for cls in default_bundle.split.seen_ids:
+    for cls in default_bundle.seen_ids:
         assert int((labels == cls).sum()) == 5
 
 
@@ -366,6 +359,40 @@ def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest)
     path.write_bytes(container_bytes("ddm", meta, ddm_tensors(e)))
     with pytest.raises(FormatError, match="^invalid ddm checkpoint: bundle_sha256 must be 64"):
         load_ddm_checkpoint(path)
+
+
+def test_train_setnet_carries_the_bundle_digest_through_its_checkpoint(tiny_bundle, tmp_path):
+    cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
+    assert train_setnet(tiny_bundle, cfg).bundle_sha256 is None  # built in memory
+    path = tmp_path / "b.sdnb"
+    save_bundle(tiny_bundle, path)
+    loaded = load_bundle(path)
+    save_checkpoint(tmp_path / "m.sdnc", train_setnet(loaded, cfg), cfg)
+    model, _ = load_setnet_checkpoint(tmp_path / "m.sdnc")
+    assert model.bundle_sha256 == loaded.sha256 == path.read_bytes()[-32:].hex()
+    check_training_bundle(model, loaded, "model m.sdnc")
+    check_training_bundle(model, tiny_bundle, "model m.sdnc")  # unknown digest: not checked
+    other = load_bundle(path)
+    other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
+    with pytest.raises(ValueError, match="^bundle is not the bundle the model m.sdnc was trained"):
+        check_training_bundle(model, other, "model m.sdnc")
+
+
+@pytest.mark.parametrize("digest", ["07" * 31, "AB" * 32, 0.5],
+                         ids=["short", "upper_case", "fractional"])
+def test_setnet_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest):
+    cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
+    model = train_setnet(tiny_bundle, cfg)
+    path = tmp_path / "bad.sdnc"
+    path.write_bytes(container_bytes("setnet", dict(setnet_meta(cfg, model), bundle_sha256=digest),
+                                     model.parameters()))
+    with pytest.raises(FormatError, match="^invalid setnet checkpoint: bundle_sha256 must be 64"):
+        load_setnet_checkpoint(path)
+    for saved in (model, train_ddm(tiny_bundle, dataclasses.replace(cfg, fold_count=2))):
+        saved.bundle_sha256 = digest  # refused before the file is opened
+        with pytest.raises(ValueError, match="^bundle_sha256 must be 64"):
+            save_checkpoint(tmp_path / "refused.sdnc", saved, cfg)
+        assert not (tmp_path / "refused.sdnc").exists()
 
 
 def test_calibration_never_sees_rows_the_detector_trained_on(tiny_bundle, tmp_path, monkeypatch):
