@@ -1,9 +1,9 @@
 """Command-line surface: synthesize data, train, calibrate, evaluate.
 
-One JSON config file is the source of truth for a run; flags override
-individual values. Every command is deterministic given identical inputs
-and seeds, and every failure exits nonzero with a single ``error:`` line on
-stderr.
+One JSON config file is the source of truth for a run; only the seeds, the
+epoch count and the learning rate have override flags. Every command is
+deterministic given identical inputs and seeds, and every failure exits
+nonzero with a single ``error:`` line on stderr.
 
 Each command is one short process, so its entry owns the garbage collector:
 ``python -m setnet.cli`` imports with it off, and ``run`` (the ``setnet``
@@ -108,10 +108,7 @@ def _cmd_gen_synth(args) -> None:
 
 
 def _train_overrides(args) -> dict:
-    return {"seed": args.seed, "epochs": args.epochs,
-            "learning_rate": args.learning_rate, "batch_size": args.batch_size,
-            "head_count": args.heads, "diversity_weight": args.diversity_weight,
-            "fold_count": args.folds}
+    return {"seed": args.seed, "epochs": args.epochs, "learning_rate": args.learning_rate}
 
 
 def _cmd_train(args) -> None:
@@ -263,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--epochs", type=int)
         p.add_argument("--learning-rate", type=float)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--heads", type=int, help="attention/projector head count")
-        p.add_argument("--diversity-weight", type=float)
-        p.add_argument("--folds", type=int, help="detector fold count")
         p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("calibrate", help="set the detector threshold from held-out seen data")

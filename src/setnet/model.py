@@ -10,11 +10,12 @@ diversity regularizer is the sum of pairwise squared Hellinger distances
 between the attention maps, pushing the heads to attend to different
 regions.
 
-``SetNetModel`` holds its five arrays flat, and ``parameters()`` names them
-as the checkpoint stores them. The training loss and inference
-(``attention_maps``, ``class_scores``, ``predict``) take only a (B, H, W, C)
-batch and run one shared forward for it; one map is a batch of one, and an
-unbatched map is refused. ``total_loss`` checks its labels and runs
+``SetNetModel`` holds its five arrays flat and no training setting, and
+``parameters()`` names them as the checkpoint stores them. The training
+loss and inference (``attention_maps``, ``class_scores``, ``predict``) take
+only a (B, H, W, C) batch and run one shared forward for it; one map is a
+batch of one, and an unbatched map is refused. ``total_loss`` takes the
+diversity term's signed scale from the caller, checks its labels and runs
 ``loss_and_grads``, which the trainer calls directly with gradient arrays to
 fill: each layer is one 2-D product over the batch, written out here with
 its ReLU and the spatial softmax's backward, and the CE and diversity
@@ -79,7 +80,8 @@ class SemanticTable:
 
 @dataclass
 class SetNetModel:
-    """The attention stack, the projector ensemble and the diversity weight.
+    """The attention stack and the projector ensemble; training settings,
+    the diversity weight among them, live in ``train.TrainConfig``.
 
     The two-layer 1x1 conv stack maps C channels through ``w1`` (C, C_h),
     ``b1`` (C_h,) and a ReLU to K head logits with ``w2`` (C_h, K). It has no
@@ -96,7 +98,6 @@ class SetNetModel:
     w2: np.ndarray
     proj_w: np.ndarray
     proj_b: np.ndarray
-    diversity_weight: float = 0.2
     bundle_sha256: str | None = None
 
     def __post_init__(self):
@@ -106,8 +107,6 @@ class SetNetModel:
         if got != [(c, hidden), (hidden,), (hidden, k), (k, c, s), (k, s)] or min(hidden, k) < 1:
             raise ValueError(f"expected w1 (C, C_h), b1 (C_h,), w2 (C_h, K), proj_w (K, C, S) and "
                              f"proj_b (K, S) with C_h, K >= 1, got shapes {got}")
-        if not 0 <= self.diversity_weight < np.inf:
-            raise ValueError("diversity weight must be finite and >= 0")
 
     @property
     def head_count(self) -> int:
@@ -121,8 +120,7 @@ class SetNetModel:
 
 
 def init_setnet(channels: int, hidden_channels: int, head_count: int,
-                semantic_dim: int, diversity_weight: float,
-                rng: np.random.Generator) -> SetNetModel:
+                semantic_dim: int, rng: np.random.Generator) -> SetNetModel:
     """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights,
     drawn in the order w1, b1, w2, proj_w, proj_b."""
     def u(fan_in, *shape):
@@ -132,8 +130,7 @@ def init_setnet(channels: int, hidden_channels: int, head_count: int,
     return SetNetModel(w1=u(channels, channels, hidden_channels), b1=u(channels, hidden_channels),
                        w2=u(hidden_channels, hidden_channels, head_count),
                        proj_w=u(channels, head_count, channels, semantic_dim),
-                       proj_b=u(channels, head_count, semantic_dim),
-                       diversity_weight=diversity_weight)
+                       proj_b=u(channels, head_count, semantic_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +234,15 @@ def predict(model: SetNetModel, fmaps: np.ndarray, table: SemanticTable) -> np.n
 # training loss
 
 def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
-               table: SemanticTable, diversity_sign: int = -1) -> tuple[float, GradientSet]:
-    """Batch-mean classification loss plus signed diversity term, with gradients.
+               table: SemanticTable, div_scale: float) -> tuple[float, GradientSet]:
+    """Batch-mean classification loss plus scaled diversity term, with gradients.
 
     ``fmaps`` is a (B, H, W, C) batch and ``labels`` its (B,) class ids.
-    Returns the mean over the batch of ``L_cls + diversity_sign * weight *
-    L_div`` and the gradient of that mean w.r.t. every model parameter. The
-    default sign -1 means minimizing the total *increases* attention-map
-    diversity.
+    ``div_scale`` is a ``TrainConfig``'s ``diversity_sign * diversity_weight``.
+    Returns the mean over the batch of ``L_cls + div_scale * L_div`` and the
+    gradient of that mean w.r.t. every model parameter. A negative scale
+    means minimizing the total *increases* attention-map diversity.
     """
-    if diversity_sign not in (1, -1):
-        raise ValueError("diversity_sign must be +1 or -1")
     fmaps = _batch(fmaps)
     rows = table.indices_of(labels)
     if rows.shape != fmaps.shape[:1]:
@@ -255,11 +250,11 @@ def total_loss(model: SetNetModel, fmaps: np.ndarray, labels,
     if rows.size == 0:
         raise ValueError("empty batch")
     grads = {name: np.empty_like(p) for name, p in model.parameters().items()}
-    return loss_and_grads(model, fmaps, rows, table, diversity_sign, tuple(grads.values())), grads
+    return loss_and_grads(model, fmaps, rows, table, div_scale, tuple(grads.values())), grads
 
 
 def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,
-                   table: SemanticTable, diversity_sign: int, grads: tuple) -> float:
+                   table: SemanticTable, div_scale: float, grads: tuple) -> float:
     """``total_loss`` for a nonempty batch whose labels are the table rows
     ``rows``, unchecked. Returns the loss and writes its gradient into
     ``grads``: C-order arrays shaped like the model's w1, b1, w2, proj_w and
@@ -275,7 +270,6 @@ def loss_and_grads(model: SetNetModel, fmaps: np.ndarray, rows: np.ndarray,
     l_cls = -log_p[picked]
     d_scores[picked] -= 1.0
     l_div, d_div = diversity_loss(maps[:, :, None, :], grad=True)  # as (B, K, 1, T) stacks
-    div_scale = diversity_sign * model.diversity_weight
     total = float((l_cls + div_scale * l_div).sum() / b)  # the batch mean
 
     # backward: classification path; every head sees the same d_projected

@@ -92,8 +92,9 @@ class DdmEnsemble:
         if folds < 2:
             raise ValueError("an ensemble needs at least 2 sub-detectors")
         self.fold_ids = _check_fold_ids(self.fold_ids)
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        if self.theta is not None and (isinstance(self.theta, bool) or not isinstance(
+                self.theta, (int, float)) or not math.isfinite(self.theta)):
+            raise ValueError(f"theta must be a finite number, got {self.theta!r:.80}")
 
     @property
     def in_dim(self) -> int:

@@ -20,9 +20,9 @@ SHA-256 as "bundle_sha256" (64 lowercase hex digits), which
 ``check_training_bundle`` compares with a bundle's. "setnet" stores the
 model's five flat arrays under their ``parameters()`` names ("attn.w1",
 "attn.b1", "attn.w2", and the stacked projectors "proj.w" (K, V, S) and
-"proj.b" (K, S)), and its diversity weight in the meta. "ddm" stores the
-fold-stacked detector ("w1", "b1", "w2", "b2" and the -1-padded (I, N)
-class-id table "ids"), with the calibrated "theta" in the meta once set.
+"proj.b" (K, S)). "ddm" stores the fold-stacked detector ("w1", "b1", "w2",
+"b2" and the -1-padded (I, N) class-id table "ids"), with the calibrated
+"theta" in the meta once set.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ HOLDOUT_FRACTION = 0.2
 
 @dataclass
 class TrainConfig:
+    """Every training setting, each with its one default and check: the
+    models hold parameters only, and a checkpoint stores its config."""
+
     # Desk-scale class scores are head-averaged projections of weakly scaled
     # pooled features, so useful SGD steps are O(1); detector ensembles see
     # larger gradients and want a much smaller rate (~0.2).
@@ -143,9 +146,9 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
         raise ValueError("bundle has no training samples")
     h, w, c = bundle.map_shape
     seen_table = bundle.seen_table()
-    model = init_setnet(c, cfg.hidden_channels, cfg.head_count,
-                        seen_table.semantic_dim, cfg.diversity_weight,
+    model = init_setnet(c, cfg.hidden_channels, cfg.head_count, seen_table.semantic_dim,
                         _rng(cfg.seed, 0x11))
+    div_scale = cfg.diversity_sign * cfg.diversity_weight
     shuffler = _rng(cfg.seed, 0x12)
     rows = np.zeros(bundle.sample_count, dtype=np.int64)
     rows[train_idx] = seen_table.indices_of(bundle.labels[train_idx])
@@ -161,7 +164,7 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
 
     def step_loss(batch):
         return loss_and_grads(model, bundle.features[batch], rows[batch], seen_table,
-                              cfg.diversity_sign, grad_views), grad
+                              div_scale, grad_views), grad
 
     _sgd(flat, cfg, plan_epoch, step_loss, epoch_callback)
     model.bundle_sha256 = bundle.sha256
@@ -319,7 +322,6 @@ def save_checkpoint(path, model, cfg: TrainConfig) -> None:
     meta = {"config": dataclasses.asdict(cfg)}
     if isinstance(model, SetNetModel):
         kind, tensors = "setnet", model.parameters()
-        meta["diversity_weight"] = float(model.diversity_weight)
     elif isinstance(model, DdmEnsemble):
         if model.holdout_seed not in (None, cfg.seed):
             raise ValueError("config seed differs from the detector's holdout seed")
@@ -340,10 +342,12 @@ def _read_checkpoint(path, kind: str) -> tuple[TrainConfig, dict, dict[str, np.n
 
 
 def load_setnet_checkpoint(path) -> tuple[SetNetModel, TrainConfig]:
+    """The model and its config; an older file's "diversity_weight" meta key,
+    a copy of the config's, is ignored."""
     cfg, meta, t = _read_checkpoint(path, "setnet")
     try:  # the constructor checks that the tensor shapes fit together
         model = SetNetModel(w1=t["attn.w1"], b1=t["attn.b1"], w2=t["attn.w2"], proj_w=t["proj.w"],
-                            proj_b=t["proj.b"], diversity_weight=float(meta["diversity_weight"]),
+                            proj_b=t["proj.b"],
                             bundle_sha256=_checked_digest(meta.get("bundle_sha256")))
         if model.w2.shape != (cfg.hidden_channels, cfg.head_count):
             raise ValueError("the tensors do not have the config's head_count and hidden_channels")

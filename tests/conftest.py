@@ -14,8 +14,12 @@ from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic
 from setnet.metrics import EvalReport
 from setnet.model import SemanticTable, init_setnet
 from setnet.ood import init_ddm, partition_classes, subddm_loss
+from setnet.train import TrainConfig
 
 acceptance_lines: list[str] = []
+
+# the signed diversity scale ``total_loss`` takes, from the default config
+DIV_SCALE = TrainConfig().diversity_sign * TrainConfig().diversity_weight
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -65,12 +69,11 @@ def random_table(rng, d, s):
     return SemanticTable(class_ids=np.arange(d, dtype=np.int64), vectors=vecs)
 
 
-def random_model(rng, c=8, ch=6, k=3, s=5, lam=0.2):
-    return init_setnet(c, ch, k, s, lam, rng)
+def random_model(rng, c=8, ch=6, k=3, s=5):
+    return init_setnet(c, ch, k, s, rng)
 
 
-def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3,
-                  batch=None):
+def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, margin=1e-3, batch=None):
     """Model + feature map + table whose hidden pre-activations stay away
     from the ReLU kink, keeping the loss twice differentiable at the probe
     (grad_check precondition). Redraws deterministically until safe.
@@ -79,7 +82,7 @@ def safe_instance(seed, h=4, w=4, c=8, ch=6, k=3, d=5, s=5, lam=0.2, margin=1e-3
     array of class ids."""
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt, 0xC4EC])
-        model = random_model(rng, c, ch, k, s, lam)
+        model = random_model(rng, c, ch, k, s)
         fmap = rng.normal(size=(h, w, c) if batch is None else (batch, h, w, c))
         z1 = fmap.reshape(-1, c) @ model.w1 + model.b1
         if np.abs(z1).min() > margin:
@@ -210,10 +213,10 @@ def resealed(data) -> bytes:
     return bytes(data[:-32]) + hashlib.sha256(bytes(data[:-32])).digest()
 
 
-def setnet_meta(cfg, model) -> dict:
-    """The meta of a SetNet checkpoint of ``model``, from a TrainConfig or a dict."""
-    cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
-    return {"config": cfg, "diversity_weight": float(model.diversity_weight)}
+def setnet_meta(cfg) -> dict:
+    """The meta of a SetNet checkpoint without a bundle digest, from a
+    TrainConfig or a dict."""
+    return {"config": cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)}
 
 
 def ddm_tensors(e) -> dict:

@@ -159,8 +159,8 @@ def ridge_prototype_acc(bundle):
                                 ut.class_ids.tolist()), idx
 
 
-def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
-    """One sample's ``L_cls + diversity_sign * lambda * L_div`` and its
+def total_loss_per_sample(model, fmap, label, table, div_scale):
+    """One sample's ``L_cls + div_scale * L_div`` and its
     gradient dict, written out per sample with plain numpy.
 
     The batched ``model.total_loss`` must equal the mean of this over a
@@ -185,8 +185,7 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     l_cls = -log_probs[label_idx]
     roots = np.sqrt(np.maximum(maps, 0.0))
     l_div = sum(1.0 - roots[i] @ roots[j] for i in range(k) for j in range(k) if i != j)
-    lam = model.diversity_weight
-    total = l_cls + diversity_sign * lam * l_div
+    total = l_cls + div_scale * l_div
 
     # backward: classification path
     d_scores = np.exp(log_probs)
@@ -202,7 +201,7 @@ def total_loss_per_sample(model, fmap, label, table, diversity_sign=-1):
     clamped = np.sqrt(np.maximum(maps, 1e-12))
     for i in range(k):
         other = sum(clamped[j] for j in range(k) if j != i)
-        d_maps[i] += diversity_sign * lam * (-other / clamped[i])
+        d_maps[i] += div_scale * (-other / clamped[i])
 
     # through the per-head softmax and the conv stack
     d_z2 = np.stack([maps[i] * (d_maps[i] - maps[i] @ d_maps[i]) for i in range(k)]).T

@@ -21,7 +21,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, load_setnet_checkpoin
                           save_checkpoint, train_ddm, train_setnet)
 
 import conftest
-from conftest import (fold_ids_of, id_classes, random_model, random_table, safe_instance,
+from conftest import (DIV_SCALE, fold_ids_of, id_classes, random_model, random_table, safe_instance,
                       stacked_batch, subddm_loss_and_grads)
 from oracles import (confidence_brute, disagreement_brute, diversity_brute,
                      ensemble_logits_brute, hellinger_sq_brute, per_class_top1_brute,
@@ -75,7 +75,7 @@ def test_criterion_1_gradient_fidelity():
         for seed in range(20):
             model, fmaps, table, labels = safe_instance(seed, h=4, w=4, c=8, ch=6, k=3,
                                                         d=5, s=5, batch=batch)
-            err = dm.grad_check(lambda p: total_loss(model, fmaps, labels, table),
+            err = dm.grad_check(lambda p: total_loss(model, fmaps, labels, table, DIV_SCALE),
                                 model.parameters(), eps=1e-4)
             worst_total[batch] = max(worst_total[batch], err)
 

@@ -12,7 +12,7 @@ import pytest
 
 from setnet import diffmath, model, ood, pipeline
 
-from conftest import random_model, random_table
+from conftest import DIV_SCALE, random_model, random_table
 
 H, W, C, K, S = 3, 4, 6, 2, 5
 
@@ -41,7 +41,7 @@ CASES = {
                            "fmap", "(B, H, W, C)"),
     "model.predict": (lambda p, x: model.predict(p["net"], x, p["table"]),
                       "fmap", "(B, H, W, C)"),
-    "model.total_loss": (lambda p, x: model.total_loss(p["net"], x, [0], p["table"]),
+    "model.total_loss": (lambda p, x: model.total_loss(p["net"], x, [0], p["table"], DIV_SCALE),
                          "fmap", "(B, H, W, C)"),
     "model.ensemble_logits": (lambda p, x: model.ensemble_logits(p["net"], x, p["table"]),
                               "pooled", "(B, K, V)"),

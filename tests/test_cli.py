@@ -10,14 +10,15 @@ import pytest
 
 import setnet
 from setnet.cli import main
-from setnet.dataio import load_bundle
+from setnet.dataio import load_bundle, read_container
 from setnet.model import predict
 from setnet.ood import disagreement_degree
 from setnet.train import (holdout_indices, load_ddm_checkpoint,
                           load_setnet_checkpoint, pooled_features, save_checkpoint)
 
-from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, misfit_ddm, per_fold_ddm_checkpoint,
-                      report_from_json, resealed, v1_bundle_bytes, v1_ddm_checkpoint)
+from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, misfit_ddm,
+                      per_fold_ddm_checkpoint, report_from_json, resealed, v1_bundle_bytes,
+                      v1_ddm_checkpoint)
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -635,6 +636,20 @@ def test_wrong_checkpoint_kind_fails(workdir, tmp_path, capsys):
                str(workdir["bundle"]), "--report", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     assert rc != 0 and err.startswith("error:") and "\n" not in err.strip("\n")
+
+
+def test_a_detector_whose_theta_is_a_bool_fails_with_one_error_line(workdir, tmp_path, capsys):
+    # a hand-edited "theta": true would gate every row against 1.0
+    meta, tensors, _ = read_container(workdir["calibrated"], "ddm")
+    edited, report = tmp_path / "edited.sdnc", tmp_path / "r.json"
+    edited.write_bytes(container_bytes("ddm", dict(meta, theta=True), tensors))
+    capsys.readouterr()
+    rc = main(["eval-gzsl", "--zsl", str(workdir["setnet"]), "--ddm", str(edited),
+               "--bundle", str(workdir["bundle"]), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and not report.exists()
+    assert captured.err.splitlines() == [
+        "error: invalid ddm checkpoint: theta must be a finite number, got True"]
 
 
 def test_uncalibrated_ddm_fails(workdir, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from setnet import diffmath as dm
 from setnet.model import attention_maps, diversity_loss, loss_and_grads, total_loss
 
-from conftest import (ragged_chunks, ragged_ensemble, safe_instance, stacked_batch,
+from conftest import (DIV_SCALE, ragged_chunks, ragged_ensemble, safe_instance, stacked_batch,
                       subddm_loss_and_grads)
 from oracles import cross_entropy_two_pass, hellinger_sq_brute
 
@@ -38,7 +38,7 @@ def setnet_group_error(seed, names):
     params = model.parameters()
 
     def loss_fn(_):  # grad_check perturbs the model's own arrays
-        total, grads = total_loss(model, fmaps, labels, table)
+        total, grads = total_loss(model, fmaps, labels, table, DIV_SCALE)
         return total, {name: grads[name] for name in names}
 
     return dm.grad_check(loss_fn, {name: params[name] for name in names}, eps=1e-4)
@@ -311,7 +311,7 @@ def test_layer_backwards_on_a_batch_match_single_stacks():
 
     def run(fm, rw):
         grads = tuple(np.empty_like(p) for p in params)
-        return loss_and_grads(model, fm, rw, table, diversity_sign=-1, grads=grads), grads
+        return loss_and_grads(model, fm, rw, table, DIV_SCALE, grads), grads
 
     total, grads = run(fmaps, rows)
     singles = [run(fmaps[i:i + 1], rows[i:i + 1]) for i in range(3)]

@@ -40,8 +40,8 @@ TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
 
 GOLDEN = {
     "data.sdnb": "627fa0bf0a2c40490728164e2794bf91a53ca6342c40063040ac36a994fe6a22",
-    "zsl.sdnc": "cd8f1fa9bb0a32a61055cc4a155f707f70bf642fe1d5a491928a891d1bf0bb9c",
-    "gzsl.sdnc": "374dadaafe6b30c74d100d08a50c4cbf1e76fee7464d76fc7fc0716b34086923",
+    "zsl.sdnc": "8e586c1f368df6bbd1298cc09fa603f491db0019d2458d4c87a9972cc65769cd",
+    "gzsl.sdnc": "da73ec507603a809bccb4f17defdd2c844673d2c3448eeaef595453e2f2d293b",
     "zsl.json": "475007815e9e305b8e1ec583c6551a4db921b6504b94e0a2e1bd8a19149b0b1e",
     "ddm.sdnc": "21c01fc8571a0ce951e46f03ed06c16e4cff8e5e380b96e6b86e7d0611f96756",
     "ddm-cal.sdnc": "5f8b951c464a2476432db4ef4aa88f283b6b573f329fc21d007a2c8338b1c304",
@@ -56,7 +56,7 @@ SYNTH_K4 = dict(SYNTH, height=4, width=4, samples_per_class=11, seed=3)
 TRAIN_K4 = dict(TRAIN, learning_rate=4.0, head_count=4, hidden_channels=16)
 
 GOLDEN_K4 = {
-    "zsl.sdnc": "6bdfb72fcf8bdc4632c12fd5f3285b3f11c6ff46e75bd9280708ef86efdf25a6",
+    "zsl.sdnc": "97593e430d0907203e43a6b91eb32c4006c193bcef6f983b5e6463dc59367707",
     "ddm.sdnc": "caad48bdad11e25350aa54f2f310ed9f437baf0cc818f129f987ff6289477614",
 }
 

@@ -6,16 +6,17 @@ from setnet import diffmath as dm
 from setnet.model import (SemanticTable, SetNetModel, _pool, attention_maps, class_scores,
                           diversity_loss, ensemble_logits, export_attention, init_setnet, predict,
                           total_loss)
+from setnet.train import TrainConfig
 
-from conftest import bundle_of, random_model, random_table, safe_instance
+from conftest import DIV_SCALE, bundle_of, random_model, random_table, safe_instance
 from oracles import (attention_maps_straightline, attentive_features_brute,
                      diversity_brute, diversity_grad_pairwise, ensemble_logits_brute)
 
 
-def identity_model(v, lam=0.0):
+def identity_model(v):
     """K=1 model whose projector is the identity (V = S), zero biases."""
     return SetNetModel(w1=np.zeros((v, 2)), b1=np.zeros(2), w2=np.zeros((2, 1)),
-                       proj_w=np.eye(v)[None], proj_b=np.zeros((1, v)), diversity_weight=lam)
+                       proj_w=np.eye(v)[None], proj_b=np.zeros((1, v)))
 
 
 def pooled(model, fmap):
@@ -220,8 +221,7 @@ def test_ensemble_logits_dim_mismatch():
 
 def test_total_loss_reduces_to_cls_when_weight_zero():
     model, fmap, table, label = safe_instance(0)
-    model.diversity_weight = 0.0
-    total, _ = total_loss(model, fmap[None], [label], table)
+    total, _ = total_loss(model, fmap[None], [label], table, 0.0)
     feats = pooled(model, fmap)
     expected = dm.cross_entropy_from_logits(ensemble_logits(model, feats[None], table),
                                             table.indices_of([label]))[0]
@@ -230,14 +230,13 @@ def test_total_loss_reduces_to_cls_when_weight_zero():
 
 def test_total_loss_identical_maps_zero_diversity():
     rng = np.random.default_rng(6)
-    model = random_model(rng, c=8, ch=6, k=3, s=5, lam=0.7)
+    model = random_model(rng, c=8, ch=6, k=3, s=5)
     # identical columns make every head produce the same logits
     model.w2[:] = model.w2[:, :1]
     table = random_table(rng, 5, 5)
     fmap = rng.normal(size=(4, 4, 8))
-    with_reg, _ = total_loss(model, fmap[None], [2], table)
-    model.diversity_weight = 0.0
-    without_reg, _ = total_loss(model, fmap[None], [2], table)
+    with_reg, _ = total_loss(model, fmap[None], [2], table, -0.7)
+    without_reg, _ = total_loss(model, fmap[None], [2], table, 0.0)
     assert with_reg == pytest.approx(without_reg, abs=1e-10)
 
 
@@ -247,7 +246,7 @@ def test_total_loss_grad_check(seed):
     params = model.parameters()
 
     def loss_fn(_):
-        return total_loss(model, fmap[None], [label], table)
+        return total_loss(model, fmap[None], [label], table, DIV_SCALE)
 
     assert dm.grad_check(loss_fn, params, eps=1e-4) <= 1e-4
 
@@ -256,36 +255,35 @@ def test_total_loss_decreasing_in_weight():
     model, fmap, table, label = safe_instance(1)
     totals = []
     for lam in (0.0, 0.1, 0.3, 1.0):
-        model.diversity_weight = lam
-        totals.append(total_loss(model, fmap[None], [label], table)[0])
+        totals.append(total_loss(model, fmap[None], [label], table, -1 * lam)[0])
     assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
 
 
 def test_total_loss_label_missing():
     model, fmap, table, _ = safe_instance(2)
     with pytest.raises(IndexError):
-        total_loss(model, fmap[None], [999], table)
+        total_loss(model, fmap[None], [999], table, DIV_SCALE)
 
 
 def test_total_loss_rejects_bad_inputs():
-    # the trainer checks labels once per run; a direct call checks every batch
+    # the trainer checks labels once per run; a direct call checks every
+    # batch, and the config checks the diversity sign
     model, fmap, table, label = safe_instance(2)
     with pytest.raises(ValueError, match="diversity_sign"):
-        total_loss(model, fmap[None], [label], table, diversity_sign=0)
+        TrainConfig(diversity_sign=0)
     with pytest.raises(ValueError, match="empty batch"):
-        total_loss(model, fmap[None][:0], [], table)
+        total_loss(model, fmap[None][:0], [], table, DIV_SCALE)
     with pytest.raises(ValueError, match="labels"):
-        total_loss(model, np.stack([fmap, fmap]), [label], table)
+        total_loss(model, np.stack([fmap, fmap]), [label], table, DIV_SCALE)
     with pytest.raises(IndexError):
-        total_loss(model, np.stack([fmap, fmap]), [label, -1], table)
+        total_loss(model, np.stack([fmap, fmap]), [label, -1], table, DIV_SCALE)
 
 
 def test_total_loss_positive_sign_penalizes_diversity():
     model, fmap, table, label = safe_instance(3)
-    neg, _ = total_loss(model, fmap[None], [label], table, diversity_sign=-1)
-    pos, _ = total_loss(model, fmap[None], [label], table, diversity_sign=+1)
-    model.diversity_weight = 0.0
-    base, _ = total_loss(model, fmap[None], [label], table)
+    neg, _ = total_loss(model, fmap[None], [label], table, -1 * 0.2)
+    pos, _ = total_loss(model, fmap[None], [label], table, +1 * 0.2)
+    base, _ = total_loss(model, fmap[None], [label], table, 0.0)
     assert neg <= base + 1e-12 <= pos + 2e-12
 
 
@@ -455,8 +453,8 @@ def test_model_head_count_mismatch():
 
 
 def test_init_setnet_seeded_determinism():
-    a = init_setnet(8, 6, 3, 5, 0.2, np.random.default_rng(42))
-    b = init_setnet(8, 6, 3, 5, 0.2, np.random.default_rng(42))
+    a = init_setnet(8, 6, 3, 5, np.random.default_rng(42))
+    b = init_setnet(8, 6, 3, 5, np.random.default_rng(42))
     for (na, pa), (nb, pb) in zip(sorted(a.parameters().items()),
                                   sorted(b.parameters().items())):
         assert na == nb

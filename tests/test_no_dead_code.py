@@ -21,11 +21,25 @@ The inference chunk rule sits where rows leave the bundle: only ``dataio``
 names ``CHUNK_ROWS``, and no function of ``model``, ``ood`` or ``pipeline``
 calls a chunk helper (a function that reads ``CHUNK_ROWS``), so no chunked
 call nests another.
+
+Every CLI option has a caller too: each option string of every
+``cli.build_parser()`` subcommand (``--help`` aside) appears as a whole
+token in ``README.md``, in ``perfbench/run.py`` or in a test file other than
+this one. The train flags that only copied config fields and had no caller
+stay refused; those refusals live here, because naming a flag to check that
+it is refused does not make it called.
 """
 
+import argparse
 import ast
+import json
+import re
 import runpy
 from pathlib import Path
+
+import pytest
+
+from setnet.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "setnet"
@@ -148,3 +162,58 @@ def chunk_rule_offenders() -> list[str]:
 
 def test_only_dataio_chunks_inference():
     assert chunk_rule_offenders() == []
+
+
+def option_strings() -> set[str]:
+    """Every option string of every ``build_parser()`` subcommand, the help flags aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {option for command in sub.choices.values() for action in command._actions
+            for option in action.option_strings if option not in ("-h", "--help")}
+
+
+def uncalled_options() -> list[str]:
+    """The option strings that no caller text names as a whole token."""
+    callers = [ROOT / "README.md", ROOT / "perfbench" / "run.py",
+               *(path for path in sorted((ROOT / "tests").glob("*.py"))
+                 if path.name != Path(__file__).name)]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in callers)
+    return sorted(option for option in option_strings()
+                  if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text))
+
+
+def test_every_cli_option_has_a_caller():
+    assert uncalled_options() == []
+
+
+REMOVED_TRAIN_FLAGS = [("--heads", "2"), ("--diversity-weight", "0.1"), ("--folds", "3"),
+                       ("--batch-size", "4")]
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    """A tiny bundle and the config that made it, for the train commands."""
+    root = tmp_path_factory.mktemp("flags")
+    config = root / "run.json"
+    config.write_text(json.dumps({
+        "synthetic": {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 6,
+                      "height": 3, "width": 3, "channels": 4, "semantic_dim": 4,
+                      "attrs_per_class": 2},
+        "train": {"epochs": 1, "head_count": 1, "hidden_channels": 2, "fold_count": 2,
+                  "ddm_hidden": 4}}))
+    bundle = root / "data.sdnb"
+    assert main(["gen-synth", "--config", str(config), "--out", str(bundle)]) == 0
+    return config, bundle
+
+
+@pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])
+@pytest.mark.parametrize("flag, value", REMOVED_TRAIN_FLAGS)
+def test_train_flags_that_copied_config_fields_are_refused(train_inputs, tmp_path, capsys,
+                                                          command, flag, value):
+    config, bundle = train_inputs
+    out = tmp_path / "m.sdnc"
+    capsys.readouterr()
+    rc = main([command, "--bundle", str(bundle), "--config", str(config), "--out", str(out),
+               flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: unrecognized arguments: {flag} {value}"]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setnet.train
-from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
+from setnet.dataio import (DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, read_container,
+                           save_bundle)
 from setnet.errors import FormatError
 from setnet.model import total_loss
 from setnet.ood import disagreement_degree
@@ -18,7 +19,7 @@ from setnet.train import (TrainConfig, calibrate_ensemble, check_training_bundle
                           load_setnet_checkpoint, pooled_features, save_checkpoint, train_ddm,
                           train_setnet)
 
-from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, ddm_tensors,
+from conftest import (DIV_SCALE, INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, ddm_tensors,
                       fold_params, misfit_ddm, per_fold_tensors, resealed, safe_instance,
                       setnet_meta)
 from oracles import total_loss_per_sample, train_ddm_per_fold
@@ -102,11 +103,13 @@ def test_batched_loss_is_mean_of_per_sample_oracle(tiny_bundle):
         batch = idx[:b]
         cfg = dict(seed=b, learning_rate=lr, batch_size=b, head_count=3, hidden_channels=4,
                    diversity_sign=sign)
-        init = train_setnet(tiny_bundle, TrainConfig(epochs=0, **cfg))
+        init_cfg = TrainConfig(epochs=0, **cfg)
+        scale = init_cfg.diversity_sign * init_cfg.diversity_weight
+        init = train_setnet(tiny_bundle, init_cfg)
         loss, grads = total_loss(init, tiny_bundle.features[batch], tiny_bundle.labels[batch],
-                                 table, diversity_sign=sign)
+                                 table, scale)
         per_sample = [total_loss_per_sample(init, tiny_bundle.features[i],
-                                            int(tiny_bundle.labels[i]), table, sign)
+                                            int(tiny_bundle.labels[i]), table, scale)
                       for i in batch]
         assert abs(loss - np.mean([l for l, _ in per_sample])) <= 1e-12
         assert set(grads) == set(init.parameters())
@@ -137,7 +140,8 @@ def test_flat_sgd_step_is_bitwise_per_parameter_update(tiny_bundle, tmp_path):
     cfg = dict(seed=3, learning_rate=0.7, batch_size=8, head_count=3, hidden_channels=4)
     init = train_setnet(small, TrainConfig(epochs=0, **cfg))
     order = idx[np.random.default_rng([3, 0x12]).permutation(idx.size)]  # the trainer's shuffle
-    _, grads = total_loss(init, small.features[order], small.labels[order], small.seen_table())
+    _, grads = total_loss(init, small.features[order], small.labels[order], small.seen_table(),
+                          DIV_SCALE)
     trained = train_setnet(small, TrainConfig(epochs=1, **cfg))
     for name, p in trained.parameters().items():
         assert np.array_equal(p, init.parameters()[name] - 0.7 * grads[name]), name
@@ -183,7 +187,8 @@ def test_flat_gradient_slots_hold_the_total_loss_gradients(tiny_bundle, monkeypa
             assert 0 <= start <= flat.size - p.size, name
             slots[name] = slice(start, start + p.size)
             model.parameters()[name][...] = before[slots[name]].reshape(p.shape)
-        _, want = total_loss(model, small.features[batch], small.labels[batch], small.seen_table())
+        _, want = total_loss(model, small.features[batch], small.labels[batch], small.seen_table(),
+                             DIV_SCALE)
         assert sum(p.size for p in want.values()) == grad.size
         for name, g in want.items():
             assert np.array_equal(grad[slots[name]].reshape(g.shape), g), name
@@ -192,11 +197,11 @@ def test_flat_gradient_slots_hold_the_total_loss_gradients(tiny_bundle, monkeypa
 @pytest.mark.parametrize("seed", range(5))
 def test_single_sgd_step_decreases_loss(seed):
     model, fmap, table, label = safe_instance(seed)
-    before, grads = total_loss(model, fmap[None], [label], table)
+    before, grads = total_loss(model, fmap[None], [label], table, DIV_SCALE)
     lr = 1e-5
     for name, p in model.parameters().items():
         p -= lr * grads[name]
-    after, _ = total_loss(model, fmap[None], [label], table)
+    after, _ = total_loss(model, fmap[None], [label], table, DIV_SCALE)
     assert after < before
 
 
@@ -300,8 +305,27 @@ def test_setnet_checkpoint_round_trip(tiny_bundle, tmp_path):
     save_checkpoint(path, model, cfg)
     back, cfg_back = load_setnet_checkpoint(path)
     assert params_equal(model.parameters(), back.parameters())
-    assert back.diversity_weight == model.diversity_weight
+    assert cfg_back.diversity_weight == cfg.diversity_weight  # the weight's only copy
     assert cfg_back == cfg
+    assert set(read_container(path, "setnet")[0]) == {"config"}  # no bundle digest in memory
+
+
+def test_setnet_checkpoint_with_the_old_diversity_weight_meta_key_loads(tiny_bundle, tmp_path):
+    # earlier files kept a copy of the config's diversity weight in the
+    # meta; it is ignored, even where it disagrees with the config
+    cfg = TrainConfig(seed=5, epochs=1, head_count=2, hidden_channels=4)
+    model = train_setnet(tiny_bundle, cfg)
+    model.bundle_sha256 = hashlib.sha256(b"training bundle bytes").hexdigest()
+    new, old = tmp_path / "new.sdnc", tmp_path / "old.sdnc"
+    save_checkpoint(new, model, cfg)
+    meta, tensors, _ = read_container(new, "setnet")
+    assert set(meta) == {"config", "bundle_sha256"}
+    for weight in (cfg.diversity_weight, 7.0):
+        old.write_bytes(container_bytes("setnet", dict(meta, diversity_weight=weight), tensors))
+        back, cfg_back = load_setnet_checkpoint(old)
+        assert params_equal(back.parameters(), load_setnet_checkpoint(new)[0].parameters())
+        assert back.bundle_sha256 == model.bundle_sha256
+        assert cfg_back == cfg
 
 
 def test_ddm_checkpoint_round_trip_with_theta(tiny_bundle, tmp_path):
@@ -361,6 +385,18 @@ def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest)
         load_ddm_checkpoint(path)
 
 
+@pytest.mark.parametrize("theta", [True, "0.5", [0.5]], ids=["bool", "text", "list"])
+def test_ddm_checkpoint_rejects_a_theta_that_is_not_a_number(checkpoint_files, tmp_path, theta):
+    data, load, _ = checkpoint_files["ddm"]
+    path = tmp_path / "ddm.sdnc"
+    path.write_bytes(data)
+    ensemble, cfg = load(path)
+    meta = {"config": dataclasses.asdict(cfg), "theta": theta}
+    path.write_bytes(container_bytes("ddm", meta, ddm_tensors(ensemble)))
+    with pytest.raises(FormatError, match="^invalid ddm checkpoint: theta must be a finite number"):
+        load(path)
+
+
 def test_train_setnet_carries_the_bundle_digest_through_its_checkpoint(tiny_bundle, tmp_path):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     assert train_setnet(tiny_bundle, cfg).bundle_sha256 is None  # built in memory
@@ -384,7 +420,7 @@ def test_setnet_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, dige
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
     path = tmp_path / "bad.sdnc"
-    path.write_bytes(container_bytes("setnet", dict(setnet_meta(cfg, model), bundle_sha256=digest),
+    path.write_bytes(container_bytes("setnet", dict(setnet_meta(cfg), bundle_sha256=digest),
                                      model.parameters()))
     with pytest.raises(FormatError, match="^invalid setnet checkpoint: bundle_sha256 must be 64"):
         load_setnet_checkpoint(path)
@@ -484,7 +520,7 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
     if defect == "config_head_count":
         cfg = dataclasses.replace(cfg, head_count=1)
     path = tmp_path / "bad.sdnc"
-    path.write_bytes(container_bytes("setnet", setnet_meta(cfg, model), tensors, entries))
+    path.write_bytes(container_bytes("setnet", setnet_meta(cfg), tensors, entries))
     with pytest.raises(FormatError, match=message):
         load_setnet_checkpoint(path)
 
@@ -494,7 +530,7 @@ def test_checkpoint_reader_rejects_bad_tensors(tiny_bundle, tmp_path, defect, me
 def test_checkpoint_reader_rejects_an_invalid_config(tiny_bundle, tmp_path, field, value, message):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
     model = train_setnet(tiny_bundle, cfg)
-    meta = setnet_meta({**dataclasses.asdict(cfg), field: value}, model)
+    meta = setnet_meta({**dataclasses.asdict(cfg), field: value})
     path = tmp_path / "bad.sdnc"
     path.write_bytes(container_bytes("setnet", meta, model.parameters()))
     with pytest.raises(FormatError, match=f"invalid train config: {message}"):
