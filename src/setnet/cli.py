@@ -44,6 +44,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers too: no option answers to a prefix of its name
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # single-line error contract
         raise CliError(message)
 
@@ -121,19 +124,10 @@ def _cmd_train(args) -> None:
     save_checkpoint(args.out, trainer(bundle, cfg, epoch_callback=_print_epoch), cfg)
 
 
-def _check_bundle(model, bundle: DatasetBundle, name: str) -> None:
-    """Refuse the bundle unless the ``name`` model was trained on it; one that
-    does not record its training bundle is used with a warning."""
-    if model.bundle_sha256 is None:
-        print(f"warning: {name} checkpoint does not record its training bundle; "
-              "the bundle is not checked", file=sys.stderr)
-    check_training_bundle(model, bundle, name)
-
-
 def _load_model(path, bundle: DatasetBundle):
     """The SetNet checkpoint ``path``, refused unless trained on ``bundle``."""
     model, _ = load_setnet_checkpoint(path)
-    _check_bundle(model, bundle, f"model {path}")
+    check_training_bundle(model, bundle, f"model {path}")
     return model
 
 
@@ -141,7 +135,7 @@ def _load_detector(args):
     """The --ddm detector, its config and the --bundle bundle, refused unless trained on it."""
     ensemble, cfg = load_ddm_checkpoint(args.ddm)
     bundle = load_bundle(args.bundle)
-    _check_bundle(ensemble, bundle, "detector")
+    check_training_bundle(ensemble, bundle)
     return ensemble, cfg, bundle
 
 
@@ -189,8 +183,7 @@ def _cmd_eval_gzsl(args) -> None:
     ensemble, _, bundle = _load_detector(args)
     zsl_model = _load_model(args.zsl, bundle)
     gzsl_model = zsl_model if args.gzsl is None else _load_model(args.gzsl, bundle)
-    system = GzslSystem(detector=ensemble, zsl_model=zsl_model, gzsl_model=gzsl_model,
-                        unseen_table=bundle.unseen_table(), full_table=bundle.table)
+    system = GzslSystem(ensemble, zsl_model, gzsl_model, bundle)
     idx = bundle.test_indices()
     if idx.size == 0:
         raise CliError("bundle has no test samples")
@@ -304,7 +297,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         # non-finite results are caught and reported as errors, so numpy's
-        # floating-point warnings would only add lines to stderr
+        # floating-point messages would only add lines to stderr
         with np.errstate(all="ignore"):
             args.func(args)
     except CliError as e:

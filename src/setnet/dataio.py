@@ -8,16 +8,16 @@ Bundles and both checkpoint kinds are one container (all little-endian):
     each tensor's bytes, C order, at the next 8-byte boundary |
     SHA-256 of every preceding byte (32 bytes)
 
-``read_container`` checks the magic (a version 1 file gets its own
-message), the checksum before it parses anything, the version and header,
-the kind, the layout (which must end at the checksum, so sizes are checked
-before any allocation), non-finite floats and the kind's ``SCHEMAS``; it
-raises only ``FormatError`` and returns read-only views of the bytes read.
-A bundle's features stay float32, which the model upcasts exactly per
-batch; its semantic table is float64 holding float32 values, so save ->
-load is bitwise. A loaded bundle keeps the stored checksum as its
-``sha256``, which binds a trained model to its bundle. Identical seeds
-give bitwise-identical bundles (numpy's default_rng, PCG64).
+``read_container`` checks the magic, the checksum before it parses
+anything, the version and header, the kind, the layout (which must end at
+the checksum, so sizes are checked before any allocation), non-finite
+floats and the kind's ``SCHEMAS``; it raises only ``FormatError`` and
+returns read-only views of the bytes read. A bundle's features stay
+float32, which the model upcasts exactly per batch; its semantic table is
+float64 holding float32 values, so save -> load is bitwise. Every bundle's
+``sha256``, the checksum of its file (stored, or computed on first read),
+binds a trained model to its bundle. Identical seeds give bitwise-identical
+bundles (numpy's default_rng, PCG64).
 
 Inference and the detector's pooled features read the bundle through
 ``DatasetBundle.map_rows``, the one place that bounds their work: it gathers
@@ -26,6 +26,7 @@ at most ``CHUNK_ROWS`` maps at a time and runs one batched call on each.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -49,8 +50,8 @@ class DatasetBundle:
 
     The split is held as the container stores it, seen class ids and a train
     flag per sample; ``unseen_ids``, the table's other ids, is derived, so
-    save -> load cannot change it. ``sha256`` is the hex SHA-256 stored in the
-    file the bundle was loaded from; None for a bundle built in memory.
+    save -> load cannot change it. ``sha256`` is the hex SHA-256 of its file:
+    the stored one, or of the bytes ``save_bundle`` would write, on first read.
     """
 
     features: np.ndarray     # (N, H, W, C) float32; float64 input must be f32-exact
@@ -58,7 +59,6 @@ class DatasetBundle:
     table: SemanticTable
     seen_ids: np.ndarray     # sorted int64
     train_flags: np.ndarray  # (N,) bool
-    sha256: str | None = None
     unseen_ids: np.ndarray = field(init=False)  # sorted int64: the table's other ids
 
     def __post_init__(self):
@@ -120,6 +120,13 @@ class DatasetBundle:
     def unseen_table(self) -> SemanticTable:
         return self.table.subset(self.unseen_ids)
 
+    @functools.cached_property
+    def sha256(self) -> str:
+        digest = hashlib.sha256()
+        for part in _container_parts("bundle", {}, _bundle_tensors(self)):
+            digest.update(part)
+        return digest.hexdigest()
+
 
 # ---------------------------------------------------------------------------
 # the container
@@ -136,12 +143,11 @@ SCHEMAS = {
 DTYPES = ("<f4", "<f8", "<u4", "<i8", "|u1")
 
 
-def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
-    """Write ``tensors`` (name -> array, cast to the dtypes of ``kind``'s
-    schema) and the JSON object ``meta``, streaming each tensor to the file
-    and the checksum. A tensor whose cast changes a value, or a float tensor
-    that holds a value ``read_container`` refuses, is refused before the file
-    is opened."""
+def _container_parts(kind: str, meta: dict, tensors: dict) -> list:
+    """A ``kind`` container's bytes before the checksum, as parts: the header
+    with the JSON object ``meta``, then each of ``tensors`` cast to its schema
+    dtype at the next 8-byte boundary. A cast that changes a value, or a float
+    ``read_container`` refuses, is a ``ValueError``."""
     schema = SCHEMAS[kind]
     arrays = {name: np.ascontiguousarray(a, dtype=schema[name][0]) for name, a in tensors.items()}
     for name, a in arrays.items():
@@ -152,12 +158,22 @@ def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
     header = json.dumps({"kind": kind, "meta": meta, "tensors": [
         [name, schema[name][0], list(a.shape)] for name, a in arrays.items()]},
         sort_keys=True).encode("utf-8")
+    parts, end = [MAGIC + struct.pack("<II", VERSION, len(header)) + header], 12 + len(header)
+    for a in arrays.values():
+        parts += [bytes(-end % 8), a]
+        end += -end % 8 + a.nbytes
+    return parts
+
+
+def write_container(path, kind: str, meta: dict, tensors: dict) -> None:
+    """Write a ``kind`` container, streaming each part to the file and the
+    checksum; a tensor ``_container_parts`` refuses never opens the file."""
+    parts = _container_parts(kind, meta, tensors)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for piece in [MAGIC + struct.pack("<II", VERSION, len(header)) + header, *arrays.values()]:
-            for part in (bytes(-fh.tell() % 8), piece):  # each tensor at an 8-byte boundary
-                digest.update(part)
-                fh.write(part)
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
         fh.write(digest.digest())
 
 
@@ -168,9 +184,6 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
-        if data[:4] in (b"SDNB", b"SDNC"):
-            raise FormatError("version 1 file; this version reads version 2 only: regenerate it "
-                              "with gen-synth, train-setnet, train-ddm and calibrate", offset=0)
         raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
     end = len(data) - 32  # where the checksum starts
     if end < 12 or hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
@@ -223,12 +236,15 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray], str]:
     return header["meta"], tensors, data[end:].hex()
 
 
+def _bundle_tensors(bundle: DatasetBundle) -> dict:
+    return {"class_ids": bundle.table.class_ids, "semantics": bundle.table.vectors,
+            "seen_ids": bundle.seen_ids, "labels": bundle.labels,
+            "train_flags": bundle.train_flags, "features": bundle.features}
+
+
 def save_bundle(bundle: DatasetBundle, path) -> None:
     """Write a bundle container; the bundle validates on construction."""
-    write_container(path, "bundle", {}, {
-        "class_ids": bundle.table.class_ids, "semantics": bundle.table.vectors,
-        "seen_ids": bundle.seen_ids, "labels": bundle.labels,
-        "train_flags": bundle.train_flags, "features": bundle.features})
+    write_container(path, "bundle", {}, _bundle_tensors(bundle))
 
 
 def load_bundle(path) -> DatasetBundle:
@@ -236,11 +252,13 @@ def load_bundle(path) -> DatasetBundle:
     if np.any(t["train_flags"] > 1):
         raise FormatError("train flags must be 0 or 1")
     try:
-        return DatasetBundle(features=t["features"], labels=t["labels"], seen_ids=t["seen_ids"],
-                             train_flags=t["train_flags"], sha256=digest,
-                             table=SemanticTable(class_ids=t["class_ids"], vectors=t["semantics"]))
+        table = SemanticTable(class_ids=t["class_ids"], vectors=t["semantics"])
+        bundle = DatasetBundle(features=t["features"], labels=t["labels"], table=table,
+                               seen_ids=t["seen_ids"], train_flags=t["train_flags"])
     except ValueError as e:
         raise FormatError(f"invalid bundle: {e}") from e
+    bundle.sha256 = digest  # the file's stored checksum: a load hashes the file once
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ class SetNetModel:
     second bias: a per-head constant shifts every cell of its map equally and
     cancels exactly under the spatial softmax. Head k's affine projector maps
     its pooled (C,) feature to semantic space with ``proj_w[k]`` (C, S) and
-    ``proj_b[k]`` (S,). ``bundle_sha256`` is the SHA-256 stored in the bundle
-    file the model was trained on, when known; ``train.check_training_bundle``
-    refuses any other.
+    ``proj_b[k]`` (S,). ``bundle_sha256``, which a checkpoint needs, is the
+    digest of the bundle the model was trained on (None before);
+    ``train.check_training_bundle`` refuses any other.
     """
 
     w1: np.ndarray

@@ -67,9 +67,9 @@ class DdmEnsemble:
     Fold i maps a mean-pooled (C,) feature through ``w1[i]`` (C, H),
     ``b1[i]`` (H,), a ReLU, ``w2[i]`` (H, N) and ``b2[i]`` (N,) to logits over
     its ID classes ``fold_ids[i]``: sorted ids padded with -1 to the widest
-    fold's N, whose columns are masked out. ``bundle_sha256`` is the SHA-256
-    stored in the bundle file the detector was trained on, when known;
-    ``train.check_training_bundle`` refuses any other.
+    fold's N, whose columns are masked out. ``bundle_sha256``, which a
+    checkpoint needs, is the digest of the bundle the detector was trained
+    on (None before); ``train.check_training_bundle`` refuses any other.
     ``holdout_seed`` names the calibration holdout its folds never saw.
     """
 

@@ -3,8 +3,8 @@
 Every sample of a batch whose disagreement degree falls strictly below the
 calibrated threshold goes to the unseen-class-only model/table, the rest go
 to the full-table model, so a batch costs one detector pass and at most two
-batched predictions. The two models may be the same object when sharing is
-preferred over independently seeded training.
+batched predictions. The tables come from the split of the bundle all three
+models were trained on; the two models may be one object.
 """
 
 from __future__ import annotations
@@ -13,26 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import DatasetBundle
 from .diffmath import spatial_mean
-from .model import SemanticTable, SetNetModel, predict
+from .model import SetNetModel, predict
 from .ood import DdmEnsemble, disagreement_degree
+from .train import check_training_bundle
 
 
 @dataclass
 class GzslSystem:
-    """Calibrated detector plus the two classification heads and tables."""
+    """Calibrated detector and the two classification heads, all trained on ``bundle``."""
 
     detector: DdmEnsemble
     zsl_model: SetNetModel
     gzsl_model: SetNetModel
-    unseen_table: SemanticTable
-    full_table: SemanticTable
+    bundle: DatasetBundle
 
     def __post_init__(self):
-        unseen = set(self.unseen_table.class_ids.tolist())
-        full = set(self.full_table.class_ids.tolist())
-        if not unseen < full:
-            raise ValueError("unseen-class table must be a strict subset of the full table")
+        for name in ("detector", "zsl_model", "gzsl_model"):
+            check_training_bundle(getattr(self, name), self.bundle, name)
+        self.unseen_table = self.bundle.unseen_table()  # derived once, not per batch
 
 
 def classify_gzsl(sys: GzslSystem, fmaps: np.ndarray) -> np.ndarray:
@@ -43,7 +43,7 @@ def classify_gzsl(sys: GzslSystem, fmaps: np.ndarray) -> np.ndarray:
     unseen = disagreement_degree(sys.detector, spatial_mean(fmaps)) < theta
     preds = np.empty(fmaps.shape[0], dtype=np.int64)
     for routed, model, table in ((unseen, sys.zsl_model, sys.unseen_table),
-                                 (~unseen, sys.gzsl_model, sys.full_table)):
+                                 (~unseen, sys.gzsl_model, sys.bundle.table)):
         if routed.any():
             preds[routed] = predict(model, fmaps[routed], table)
     return preds

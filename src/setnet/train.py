@@ -15,8 +15,8 @@ stops training with a ``FloatingPointError`` that names the epoch and step,
 and the fold for the detector.
 
 A checkpoint is a ``dataio`` container of kind "setnet" or "ddm" whose
-meta holds the train config and, once set, the training bundle's stored
-SHA-256 as "bundle_sha256" (64 lowercase hex digits), which
+meta holds the train config and the training bundle's SHA-256 as
+"bundle_sha256" (64 lowercase hex digits, never absent), which
 ``check_training_bundle`` compares with a bundle's. "setnet" stores the
 model's five flat arrays under their ``parameters()`` names ("attn.w1",
 "attn.b1", "attn.w2", and the stacked projectors "proj.w" (K, V, S) and
@@ -139,7 +139,7 @@ def train_setnet(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -
     """SGD on the minibatch-mean total loss over seen-class training samples.
 
     ``epoch_callback(epoch, mean_loss)``, when given, sees every epoch's
-    mean per-sample training loss. The model carries the bundle's file digest.
+    mean per-sample training loss. The model carries the bundle's digest.
     """
     train_idx = bundle.train_indices()
     if train_idx.size == 0:
@@ -222,7 +222,7 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
     the mean over folds of each fold's mean step loss.
 
     Returns an uncalibrated ensemble (theta unset) that carries the bundle's
-    file digest and its holdout seed, cfg.seed; that calibration holdout never
+    digest and its holdout seed, cfg.seed; that calibration holdout never
     reaches any sub-detector.
     """
     partition = partition_classes(bundle.seen_ids, cfg.fold_count, cfg.seed)
@@ -283,11 +283,10 @@ def train_ddm(bundle: DatasetBundle, cfg: TrainConfig, epoch_callback=None) -> D
 
 
 def check_training_bundle(model, bundle: DatasetBundle, name: str = "detector") -> None:
-    """Refuse a bundle whose file digest differs from the one ``model``, a
+    """Refuse a bundle whose digest differs from the one ``model``, a
     ``DdmEnsemble`` or a ``SetNetModel`` called ``name`` in the message, was
-    trained on; the check is skipped when either digest is unknown."""
-    known = model.bundle_sha256 is not None and bundle.sha256 is not None
-    if known and model.bundle_sha256 != bundle.sha256:
+    trained on."""
+    if model.bundle_sha256 != bundle.sha256:
         raise ValueError(f"bundle is not the bundle the {name} was trained on")
 
 
@@ -311,8 +310,8 @@ def calibrate_ensemble(ensemble: DdmEnsemble, bundle: DatasetBundle,
 # checkpoints
 
 def _checked_digest(digest):
-    """A training-bundle digest as checkpoints hold it: None or 64 lowercase hex digits."""
-    if digest is not None and not re.fullmatch("[0-9a-f]{64}", str(digest)):
+    """A training-bundle digest as checkpoints hold it: 64 lowercase hex digits."""
+    if not re.fullmatch("[0-9a-f]{64}", str(digest)):
         raise ValueError(f"bundle_sha256 must be 64 lowercase hex digits, got {digest!r:.80}")
     return digest
 

@@ -21,6 +21,13 @@ acceptance_lines: list[str] = []
 # the signed diversity scale ``total_loss`` takes, from the default config
 DIV_SCALE = TrainConfig().diversity_sign * TrainConfig().diversity_weight
 
+# a stand-in training-bundle digest for checkpoints written by hand
+DIGEST = hashlib.sha256(b"training bundle bytes").hexdigest()
+
+# the spec of ``tiny_bundle``
+TINY_SPEC = SyntheticSpec(seen_classes=4, unseen_classes=2, samples_per_class=8, channels=8,
+                          semantic_dim=8, attrs_per_class=2, seed=3)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_lines:
@@ -37,10 +44,7 @@ def default_bundle():
 @pytest.fixture(scope="session")
 def tiny_bundle():
     """Small bundle for fast structural tests."""
-    return gen_synthetic(SyntheticSpec(seen_classes=4, unseen_classes=2,
-                                       samples_per_class=8, channels=8,
-                                       semantic_dim=8, attrs_per_class=2,
-                                       seed=3))
+    return gen_synthetic(TINY_SPEC)
 
 
 def bundle_of(fmaps):
@@ -214,9 +218,10 @@ def resealed(data) -> bytes:
 
 
 def setnet_meta(cfg) -> dict:
-    """The meta of a SetNet checkpoint without a bundle digest, from a
+    """The meta of a SetNet checkpoint bound to ``DIGEST``, from a
     TrainConfig or a dict."""
-    return {"config": cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)}
+    return {"config": cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg),
+            "bundle_sha256": DIGEST}
 
 
 def ddm_tensors(e) -> dict:
@@ -234,41 +239,6 @@ def bundle_tensors(bundle) -> dict:
             "features": bundle.features.astype("<f4")}
 
 
-# ---------------------------------------------------------------------------
-# version 1 files, as earlier versions wrote them
-
-def v1_bundle_bytes(bundle) -> bytes:
-    """``bundle`` in the version 1 "SDNB" layout."""
-    n, h, w, c = bundle.features.shape
-    d, s = bundle.table.vectors.shape
-    return b"".join([b"SDNB", struct.pack("<8I", 1, n, h, w, c, s, d, len(bundle.seen_ids)),
-                     *(a.tobytes() for a in bundle_tensors(bundle).values())])
-
-
-def v1_checkpoint_bytes(cfg, entries, kind="setnet") -> bytes:
-    """A version 1 "SDNC" checkpoint from (name, dims, payload) entries and
-    a TrainConfig or a config dict."""
-    cfg = cfg if isinstance(cfg, dict) else dataclasses.asdict(cfg)
-    cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    out = [b"SDNC", struct.pack("<II", 1, len(kind)), kind.encode("utf-8"),
-           struct.pack("<I", len(cfg_json)), cfg_json, struct.pack("<I", len(entries))]
-    for name, dims, payload in entries:
-        out += [struct.pack("<I", len(name)), name.encode("utf-8"),
-                struct.pack(f"<I{len(dims)}I", len(dims), *dims), payload]
-    return b"".join(out)
-
-
-def v1_ddm_checkpoint(e, cfg) -> bytes:
-    """``e`` in the stacked version 1 ddm layout: "ddm.w1", ".b1", ".w2",
-    ".b2" and ".ids" as float64, and the training bundle's digest as 32
-    float64 byte values."""
-    tensors = {f"ddm.{name}": a for name, a in ddm_tensors(e).items()}
-    if e.bundle_sha256 is not None:
-        tensors["bundle_sha256"] = np.frombuffer(bytes.fromhex(e.bundle_sha256), np.uint8)
-    return v1_checkpoint_bytes(cfg, [(name, np.shape(a), np.asarray(a, dtype="<f8").tobytes())
-                                     for name, a in tensors.items()], kind="ddm")
-
-
 def per_fold_tensors(e) -> dict:
     """``e`` in the per-fold ddm layout of earlier versions: "ddm.<i>.w1",
     ".b1", ".w2", ".b2" and ".ids" per fold, unpadded, and "fold_count"."""
@@ -279,8 +249,3 @@ def per_fold_tensors(e) -> dict:
                         f"ddm.{i}.ids": e.fold_ids[i, :n].astype(np.float64)})
     return tensors
 
-
-def per_fold_ddm_checkpoint(e, cfg) -> bytes:
-    """``e`` as a per-fold version 1 ddm checkpoint."""
-    return v1_checkpoint_bytes(cfg, [(name, np.shape(a), np.asarray(a, dtype="<f8").tobytes())
-                                     for name, a in per_fold_tensors(e).items()], kind="ddm")

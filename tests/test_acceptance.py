@@ -240,7 +240,7 @@ def test_criterion_7_detector_routing_effect(bundle, zsl_models):
         ensemble = train_ddm(bundle, TrainConfig(seed=s, **DDM_CFG))
         calibrate_ensemble(ensemble, bundle, 0.11)
         system = GzslSystem(detector=ensemble, zsl_model=models[s], gzsl_model=gzsl_model,
-                            unseen_table=bundle.unseen_table(), full_table=bundle.table)
+                            bundle=bundle)
         routed_h.append(gzsl_h([classify_gzsl(system, bundle.features[i:i + 1])[0]
                                 for i in test_idx]))
         direct_h.append(gzsl_h([predict(gzsl_model, bundle.features[i:i + 1], bundle.table)[0]

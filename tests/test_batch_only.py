@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from setnet import diffmath, model, ood, pipeline
+from setnet.dataio import DatasetBundle
+from setnet.model import SemanticTable
 
 from conftest import DIV_SCALE, random_model, random_table
 
@@ -24,8 +26,11 @@ def parts():
     table = random_table(rng, 4, S)
     detector = ood.init_ddm([[0, 1], [1, 2], [0, 2]], C, 4, [rng] * 3)
     detector.theta = 0.1
-    system = pipeline.GzslSystem(detector=detector, zsl_model=net, gzsl_model=net,
-                                 unseen_table=table.subset([2, 3]), full_table=table)
+    bundle = DatasetBundle(features=np.zeros((1, H, W, C), np.float32), labels=[0], seen_ids=[0, 1],
+                           train_flags=[False], table=SemanticTable(
+                               class_ids=table.class_ids, vectors=table.vectors.astype(np.float32)))
+    net.bundle_sha256 = detector.bundle_sha256 = bundle.sha256
+    system = pipeline.GzslSystem(detector=detector, zsl_model=net, gzsl_model=net, bundle=bundle)
     return {"net": net, "table": table, "detector": detector, "system": system,
             "fmap": rng.normal(size=(H, W, C)), "pooled": rng.normal(size=(K, C)),
             "maps": np.full((K, H, W), 1 / (H * W)), "feat": rng.normal(size=C),

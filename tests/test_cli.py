@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,16 +18,15 @@ from setnet.train import (holdout_indices, load_ddm_checkpoint,
                           load_setnet_checkpoint, pooled_features, save_checkpoint)
 
 from conftest import (INVALID_TRAIN_CONFIGS, MISFIT_DDM, container_bytes, misfit_ddm,
-                      per_fold_ddm_checkpoint, report_from_json, resealed, v1_bundle_bytes,
-                      v1_ddm_checkpoint)
+                      per_fold_tensors, report_from_json, resealed)
 
 SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
          "attrs_per_class": 2, "noise": 0.1, "jitter": 1, "seed": 5}
 TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 1,
          "head_count": 2, "hidden_channels": 4, "fold_count": 2, "ddm_hidden": 8}
-V1_ERROR = ("error: version 1 file; this version reads version 2 only: regenerate it with "
-            "gen-synth, train-setnet, train-ddm and calibrate (at byte offset 0)")
+BAD_MAGIC = "error: bad magic, expected b'SDNT' (at byte offset 0)"
+NO_DIGEST = "error: invalid {kind} checkpoint: bundle_sha256 must be 64 lowercase hex digits, got None"
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,17 @@ def test_train_rejects_an_invalid_config_before_the_header(workdir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--ep", "1"), ("--learn", "0.1")], ids=["ep", "learn"])
+def test_train_refuses_an_abbreviated_option(workdir, tmp_path, capsys, flag, value):
+    # an option answers to its full name only, not to a prefix of it
+    out = tmp_path / "x.sdnc"
+    rc = main(["train-setnet", "--bundle", str(workdir["bundle"]), "--config", str(workdir["cfg"]),
+               "--out", str(out), flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: unrecognized arguments: {flag} {value}"]
+
+
 @pytest.mark.parametrize("command", ["train-setnet", "train-ddm"])
 def test_train_non_finite_loss_fails_without_checkpoint(workdir, tmp_path, capsys, command):
     out = tmp_path / "x.sdnc"
@@ -267,21 +278,17 @@ def test_calibrate_refuses_a_bundle_the_detector_was_not_trained_on(workdir, tmp
                  "--fnr", "0.11", "--out", str(out)]) == 0
 
 
-def test_calibrate_warns_for_a_detector_without_bundle_digest(workdir, tmp_path, capsys):
-    # checkpoints written before the digest existed still calibrate
-    from setnet.train import save_checkpoint
-    ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
-    assert ensemble.bundle_sha256 is not None
-    ensemble.bundle_sha256 = None
-    bare = tmp_path / "bare.sdnc"
-    save_checkpoint(bare, ensemble, cfg)
+def test_calibrate_refuses_a_detector_without_bundle_digest(workdir, tmp_path, capsys):
+    # a detector that does not record its training bundle could be
+    # calibrated on a split it was not trained on
+    bare = unbound(workdir["ddm"], "ddm", tmp_path / "bare.sdnc")
     capsys.readouterr()
     out = tmp_path / "x.sdnc"
-    assert main(["calibrate", "--ddm", str(bare), "--bundle", str(workdir["bundle"]),
-                 "--fnr", "0.11", "--out", str(out)]) == 0
-    err_lines = capsys.readouterr().err.strip().splitlines()
-    assert len(err_lines) == 1 and err_lines[0].startswith("warning:")
-    assert load_ddm_checkpoint(out)[0].theta == load_ddm_checkpoint(workdir["calibrated"])[0].theta
+    rc = main(["calibrate", "--ddm", str(bare), "--bundle", str(workdir["bundle"]),
+               "--fnr", "0.11", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and not out.exists() and captured.out == ""
+    assert captured.err.splitlines() == [NO_DIGEST.format(kind="ddm")]
 
 
 @pytest.mark.parametrize("command", ["eval-zsl", "calibrate"])
@@ -318,36 +325,37 @@ def test_calibrate_refuses_a_detector_whose_shapes_do_not_fit(workdir, tmp_path,
 
 
 def test_calibrate_refuses_a_per_fold_detector_of_an_earlier_version(workdir, tmp_path, capsys):
+    # version 1 checkpoints started with "SDNC"
     ensemble, cfg = load_ddm_checkpoint(workdir["ddm"])
     old, out = tmp_path / "old.sdnc", tmp_path / "c.sdnc"
-    old.write_bytes(per_fold_ddm_checkpoint(ensemble, cfg))
+    per_fold = container_bytes("ddm", {"config": dataclasses.asdict(cfg)}, per_fold_tensors(ensemble))
+    old.write_bytes(b"SDNC" + per_fold[4:])
     capsys.readouterr()
     rc = main(["calibrate", "--ddm", str(old), "--bundle", str(workdir["bundle"]),
                "--fnr", "0.11", "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [V1_ERROR]
+    assert capsys.readouterr().err.splitlines() == [BAD_MAGIC]
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval-zsl", "calibrate"])
 def test_a_version_1_file_fails_with_one_error_line(workdir, tmp_path, capsys, command):
-    """A bundle and a stacked detector checkpoint as the version 1 writers
-    wrote them: each is refused with the one message that says to
-    regenerate it."""
+    """A bundle and a detector checkpoint that start with the version 1
+    magic, "SDNB" and "SDNC": each is refused as any other bad magic."""
     old, out = tmp_path / "old", tmp_path / "out"
     if command == "eval-zsl":
-        old.write_bytes(v1_bundle_bytes(load_bundle(workdir["bundle"])))
+        old.write_bytes(b"SDNB" + workdir["bundle"].read_bytes()[4:])
         argv = ["eval-zsl", "--setnet", str(workdir["setnet"]), "--bundle", str(old),
                 "--report", str(out)]
     else:
-        old.write_bytes(v1_ddm_checkpoint(*load_ddm_checkpoint(workdir["ddm"])))
+        old.write_bytes(b"SDNC" + workdir["ddm"].read_bytes()[4:])
         argv = ["calibrate", "--ddm", str(old), "--bundle", str(workdir["bundle"]),
                 "--fnr", "0.11", "--out", str(out)]
     capsys.readouterr()
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == "" and not out.exists()
-    assert captured.err.splitlines() == [V1_ERROR]
+    assert captured.err.splitlines() == [BAD_MAGIC]
 
 
 def test_calibrate_bad_fnr(workdir, tmp_path, capsys):
@@ -454,16 +462,17 @@ def test_eval_zsl_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
     cfg.write_text(json.dumps({"synthetic": dict(SYNTH, channels=6)}))
     bundle = tmp_path / "six.sdnb"
     assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
-    bare = bare_setnet(workdir, tmp_path)  # so the bundle digest check cannot refuse it first
+    model, train_cfg = load_setnet_checkpoint(workdir["setnet"])
+    model.bundle_sha256 = load_bundle(bundle).sha256  # so the digest check cannot refuse it first
+    bound = tmp_path / "bound.sdnc"
+    save_checkpoint(bound, model, train_cfg)
     report = tmp_path / "zsl.json"
     capsys.readouterr()
-    rc = main(["eval-zsl", "--setnet", str(bare), "--bundle", str(bundle),
+    rc = main(["eval-zsl", "--setnet", str(bound), "--bundle", str(bundle),
                "--report", str(report)])
     captured = capsys.readouterr()
     assert rc == 1 and not report.exists() and captured.out == ""
     assert captured.err.splitlines() == [
-        f"warning: model {bare} checkpoint does not record its training bundle; "
-        "the bundle is not checked",
         "error: channel mismatch: feature maps have 6 channels, the model takes 8"]
 
 
@@ -474,28 +483,26 @@ def test_detector_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
     bundle = tmp_path / "six.sdnb"
     assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
     ensemble, train_cfg = load_ddm_checkpoint(workdir["calibrated"])
-    ensemble.bundle_sha256 = None  # so the bundle digest check cannot refuse it first
-    bare = tmp_path / "bare.sdnc"
-    save_checkpoint(bare, ensemble, train_cfg)
+    ensemble.bundle_sha256 = load_bundle(bundle).sha256  # so the digest check cannot refuse it first
+    bound = tmp_path / "bound.sdnc"
+    save_checkpoint(bound, ensemble, train_cfg)
     out = tmp_path / "out"
     rest = ["--fnr", "0.11", "--out"] if command == "calibrate" else ["--report"]
     capsys.readouterr()
-    rc = main([command, "--ddm", str(bare), "--bundle", str(bundle), *rest, str(out)])
+    rc = main([command, "--ddm", str(bound), "--bundle", str(bundle), *rest, str(out)])
     captured = capsys.readouterr()
-    err_lines = captured.err.splitlines()
     assert rc == 1 and not out.exists() and captured.out == ""
-    assert len(err_lines) == 2 and err_lines[0].startswith("warning:")
-    assert err_lines[1] == "error: channel mismatch: features have 6 channels, the detector takes 8"
+    assert captured.err.splitlines() == [
+        "error: channel mismatch: features have 6 channels, the detector takes 8"]
 
 
-def bare_setnet(workdir, root):
-    """The workdir SetNet checkpoint without its training-bundle digest."""
-    model, cfg = load_setnet_checkpoint(workdir["setnet"])
-    assert model.bundle_sha256 is not None
-    model.bundle_sha256 = None
-    bare = root / "bare-setnet.sdnc"
-    save_checkpoint(bare, model, cfg)
-    return bare
+def unbound(source, kind, path):
+    """A copy at ``path`` of the ``kind`` checkpoint ``source`` without its
+    training-bundle digest."""
+    meta, tensors, _ = read_container(source, kind)
+    del meta["bundle_sha256"]
+    path.write_bytes(container_bytes(kind, meta, tensors))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -582,8 +589,8 @@ def test_eval_refuses_a_model_trained_on_another_split(swapped_split, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["eval-zsl", "eval-gzsl"])
-def test_eval_warns_for_a_model_without_bundle_digest(workdir, tmp_path, capsys, command):
-    bare = bare_setnet(workdir, tmp_path)
+def test_eval_refuses_a_model_without_bundle_digest(workdir, tmp_path, capsys, command):
+    bare = unbound(workdir["setnet"], "setnet", tmp_path / "bare-setnet.sdnc")
     reports = {setnet: tmp_path / f"{setnet.stem}.json" for setnet in (bare, workdir["setnet"])}
 
     def argv(setnet):
@@ -593,31 +600,26 @@ def test_eval_warns_for_a_model_without_bundle_digest(workdir, tmp_path, capsys,
         return eval_argv(command, setnet, workdir["calibrated"], workdir["bundle"], reports[setnet])
 
     capsys.readouterr()
-    assert main(argv(bare)) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        f"warning: model {bare} checkpoint does not record its training bundle; "
-        "the bundle is not checked"]
+    assert main(argv(bare)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not reports[bare].exists()
+    assert captured.err.splitlines() == [NO_DIGEST.format(kind="setnet")]
     assert main(argv(workdir["setnet"])) == 0
     assert capsys.readouterr().err == ""
-    assert reports[bare].read_bytes() == reports[workdir["setnet"]].read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
-def test_eval_warns_for_a_detector_without_bundle_digest(workdir, tmp_path, capsys, command):
-    from setnet.train import save_checkpoint
-    ensemble, cfg = load_ddm_checkpoint(workdir["calibrated"])
-    ensemble.bundle_sha256 = None
-    bare = tmp_path / "bare.sdnc"
-    save_checkpoint(bare, ensemble, cfg)
+def test_eval_refuses_a_detector_without_bundle_digest(workdir, tmp_path, capsys, command):
+    bare = unbound(workdir["calibrated"], "ddm", tmp_path / "bare.sdnc")
     reports = {ddm: tmp_path / f"{ddm.stem}.json" for ddm in (bare, workdir["calibrated"])}
     capsys.readouterr()
-    assert main(eval_argv(command, workdir["setnet"], bare, workdir["bundle"], reports[bare])) == 0
-    err_lines = capsys.readouterr().err.strip().splitlines()
-    assert len(err_lines) == 1 and err_lines[0].startswith("warning:")
+    assert main(eval_argv(command, workdir["setnet"], bare, workdir["bundle"], reports[bare])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not reports[bare].exists()
+    assert captured.err.splitlines() == [NO_DIGEST.format(kind="ddm")]
     assert main(eval_argv(command, workdir["setnet"], workdir["calibrated"], workdir["bundle"],
                           reports[workdir["calibrated"]])) == 0
     assert capsys.readouterr().err == ""
-    assert reports[bare].read_bytes() == reports[workdir["calibrated"]].read_bytes()
 
 
 def test_eval_reports_idempotent(workdir, tmp_path):

@@ -189,7 +189,9 @@ def _tiny_containers(root):
              "setnet": (root / "m.sdnc", load_setnet_checkpoint),
              "ddm": (root / "e.sdnc", load_ddm_checkpoint)}
     save_bundle(bundle, files["bundle"][0])
-    save_checkpoint(files["setnet"][0], init_setnet(2, 1, 2, 3, rng), cfg)
+    model = init_setnet(2, 1, 2, 3, rng)
+    model.bundle_sha256 = bundle.sha256
+    save_checkpoint(files["setnet"][0], model, cfg)
     save_checkpoint(files["ddm"][0], ddm, cfg)
     return files
 

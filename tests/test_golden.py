@@ -24,13 +24,16 @@ on-purpose re-baseline:
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import setnet
 from setnet.cli import main
+from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bundle, save_bundle
 
 SYNTH = {"seen_classes": 5, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
@@ -157,6 +160,35 @@ def test_golden_bundle_digest(tmp_path, variant):
     assert _synth_digest(tmp_path, variant) == GOLDEN_SYNTH[variant]
 
 
+@pytest.mark.parametrize("workload", ["golden", "desk", "infer"])
+def test_an_in_memory_bundle_digest_is_its_file_checksum(tmp_path, workload):
+    """A bundle built in memory hashes the bytes ``save_bundle`` writes: its
+    ``sha256`` is the checksum the file stores and ``load_bundle`` keeps, for
+    the tiny spec and the specs of both benchmark workloads."""
+    if workload == "golden":
+        spec = SYNTH
+    else:
+        workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "run.py"))
+        spec = workloads["WORKLOADS"][workload].config()["synthetic"]
+    bundle = gen_synthetic(SyntheticSpec(**spec))
+    digest = bundle.sha256  # before any file exists
+    save_bundle(bundle, tmp_path / "data.sdnb")
+    assert digest == (tmp_path / "data.sdnb").read_bytes()[-32:].hex()
+    assert digest == load_bundle(tmp_path / "data.sdnb").sha256
+
+
+def test_no_cli_stage_hashes_a_bundle_in_memory(tmp_path, monkeypatch):
+    """``gen-synth`` writes its bundle without reading its digest, and every
+    other stage loads its bundle, which keeps the stored checksum: no stage
+    hashes bundle bytes a second time."""
+    def refuse(bundle):
+        raise AssertionError("a CLI stage hashed a bundle in memory")
+
+    monkeypatch.setattr(DatasetBundle.sha256, "func", refuse)
+    for argv in _pipeline(tmp_path):
+        _run(*argv)
+
+
 def test_no_cli_stage_imports_numpy_ma(tmp_path):
     """numpy's set operations (np.unique and what calls it) import numpy.ma,
     12-17 ms of start-up in every process; the stages must not need them."""
@@ -192,7 +224,6 @@ def test_module_entry_writes_the_in_process_bytes(artifacts, tmp_path):
 if __name__ == "__main__":
     import contextlib
     import tempfile
-    from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         roots = [Path(tmp, name) for name in ("tiny", "k4", *GOLDEN_SYNTH)]

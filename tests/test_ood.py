@@ -236,6 +236,13 @@ def test_confidence_dim_mismatch():
         confidence(e, np.zeros((1, 7)))
 
 
+def test_a_detector_refuses_features_with_other_channels():
+    e = init_ddm([[0, 1], [1, 2]], 8, 4, [np.random.default_rng(5)] * 2)
+    with pytest.raises(ValueError, match="^channel mismatch: features have 6 channels, "
+                                         "the detector takes 8$"):
+        disagreement_degree(e, np.zeros((1, 6)))
+
+
 # ---------------------------------------------------------------------------
 # disagreement
 

@@ -1,16 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from setnet import dataio, pipeline
-from setnet.dataio import CHUNK_ROWS
+from setnet.dataio import CHUNK_ROWS, gen_synthetic
 from setnet.diffmath import spatial_mean
 from setnet.errors import NotCalibratedError
 from setnet.model import predict
 from setnet.ood import disagreement_degree
 from setnet.pipeline import GzslSystem, classify_gzsl
-from setnet.train import TrainConfig, train_ddm, train_setnet
+from setnet.train import TrainConfig, calibrate_ensemble, train_ddm, train_setnet
 
-from conftest import bundle_of, random_model, random_table
+from conftest import TINY_SPEC, bundle_of, random_model, random_table
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,7 @@ def small_system(tiny_bundle):
     detector = train_ddm(tiny_bundle, cfg)
     detector.theta = 0.05
     return GzslSystem(detector=detector, zsl_model=zsl_model, gzsl_model=gzsl_model,
-                      unseen_table=tiny_bundle.unseen_table(),
-                      full_table=tiny_bundle.table)
+                      bundle=tiny_bundle)
 
 
 def constant_gate(degree):
@@ -45,7 +46,7 @@ def test_routing_seen_stub(small_system, tiny_bundle, monkeypatch):
     for i in tiny_bundle.test_indices()[:20]:
         got = classify_gzsl(small_system, tiny_bundle.features[i:i + 1])
         want = predict(small_system.gzsl_model, tiny_bundle.features[i:i + 1],
-                       small_system.full_table)
+                       small_system.bundle.table)
         assert got.tolist() == want.tolist()
 
 
@@ -55,7 +56,7 @@ def test_degenerate_threshold_never_flags(small_system, tiny_bundle):
     for i in tiny_bundle.test_indices()[:20]:
         got = classify_gzsl(small_system, tiny_bundle.features[i:i + 1])
         want = predict(small_system.gzsl_model, tiny_bundle.features[i:i + 1],
-                       small_system.full_table)
+                       small_system.bundle.table)
         assert got.tolist() == want.tolist()
 
 
@@ -113,7 +114,7 @@ def test_batched_classify_routes_each_row(small_system, tiny_bundle, monkeypatch
     routed = classify_gzsl(small_system, fmaps)
     want = np.where(degrees < 0,
                     predict(small_system.zsl_model, fmaps, small_system.unseen_table),
-                    predict(small_system.gzsl_model, fmaps, small_system.full_table))
+                    predict(small_system.gzsl_model, fmaps, small_system.bundle.table))
     assert routed.tolist() == want.tolist()
 
 
@@ -143,8 +144,20 @@ def test_single_unseen_class(small_system, tiny_bundle):
     assert predict(small_system.zsl_model, fmap, only).tolist() == want
 
 
-def test_system_requires_strict_subset(small_system, tiny_bundle):
-    with pytest.raises(ValueError):
-        GzslSystem(detector=small_system.detector, zsl_model=small_system.zsl_model,
-                   gzsl_model=small_system.gzsl_model,
-                   unseen_table=tiny_bundle.table, full_table=tiny_bundle.table)
+def test_system_refuses_a_model_trained_on_another_bundle(small_system, tiny_bundle):
+    """Each of the three models, trained on a bundle of another seed, is
+    refused by name: scored on that split, its own training classes could
+    count as unseen. Calibration refuses the foreign detector too."""
+    other = gen_synthetic(dataclasses.replace(TINY_SPEC, seed=TINY_SPEC.seed + 1))
+    cfg = TrainConfig(seed=1, epochs=0, head_count=2, hidden_channels=4, fold_count=2,
+                      ddm_hidden=8)
+    foreign = {"detector": train_ddm(other, cfg), "zsl_model": train_setnet(other, cfg)}
+    foreign["gzsl_model"] = foreign["zsl_model"]
+    own = {name: getattr(small_system, name) for name in foreign}
+    for name, model in foreign.items():
+        with pytest.raises(ValueError, match=f"^bundle is not the bundle the {name} was trained on$"):
+            GzslSystem(**dict(own, **{name: model}), bundle=tiny_bundle)
+    GzslSystem(**foreign, bundle=other)
+    with pytest.raises(ValueError, match="^bundle is not the bundle the detector was trained on$"):
+        calibrate_ensemble(foreign["detector"], tiny_bundle, 0.11)
+    assert foreign["detector"].theta is None

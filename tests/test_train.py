@@ -307,7 +307,8 @@ def test_setnet_checkpoint_round_trip(tiny_bundle, tmp_path):
     assert params_equal(model.parameters(), back.parameters())
     assert cfg_back.diversity_weight == cfg.diversity_weight  # the weight's only copy
     assert cfg_back == cfg
-    assert set(read_container(path, "setnet")[0]) == {"config"}  # no bundle digest in memory
+    assert set(read_container(path, "setnet")[0]) == {"config", "bundle_sha256"}
+    assert back.bundle_sha256 == tiny_bundle.sha256  # a bundle built in memory has one too
 
 
 def test_setnet_checkpoint_with_the_old_diversity_weight_meta_key_loads(tiny_bundle, tmp_path):
@@ -356,7 +357,6 @@ def test_ddm_checkpoint_round_trip_with_bundle_digest(tiny_bundle, tmp_path):
 def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bundle, tmp_path):
     from setnet.dataio import load_bundle, save_bundle
     cfg = TrainConfig(seed=5, epochs=1, fold_count=2, ddm_hidden=8, learning_rate=0.2)
-    assert train_ddm(tiny_bundle, cfg).bundle_sha256 is None  # built in memory
     path = tmp_path / "b.sdnb"
     save_bundle(tiny_bundle, path)
     loaded = load_bundle(path)
@@ -364,13 +364,14 @@ def test_train_ddm_carries_the_bundle_digest_and_calibration_checks_it(tiny_bund
     raw = path.read_bytes()  # the stored checksum, of every byte before it
     assert e.bundle_sha256 == loaded.sha256 == raw[-32:].hex()
     assert loaded.sha256 == hashlib.sha256(raw[:-32]).hexdigest()
+    assert train_ddm(tiny_bundle, cfg).bundle_sha256 == e.bundle_sha256  # built in memory
     other = load_bundle(path)
     other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
     with pytest.raises(ValueError, match="not the bundle the detector was trained on"):
         calibrate_ensemble(e, other, 0.13)
     assert e.theta is None
     calibrate_ensemble(e, loaded, 0.13)
-    calibrate_ensemble(e, tiny_bundle, 0.13)  # unknown digest: not checked
+    calibrate_ensemble(e, tiny_bundle, 0.13)  # in memory, the digest of the same bytes
 
 
 @pytest.mark.parametrize("digest", ["07" * 31, "zz" * 32, 0.5],
@@ -385,13 +386,33 @@ def test_ddm_checkpoint_rejects_bad_bundle_digest(tiny_bundle, tmp_path, digest)
         load_ddm_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind", ["setnet", "ddm"])
+def test_a_model_without_a_training_bundle_digest_is_neither_saved_nor_loaded(
+        checkpoint_files, tmp_path, kind):
+    data, load, _ = checkpoint_files[kind]
+    path = tmp_path / "m.sdnc"
+    path.write_bytes(data)
+    model, cfg = load(path)
+    meta, tensors, _ = read_container(path, kind)
+    del meta["bundle_sha256"]
+    path.write_bytes(container_bytes(kind, meta, tensors))
+    with pytest.raises(FormatError, match=f"^invalid {kind} checkpoint: bundle_sha256 must be 64 "
+                                          "lowercase hex digits, got None$"):
+        load(path)
+    model.bundle_sha256 = None  # refused before the file is opened
+    with pytest.raises(ValueError, match="^bundle_sha256 must be 64 lowercase hex digits, got None$"):
+        save_checkpoint(tmp_path / "unbound.sdnc", model, cfg)
+    assert not (tmp_path / "unbound.sdnc").exists()
+
+
 @pytest.mark.parametrize("theta", [True, "0.5", [0.5]], ids=["bool", "text", "list"])
 def test_ddm_checkpoint_rejects_a_theta_that_is_not_a_number(checkpoint_files, tmp_path, theta):
     data, load, _ = checkpoint_files["ddm"]
     path = tmp_path / "ddm.sdnc"
     path.write_bytes(data)
     ensemble, cfg = load(path)
-    meta = {"config": dataclasses.asdict(cfg), "theta": theta}
+    meta = {"config": dataclasses.asdict(cfg), "theta": theta,
+            "bundle_sha256": ensemble.bundle_sha256}
     path.write_bytes(container_bytes("ddm", meta, ddm_tensors(ensemble)))
     with pytest.raises(FormatError, match="^invalid ddm checkpoint: theta must be a finite number"):
         load(path)
@@ -399,15 +420,15 @@ def test_ddm_checkpoint_rejects_a_theta_that_is_not_a_number(checkpoint_files, t
 
 def test_train_setnet_carries_the_bundle_digest_through_its_checkpoint(tiny_bundle, tmp_path):
     cfg = TrainConfig(seed=5, epochs=0, head_count=2, hidden_channels=4)
-    assert train_setnet(tiny_bundle, cfg).bundle_sha256 is None  # built in memory
     path = tmp_path / "b.sdnb"
     save_bundle(tiny_bundle, path)
     loaded = load_bundle(path)
     save_checkpoint(tmp_path / "m.sdnc", train_setnet(loaded, cfg), cfg)
     model, _ = load_setnet_checkpoint(tmp_path / "m.sdnc")
     assert model.bundle_sha256 == loaded.sha256 == path.read_bytes()[-32:].hex()
+    assert train_setnet(tiny_bundle, cfg).bundle_sha256 == model.bundle_sha256  # built in memory
     check_training_bundle(model, loaded, "model m.sdnc")
-    check_training_bundle(model, tiny_bundle, "model m.sdnc")  # unknown digest: not checked
+    check_training_bundle(model, tiny_bundle, "model m.sdnc")  # in memory, the same bytes
     other = load_bundle(path)
     other.sha256 = hashlib.sha256(b"another bundle").hexdigest()
     with pytest.raises(ValueError, match="^bundle is not the bundle the model m.sdnc was trained"):
@@ -609,7 +630,8 @@ def test_ddm_checkpoint_rejects_a_bad_fold_id_table(checkpoint_files, tmp_path, 
     ensemble, cfg = load(path)
     assert ensemble.fold_ids.shape == (2, 2)
     tensors = dict(ddm_tensors(ensemble), ids=np.array(ids))  # int64 unless a value is a float
-    path.write_bytes(container_bytes("ddm", {"config": dataclasses.asdict(cfg)}, tensors))
+    meta = {"config": dataclasses.asdict(cfg), "bundle_sha256": ensemble.bundle_sha256}
+    path.write_bytes(container_bytes("ddm", meta, tensors))
     with pytest.raises(FormatError, match=f"^{reason}"):
         load(path)
 
