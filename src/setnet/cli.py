@@ -1,9 +1,9 @@
 """Command-line surface: synthesize data, train, calibrate, evaluate.
 
-One JSON config file is the source of truth for a run; only the seeds, the
-epoch count and the learning rate have override flags. Every command is
-deterministic given identical inputs and seeds, and every failure exits
-nonzero with a single ``error:`` line on stderr.
+One JSON config file is the source of truth for a run; only the seeds and
+the learning rate have override flags. Every command is deterministic given
+identical inputs and seeds, and every failure exits nonzero with a single
+``error:`` line on stderr.
 
 Each command is one short process, so its entry owns the garbage collector:
 ``python -m setnet.cli`` imports with it off, and ``run`` (the ``setnet``
@@ -35,7 +35,6 @@ from .train import (TrainConfig, calibrate_ensemble, check_training_bundle, dete
                     load_ddm_checkpoint, load_setnet_checkpoint, save_checkpoint, train_ddm,
                     train_setnet)
 
-DEFAULT_FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
 _TOP_KEYS = {"train", "synthetic", "fnr_grid"}
 
 
@@ -52,8 +51,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -69,26 +66,26 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _build(cls, section: dict, what: str, overrides: dict):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - allowed
+def _required(config: dict, key: str):
+    if key not in config:
+        raise CliError(f"missing required key {key!r} in config")
+    return config[key]
+
+
+def _build(cls, config: dict, key: str, overrides: dict):
+    """``cls`` from the config section ``key``, with the given overrides."""
+    section = _required(config, key)
+    if not isinstance(section, dict):
+        raise CliError(f"config key {key!r} must be an object")
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise CliError(f"unknown config key {what}.{sorted(unknown)[0]!r}")
+        raise CliError(f"unknown config key {key}.{sorted(unknown)[0]!r}")
     merged = dict(section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**merged)
     except (TypeError, ValueError) as e:
-        raise CliError(f"invalid {what} config: {e}") from e
-
-
-def _section(config: dict, key: str) -> dict:
-    if key not in config:
-        raise CliError(f"missing required key {key!r} in config")
-    section = config[key]
-    if not isinstance(section, dict):
-        raise CliError(f"config key {key!r} must be an object")
-    return section
+        raise CliError(f"invalid {key} config: {e}") from e
 
 
 def _pct(x: float) -> str:
@@ -103,21 +100,15 @@ def _print_epoch(epoch: int, loss: float) -> None:
 # command handlers
 
 def _cmd_gen_synth(args) -> None:
-    config = _load_config(args.config)
-    spec = _build(SyntheticSpec, _section(config, "synthetic"), "synthetic",
-                  {"seed": args.seed})
+    spec = _build(SyntheticSpec, _load_config(args.config), "synthetic", {"seed": args.seed})
     save_bundle(gen_synthetic(spec), args.out)
     print(f"wrote bundle to {args.out}")
 
 
-def _train_overrides(args) -> dict:
-    return {"seed": args.seed, "epochs": args.epochs, "learning_rate": args.learning_rate}
-
-
 def _cmd_train(args) -> None:
     """train-setnet and train-ddm: stream the epoch,loss CSV, then save."""
-    config = _load_config(args.config)
-    cfg = _build(TrainConfig, _section(config, "train"), "train", _train_overrides(args))
+    cfg = _build(TrainConfig, _load_config(args.config), "train",
+                 {"seed": args.seed, "learning_rate": args.learning_rate})
     bundle = load_bundle(args.bundle)
     print("epoch,loss")
     trainer = train_setnet if args.command == "train-setnet" else train_ddm
@@ -151,18 +142,6 @@ def _test_indices_in(bundle: DatasetBundle, class_ids) -> np.ndarray:
     return test[np.isin(bundle.labels[test], class_ids)]
 
 
-def _maybe_export_attention(args, model, bundle: DatasetBundle) -> None:
-    if args.attn is None:
-        return
-    idx = args.attn_sample
-    if idx is None:
-        test = bundle.test_indices()
-        idx = int(test[0]) if test.size else 0
-    if not 0 <= idx < bundle.sample_count:
-        raise CliError(f"--attn-sample {idx} out of range for {bundle.sample_count} samples")
-    export_attention(attention_maps(model, bundle.features[idx:idx + 1])[0], args.attn)
-
-
 def _cmd_eval_zsl(args) -> None:
     bundle = load_bundle(args.bundle)
     model = _load_model(args.setnet, bundle)
@@ -170,12 +149,16 @@ def _cmd_eval_zsl(args) -> None:
     idx = _test_indices_in(bundle, bundle.unseen_ids)
     if idx.size == 0:
         raise CliError("bundle has no unseen-class test samples")
+    sample = int(bundle.test_indices()[0]) if args.attn_sample is None else args.attn_sample
+    if args.attn is not None and not 0 <= sample < bundle.sample_count:
+        raise CliError(f"--attn-sample {sample} out of range for {bundle.sample_count} samples")
     preds = bundle.map_rows(idx, lambda maps: predict(model, maps, table))
     labels = bundle.labels[idx]
     per_class = per_class_accuracy(preds, labels, table.class_ids)
     acc = per_class_top1(preds, labels, table.class_ids)
     save_report(EvalReport(acc=acc, per_class=per_class), args.report)
-    _maybe_export_attention(args, model, bundle)
+    if args.attn is not None:
+        export_attention(attention_maps(model, bundle.features[sample:sample + 1])[0], args.attn)
     print(f"unseen acc = {_pct(acc)}")
 
 
@@ -200,13 +183,11 @@ def _cmd_eval_gzsl(args) -> None:
                         acc_seen=acc_seen, acc_unseen=acc_unseen, h=h,
                         per_class=per_class)
     save_report(report, args.report)
-    _maybe_export_attention(args, gzsl_model, bundle)
     print(f"seen acc = {_pct(acc_seen)}  unseen acc = {_pct(acc_unseen)}  H = {_pct(h)}")
 
 
 def _cmd_eval_ood(args) -> None:
-    config = _load_config(args.config)
-    grid = config.get("fnr_grid", DEFAULT_FNR_GRID)
+    grid = _required(_load_config(args.config), "fnr_grid")
     if (not isinstance(grid, list) or not grid
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in grid)):
         raise CliError("config key 'fnr_grid' must be a nonempty list of numbers")
@@ -251,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run config JSON with a 'train' section")
         p.add_argument("--out", required=True, help="output checkpoint path")
         p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
         p.add_argument("--learning-rate", type=float)
         p.set_defaults(func=_cmd_train)
 
@@ -276,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ddm", required=True, help="calibrated detector checkpoint")
     p.add_argument("--bundle", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--attn", help="optional attention-map CSV export")
-    p.add_argument("--attn-sample", type=int)
     p.set_defaults(func=_cmd_eval_gzsl)
 
     p = sub.add_parser("eval-ood", help="TNR@FNR curve for a detector ensemble")
@@ -285,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--curves", help="optional (fnr, tnr) CSV")
-    p.add_argument("--config", help="run config JSON providing 'fnr_grid'")
+    p.add_argument("--config", required=True, help="run config JSON with an 'fnr_grid' list")
     p.add_argument("--degrees-seen", help="optional CSV of seen-class test degrees")
     p.add_argument("--degrees-unseen", help="optional CSV of unseen-class test degrees")
     p.set_defaults(func=_cmd_eval_ood)

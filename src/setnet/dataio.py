@@ -16,12 +16,14 @@ returns read-only views of the bytes read. A bundle's features stay
 float32, which the model upcasts exactly per batch; its semantic table is
 float64 holding float32 values, so save -> load is bitwise. Every bundle's
 ``sha256``, the checksum of its file (stored, or computed on first read),
-binds a trained model to its bundle. Identical seeds give bitwise-identical
-bundles (numpy's default_rng, PCG64).
+binds a trained model to its bundle; a bundle's arrays are read-only, so
+that digest cannot go stale. Identical seeds give bitwise-identical bundles
+(numpy's default_rng, PCG64).
 
 Inference and the detector's pooled features read the bundle through
 ``DatasetBundle.map_rows``, the one place that bounds their work: it gathers
-at most ``CHUNK_ROWS`` maps at a time and runs one batched call on each.
+at most ``CHUNK_BYTES`` of float64 maps (and never fewer than 3 rows) at a
+time and runs one batched call on each.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .model import SemanticTable
 
 MAGIC = b"SDNT"
 VERSION = 2
-CHUNK_ROWS = 256  # rows per inference forward, which bounds its float64 intermediates
+CHUNK_BYTES = 1 << 20  # float64 map bytes per inference forward: 256 rows of 4x4x32 maps
 
 
 @dataclass
@@ -52,6 +54,9 @@ class DatasetBundle:
     flag per sample; ``unseen_ids``, the table's other ids, is derived, so
     save -> load cannot change it. ``sha256`` is the hex SHA-256 of its file:
     the stored one, or of the bytes ``save_bundle`` would write, on first read.
+    Every array it holds is marked read-only, without a copy (an array passed
+    in that needs no conversion is held as it is, so it becomes read-only
+    too), and no edit can outdate that digest.
     """
 
     features: np.ndarray     # (N, H, W, C) float32; float64 input must be f32-exact
@@ -89,6 +94,8 @@ class DatasetBundle:
         self.unseen_ids = np.sort(ids[~seen])
         if not np.isin(self.labels[self.train_flags], self.seen_ids).all():
             raise ValueError("training samples must belong to seen classes")
+        for a in (self.features, self.labels, self.seen_ids, self.train_flags, self.unseen_ids):
+            a.flags.writeable = False
 
     @property
     def sample_count(self) -> int:
@@ -106,11 +113,13 @@ class DatasetBundle:
 
     def map_rows(self, indices: np.ndarray, fn) -> np.ndarray:
         """``fn(features[indices[a:b]])`` joined on the first axis, over the
-        fewest even slices of the indices with at most ``CHUNK_ROWS`` each (one
-        empty slice for no index), gathering one slice at a time. Even slices
-        leave no lone row, which numpy multiplies with another BLAS kernel."""
-        n = len(indices)
-        k = max(1, -(-n // CHUNK_ROWS))
+        fewest even slices of the indices with at most ``rows`` each (one empty
+        slice for no index), gathering one slice at a time. ``rows`` is the
+        number of float64 maps that fit ``CHUNK_BYTES``, but never below 3, so
+        even slices leave no lone row, which numpy multiplies with another BLAS
+        kernel."""
+        n, rows = len(indices), max(3, CHUNK_BYTES // (8 * math.prod(self.map_shape) or 1))
+        k = max(1, -(-n // rows))
         ends = [i * n // k for i in range(k + 1)]
         return np.concatenate([fn(self.features[indices[a:b]]) for a, b in zip(ends, ends[1:])])
 

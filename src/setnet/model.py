@@ -38,7 +38,8 @@ HELLINGER_CLAMP = 1e-12
 
 @dataclass
 class SemanticTable:
-    """Per-class semantic attribute vectors; rows live on the unit sphere."""
+    """Per-class semantic attribute vectors; rows live on the unit sphere.
+    Both arrays are marked read-only, without a copy."""
 
     class_ids: np.ndarray  # (D,) int64
     vectors: np.ndarray    # (D, S) float64
@@ -55,6 +56,7 @@ class SemanticTable:
         norms = np.linalg.norm(self.vectors, axis=1)
         if self.class_ids.shape[0] and np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError("semantic rows must have unit Euclidean norm (within 1e-6)")
+        self.class_ids.flags.writeable = self.vectors.flags.writeable = False
 
     def __len__(self) -> int:
         return self.class_ids.shape[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from setnet import dataio
 from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic
 from setnet.metrics import EvalReport
 from setnet.model import SemanticTable, init_setnet
@@ -54,6 +56,12 @@ def bundle_of(fmaps):
     return DatasetBundle(features=fmaps, labels=np.zeros(n, dtype=np.int64),
                          table=SemanticTable(class_ids=[0], vectors=[[1.0]]),
                          seen_ids=[0], train_flags=np.zeros(n, dtype=bool))
+
+
+def set_chunk_rows(monkeypatch, rows, map_shape):
+    """Size ``dataio.CHUNK_BYTES`` so that ``map_rows`` gathers up to ``rows``
+    maps of ``map_shape`` per chunk."""
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", rows * 8 * math.prod(map_shape))
 
 
 def report_from_json(text) -> EvalReport:

@@ -25,6 +25,7 @@ SYNTH = {"seen_classes": 4, "unseen_classes": 2, "samples_per_class": 10,
          "attrs_per_class": 2, "noise": 0.1, "jitter": 1, "seed": 5}
 TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 1,
          "head_count": 2, "hidden_channels": 4, "fold_count": 2, "ddm_hidden": 8}
+FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
 BAD_MAGIC = "error: bad magic, expected b'SDNT' (at byte offset 0)"
 NO_DIGEST = "error: invalid {kind} checkpoint: bundle_sha256 must be 64 lowercase hex digits, got None"
 
@@ -34,7 +35,7 @@ def workdir(tmp_path_factory):
     """Config, bundle, and checkpoints shared by the CLI tests."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "run.json"
-    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN, "fnr_grid": FNR_GRID}))
     bundle = root / "data.sdnb"
     assert main(["gen-synth", "--config", str(cfg), "--out", str(bundle)]) == 0
     setnet_ckpt = root / "model.sdnc"
@@ -124,10 +125,17 @@ def test_gen_synth_refuses_a_bad_noise_or_a_bool_count(tmp_path, capsys, field, 
 # ---------------------------------------------------------------------------
 # training commands
 
+def train_config(tmp_path, **fields):
+    """A run config at ``tmp_path`` whose train section is TRAIN with ``fields``."""
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": dict(TRAIN, **fields)}))
+    return cfg
+
+
 def test_train_epoch_csv(workdir, tmp_path, capsys):
     out = tmp_path / "m.sdnc"
     assert main(["train-setnet", "--bundle", str(workdir["bundle"]), "--config",
-                 str(workdir["cfg"]), "--out", str(out), "--epochs", "4"]) == 0
+                 str(train_config(tmp_path, epochs=4)), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "epoch,loss"
     data = lines[1:]
@@ -154,8 +162,8 @@ class _FlushRecorder:
 def test_train_flushes_each_epoch_row(workdir, tmp_path, capsys, monkeypatch, command):
     # each epoch,loss row is flushed as its epoch ends, whatever the stdout
     # buffering, and the CSV text is unchanged
-    argv = [command, "--bundle", str(workdir["bundle"]), "--config", str(workdir["cfg"]),
-            "--out", str(tmp_path / "m.sdnc"), "--epochs", "4"]
+    argv = [command, "--bundle", str(workdir["bundle"]), "--config",
+            str(train_config(tmp_path, epochs=4)), "--out", str(tmp_path / "m.sdnc")]
     assert main(argv) == 0
     want = capsys.readouterr().out
     recorder = _FlushRecorder()
@@ -184,9 +192,9 @@ def test_train_rerun_identical_bytes(workdir, tmp_path):
 
 def test_train_zero_lr_equals_fresh_init(workdir, tmp_path):
     frozen, init = tmp_path / "f.sdnc", tmp_path / "i.sdnc"
-    base = ["train-setnet", "--bundle", str(workdir["bundle"]), "--config", str(workdir["cfg"])]
-    assert main(base + ["--out", str(frozen), "--learning-rate", "0"]) == 0
-    assert main(base + ["--out", str(init), "--learning-rate", "0", "--epochs", "0"]) == 0
+    base = ["train-setnet", "--bundle", str(workdir["bundle"]), "--learning-rate", "0"]
+    assert main(base + ["--config", str(workdir["cfg"]), "--out", str(frozen)]) == 0
+    assert main(base + ["--config", str(train_config(tmp_path, epochs=0)), "--out", str(init)]) == 0
     a, _ = load_setnet_checkpoint(frozen)
     b, _ = load_setnet_checkpoint(init)
     for name, p in a.parameters().items():
@@ -394,6 +402,18 @@ def test_eval_zsl_report(workdir, tmp_path, capsys):
     assert len(blocks) == TRAIN["head_count"]
 
 
+@pytest.mark.parametrize("sample", ["-1", "60"])
+def test_eval_zsl_refuses_an_attn_sample_out_of_range_before_any_output(workdir, tmp_path, capsys,
+                                                                        sample):
+    report, attn = tmp_path / "zsl.json", tmp_path / "attn.csv"
+    capsys.readouterr()
+    rc = main(["eval-zsl", "--setnet", str(workdir["setnet"]), "--bundle", str(workdir["bundle"]),
+               "--report", str(report), "--attn", str(attn), "--attn-sample", sample])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not report.exists() and not attn.exists()
+    assert captured.err.splitlines() == [f"error: --attn-sample {sample} out of range for 60 samples"]
+
+
 def test_eval_gzsl_report_consistent(workdir, tmp_path):
     report_path = tmp_path / "gzsl.json"
     assert main(["eval-gzsl", "--zsl", str(workdir["setnet"]), "--ddm",
@@ -434,8 +454,8 @@ def test_eval_ood_curves(workdir, tmp_path):
     report_path = tmp_path / "ood.json"
     curves_path = tmp_path / "curves.csv"
     assert main(["eval-ood", "--ddm", str(workdir["calibrated"]), "--bundle",
-                 str(workdir["bundle"]), "--report", str(report_path),
-                 "--curves", str(curves_path)]) == 0
+                 str(workdir["bundle"]), "--config", str(workdir["cfg"]),
+                 "--report", str(report_path), "--curves", str(curves_path)]) == 0
     report = report_from_json(report_path.read_text())
     tnrs = [t for _, t in report.tnr_at_fnr]
     assert all(a <= b + 1e-12 for a, b in zip(tnrs, tnrs[1:]))
@@ -455,6 +475,38 @@ def test_eval_ood_refuses_an_fnr_grid_entry_that_is_not_a_number(workdir, tmp_pa
     captured = capsys.readouterr()
     assert rc == 2 and not report.exists() and captured.out == ""
     assert captured.err.splitlines() == ["error: config key 'fnr_grid' must be a nonempty list of numbers"]
+
+
+@pytest.mark.parametrize("config", ["absent", "without_grid"])
+def test_eval_ood_refuses_a_run_without_an_fnr_grid(workdir, tmp_path, capsys, config):
+    """The FNR grid comes from the config only: eval-ood requires --config,
+    and a config without 'fnr_grid' is refused, not given a default grid."""
+    cfg = tmp_path / "no-grid.json"
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
+    report = tmp_path / "ood.json"
+    argv = ["eval-ood", "--ddm", str(workdir["calibrated"]), "--bundle", str(workdir["bundle"]),
+            "--report", str(report)]
+    capsys.readouterr()
+    rc = main(argv if config == "absent" else argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not report.exists() and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the following arguments are required: --config" if config == "absent"
+        else "error: missing required key 'fnr_grid' in config"]
+    assert main(argv + ["--config", str(workdir["cfg"])]) == 0
+
+
+def test_eval_gzsl_refuses_attn(workdir, tmp_path, capsys):
+    """eval-zsl is the one attention exporter: eval-gzsl has no --attn."""
+    report, attn = tmp_path / "gzsl.json", tmp_path / "x.csv"
+    argv = ["eval-gzsl", "--zsl", str(workdir["setnet"]), "--ddm", str(workdir["calibrated"]),
+            "--bundle", str(workdir["bundle"]), "--report", str(report)]
+    capsys.readouterr()
+    rc = main(argv + ["--attn", str(attn)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not report.exists() and not attn.exists()
+    assert captured.err.splitlines() == [f"error: unrecognized arguments: --attn {attn}"]
+    assert main(argv) == 0
 
 
 def test_eval_zsl_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys):
@@ -487,7 +539,8 @@ def test_detector_refuses_a_bundle_with_other_channels(workdir, tmp_path, capsys
     bound = tmp_path / "bound.sdnc"
     save_checkpoint(bound, ensemble, train_cfg)
     out = tmp_path / "out"
-    rest = ["--fnr", "0.11", "--out"] if command == "calibrate" else ["--report"]
+    rest = (["--fnr", "0.11", "--out"] if command == "calibrate"
+            else ["--config", str(workdir["cfg"]), "--report"])
     capsys.readouterr()
     rc = main([command, "--ddm", str(bound), "--bundle", str(bundle), *rest, str(out)])
     captured = capsys.readouterr()
@@ -521,26 +574,28 @@ def foreign(workdir, tmp_path_factory):
                  "--out", str(ddm), "--learning-rate", "0.2"]) == 0
     assert main(["calibrate", "--ddm", str(ddm), "--bundle", str(bundles[1]),
                  "--fnr", "0.11", "--out", str(calibrated)]) == 0
-    return {"bundles": bundles, "setnet": setnet, "ddm": calibrated}
+    return {"bundles": bundles, "setnet": setnet, "ddm": calibrated, "cfg": workdir["cfg"]}
 
 
-def eval_argv(command, setnet, ddm, bundle, report):
-    models = ["--zsl", str(setnet)] if command == "eval-gzsl" else []
-    return [command, *models, "--ddm", str(ddm), "--bundle", str(bundle), "--report", str(report)]
+def eval_argv(command, setnet, ddm, bundle, report, config):
+    """eval-gzsl with the model ``setnet``, or eval-ood with the run config ``config``."""
+    given = ["--zsl", str(setnet)] if command == "eval-gzsl" else ["--config", str(config)]
+    return [command, *given, "--ddm", str(ddm), "--bundle", str(bundle), "--report", str(report)]
 
 
 @pytest.mark.parametrize("command", ["eval-gzsl", "eval-ood"])
 def test_eval_refuses_a_bundle_the_detector_was_not_trained_on(foreign, tmp_path, capsys, command):
     capsys.readouterr()
     report = tmp_path / "r.json"
-    rc = main(eval_argv(command, foreign["setnet"], foreign["ddm"], foreign["bundles"][2], report))
+    rc = main(eval_argv(command, foreign["setnet"], foreign["ddm"], foreign["bundles"][2], report,
+                        foreign["cfg"]))
     captured = capsys.readouterr()
     err_lines = captured.err.strip().splitlines()
     assert rc == 1 and not report.exists() and captured.out == ""
     assert len(err_lines) == 1 and err_lines[0].startswith("error:")
     assert "not the bundle the detector was trained on" in err_lines[0]
     assert main(eval_argv(command, foreign["setnet"], foreign["ddm"], foreign["bundles"][1],
-                          report)) == 0
+                          report, foreign["cfg"])) == 0
 
 
 @pytest.fixture(scope="module")
@@ -597,7 +652,8 @@ def test_eval_refuses_a_model_without_bundle_digest(workdir, tmp_path, capsys, c
         if command == "eval-zsl":
             return ["eval-zsl", "--setnet", str(setnet), "--bundle", str(workdir["bundle"]),
                     "--report", str(reports[setnet])]
-        return eval_argv(command, setnet, workdir["calibrated"], workdir["bundle"], reports[setnet])
+        return eval_argv(command, setnet, workdir["calibrated"], workdir["bundle"], reports[setnet],
+                         workdir["cfg"])
 
     capsys.readouterr()
     assert main(argv(bare)) == 1
@@ -613,12 +669,13 @@ def test_eval_refuses_a_detector_without_bundle_digest(workdir, tmp_path, capsys
     bare = unbound(workdir["calibrated"], "ddm", tmp_path / "bare.sdnc")
     reports = {ddm: tmp_path / f"{ddm.stem}.json" for ddm in (bare, workdir["calibrated"])}
     capsys.readouterr()
-    assert main(eval_argv(command, workdir["setnet"], bare, workdir["bundle"], reports[bare])) == 1
+    assert main(eval_argv(command, workdir["setnet"], bare, workdir["bundle"], reports[bare],
+                          workdir["cfg"])) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not reports[bare].exists()
     assert captured.err.splitlines() == [NO_DIGEST.format(kind="ddm")]
     assert main(eval_argv(command, workdir["setnet"], workdir["calibrated"], workdir["bundle"],
-                          reports[workdir["calibrated"]])) == 0
+                          reports[workdir["calibrated"]], workdir["cfg"])) == 0
     assert capsys.readouterr().err == ""
 
 

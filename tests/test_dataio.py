@@ -87,6 +87,23 @@ def test_loaded_features_are_a_read_only_f32_view_of_the_file_bytes(tiny_bundle,
     assert np.array_equal(features, tiny_bundle.features)
 
 
+def test_an_in_memory_bundle_cannot_be_edited_after_its_digest_is_read():
+    b = gen_synthetic(SyntheticSpec())
+    b.sha256
+    with pytest.raises(ValueError, match="read-only"):
+        b.train_flags[0] = False
+    for a in (b.features, b.labels, b.seen_ids, b.train_flags, b.unseen_ids, b.table.class_ids,
+              b.table.vectors):
+        assert not a.flags.writeable
+
+
+def test_a_table_holds_its_arrays_read_only_without_a_copy():
+    ids, vectors = np.array([3, 1], dtype=np.int64), np.eye(2)
+    table = SemanticTable(class_ids=ids, vectors=vectors)
+    assert table.class_ids is ids and table.vectors is vectors
+    assert not ids.flags.writeable and not vectors.flags.writeable
+
+
 def test_bundle_keeps_f32_features_and_converts_f64_once(tiny_bundle):
     f32 = np.array(tiny_bundle.features)
     parts = dict(labels=tiny_bundle.labels, table=tiny_bundle.table,

@@ -1,7 +1,7 @@
 """Golden digests: the determinism contract as a test.
 
 A fixed tiny config runs every CLI stage in process, and the SHA-256 of
-every bundle, checkpoint, report and ``--attn`` attention CSV it writes is
+every bundle, checkpoint, report and ``eval-zsl --attn`` attention CSV it writes is
 pinned below; the same stages run as ``python -m setnet.cli`` processes
 must write the same bytes. A second config trains at the desk head count
 (K=4, so the diversity sum runs over several head pairs) with a ragged last
@@ -38,6 +38,7 @@ from setnet.dataio import DatasetBundle, SyntheticSpec, gen_synthetic, load_bund
 SYNTH = {"seen_classes": 5, "unseen_classes": 2, "samples_per_class": 10,
          "height": 3, "width": 3, "channels": 8, "semantic_dim": 8,
          "attrs_per_class": 2, "noise": 0.1, "jitter": 1, "seed": 7}
+FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
 TRAIN = {"learning_rate": 0.5, "epochs": 3, "batch_size": 8, "seed": 2,
          "head_count": 2, "hidden_channels": 4, "fold_count": 3, "ddm_hidden": 8}
 
@@ -89,7 +90,7 @@ def _digest(path) -> str:
 def _pipeline(root):
     """Every CLI stage of the tiny config, as argv lists, writing under root."""
     cfg = root / "run.json"
-    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN}))
+    cfg.write_text(json.dumps({"synthetic": SYNTH, "train": TRAIN, "fnr_grid": FNR_GRID}))
     train = ("--bundle", root / "data.sdnb", "--config", cfg)
     stages = [
         ("gen-synth", "--config", cfg, "--out", root / "data.sdnb"),
@@ -100,11 +101,13 @@ def _pipeline(root):
          "--fnr", 0.11, "--out", root / "ddm-cal.sdnc"),
         ("eval-zsl", "--setnet", root / "zsl.sdnc", "--bundle", root / "data.sdnb",
          "--report", root / "zsl.json", "--attn", root / "zsl-attn.csv"),
+        ("eval-zsl", "--setnet", root / "gzsl.sdnc", "--bundle", root / "data.sdnb",
+         "--report", root / "gzsl-zsl.json", "--attn", root / "gzsl-attn.csv"),
         ("eval-gzsl", "--zsl", root / "zsl.sdnc", "--gzsl", root / "gzsl.sdnc",
          "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "gzsl.json", "--attn", root / "gzsl-attn.csv"),
+         "--report", root / "gzsl.json"),
         ("eval-ood", "--ddm", root / "ddm-cal.sdnc", "--bundle", root / "data.sdnb",
-         "--report", root / "ood.json"),
+         "--config", cfg, "--report", root / "ood.json"),
     ]
     return [[str(a) for a in argv] for argv in stages]
 

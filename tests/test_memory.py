@@ -26,6 +26,7 @@ SYNTH = {"seen_classes": 4, "unseen_classes": 5, "samples_per_class": 200, "heig
          "jitter": 1, "seed": 4}
 TRAIN = {"learning_rate": 0.5, "epochs": 1, "batch_size": 8, "seed": 1, "head_count": 2,
          "hidden_channels": 4, "fold_count": 2, "ddm_hidden": 8}
+FNR_GRID = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19]
 GROWTH_BOUND = 1.5
 # runs one CLI command, then prints the peak RSS of this process image in kB
 CHILD = ("import re, sys\nfrom setnet.cli import main\ncode = main(sys.argv[1:])\n"
@@ -51,7 +52,7 @@ def test_eval_peak_rss_grows_with_the_bundle_not_with_copies(tmp_path):
         d.mkdir()
         cfg = d / "run.json"
         cfg.write_text(json.dumps({"synthetic": dict(SYNTH, unseen_classes=unseen),
-                                   "train": TRAIN}))
+                                   "train": TRAIN, "fnr_grid": FNR_GRID}))
         bundle, model, ddm = d / "data.sdnb", d / "zsl.sdnc", d / "ddm.sdnc"
         for argv in (["gen-synth", "--config", cfg, "--out", bundle],
                      ["train-setnet", "--bundle", bundle, "--config", cfg, "--out", model],
@@ -62,7 +63,7 @@ def test_eval_peak_rss_grows_with_the_bundle_not_with_copies(tmp_path):
         peaks["eval-gzsl"].append(peak_rss_bytes(["eval-gzsl", "--zsl", model, "--ddm", ddm,
                                                   "--bundle", bundle, "--report", d / "g.json"]))
         peaks["eval-ood"].append(peak_rss_bytes(["eval-ood", "--ddm", ddm, "--bundle", bundle,
-                                                 "--report", d / "o.json"]))
+                                                 "--config", cfg, "--report", d / "o.json"]))
     bundle_growth = sizes[1] - sizes[0]
     assert bundle_growth > 5e6  # large enough to stand out of the noise in a peak
     for command, (small, large) in peaks.items():

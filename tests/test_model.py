@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from setnet import dataio
 from setnet import diffmath as dm
 from setnet.model import (SemanticTable, SetNetModel, _pool, attention_maps, class_scores,
                           diversity_loss, ensemble_logits, export_attention, init_setnet, predict,
                           total_loss)
 from setnet.train import TrainConfig
 
-from conftest import DIV_SCALE, bundle_of, random_model, random_table, safe_instance
+from conftest import (DIV_SCALE, bundle_of, random_model, random_table, safe_instance,
+                      set_chunk_rows)
 from oracles import (attention_maps_straightline, attentive_features_brute,
                      diversity_brute, diversity_grad_pairwise, ensemble_logits_brute)
 
@@ -325,26 +325,27 @@ def test_predict_matches_exhaustive_loop(seed):
     assert predict(model, fmap, table).tolist() == [int(table.class_ids[best])]
 
 
-@pytest.mark.parametrize("batch", [dataio.CHUNK_ROWS + 1, 2 * dataio.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("batch", [257, 513])  # past one and two chunks of 256 rows
 def test_chunked_predict_matches_rows_and_one_forward(batch, monkeypatch):
     rng = np.random.default_rng([batch, 0xC4C])
     model = random_model(rng, c=6, ch=4, k=3, s=5)
     table = random_table(rng, 8, 5)
     fmaps = rng.normal(size=(batch, 3, 4, 6)).astype(np.float32)  # as a bundle holds them
     bundle, rows = bundle_of(fmaps), np.arange(batch)
+    set_chunk_rows(monkeypatch, 256, fmaps.shape[1:])
 
     def scores_of():
         return bundle.map_rows(rows, lambda maps: class_scores(model, maps, table))
 
     preds, scores = bundle.map_rows(rows, lambda maps: predict(model, maps, table)), scores_of()
     assert preds.tolist() == [predict(model, fmap[None], table)[0] for fmap in fmaps]
-    monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    set_chunk_rows(monkeypatch, batch, fmaps.shape[1:])  # the whole batch in one forward
     assert np.array_equal(scores_of(), scores)
     assert np.array_equal(class_scores(model, fmaps.astype(np.float64), table), scores)
 
 
 def test_chunks_are_even_and_cover_every_row(monkeypatch):
-    monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+    set_chunk_rows(monkeypatch, 4, (1, 1, 1))
     bundle = bundle_of(np.arange(30, dtype=np.float32).reshape(30, 1, 1, 1))
     for n in range(0, 30):
         rows = np.random.default_rng(n).permutation(30)[:n]
@@ -353,6 +354,24 @@ def test_chunks_are_even_and_cover_every_row(monkeypatch):
         assert sum(sizes) == n and max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
         assert len(sizes) == max(1, -(-n // 4))
         assert min(sizes) >= 2 or n < 2  # no lone row in a batch
+
+
+@pytest.mark.parametrize("shape, rows", [((4, 4, 32), 256), ((7, 7, 256), 10),
+                                         ((1, 1, 1 << 17), 3)], ids=["desk", "wide", "huge"])
+def test_chunks_hold_one_mib_of_float64_maps(shape, rows):
+    """A chunk's row count comes from a byte budget and the map shape: 256
+    rows of the desk and infer 4x4x32 maps, at most 10 of 7x7x256 maps, and 3
+    of a map as large as the whole budget, so that even slices leave no lone
+    row."""
+    bundle = bundle_of(np.zeros((2 * rows + 1, *shape), dtype=np.float32))
+    all_rows = np.arange(bundle.sample_count)
+
+    def sizes(n):
+        return bundle.map_rows(all_rows[:n], lambda maps: [len(maps)]).tolist()
+
+    assert sizes(rows) == [rows] and sizes(2 * rows) == [rows, rows]
+    assert len(sizes(2 * rows + 1)) == 3 and max(sizes(2 * rows + 1)) <= rows
+    assert all(min(sizes(n)) >= 2 for n in range(2, 2 * rows + 2))
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])

@@ -18,8 +18,8 @@ read it off a module it imported (``from . import diffmath as dm`` and then
 ``dm._as_f64``).
 
 The inference chunk rule sits where rows leave the bundle: only ``dataio``
-names ``CHUNK_ROWS``, and no function of ``model``, ``ood`` or ``pipeline``
-calls a chunk helper (a function that reads ``CHUNK_ROWS``), so no chunked
+names ``CHUNK_BYTES``, and no function of ``model``, ``ood`` or ``pipeline``
+calls a chunk helper (a function that reads ``CHUNK_BYTES``), so no chunked
 call nests another.
 
 Every CLI option has a caller too: each option string of every
@@ -146,14 +146,14 @@ def test_no_module_uses_another_modules_private_names():
 
 
 def chunk_rule_offenders() -> list[str]:
-    """Each module other than ``dataio`` that names ``CHUNK_ROWS``, and each
+    """Each module other than ``dataio`` that names ``CHUNK_BYTES``, and each
     "module.function" of ``model``, ``ood`` and ``pipeline`` that calls a
     chunk helper."""
     trees = module_trees()
     helpers = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and "CHUNK_ROWS" in referenced_names(node)}
+               if isinstance(node, ast.FunctionDef) and "CHUNK_BYTES" in referenced_names(node)}
     found = [module for module, tree in trees.items()
-             if module != "dataio" and "CHUNK_ROWS" in referenced_names(tree)]
+             if module != "dataio" and "CHUNK_BYTES" in referenced_names(tree)]
     for module in ("model", "ood", "pipeline"):
         found += [f"{module}.{node.name}" for node in trees[module].body
                   if isinstance(node, ast.FunctionDef) and referenced_names(node) & helpers]
@@ -186,7 +186,7 @@ def test_every_cli_option_has_a_caller():
 
 
 REMOVED_TRAIN_FLAGS = [("--heads", "2"), ("--diversity-weight", "0.1"), ("--folds", "3"),
-                       ("--batch-size", "4")]
+                       ("--batch-size", "4"), ("--epochs", "1")]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setnet import dataio
 from setnet import diffmath as dm
 from setnet.errors import NotCalibratedError
 from setnet.ood import (Domain, calibrate_theta, confidence, detect,
@@ -15,7 +14,7 @@ from setnet.ood import (Domain, calibrate_theta, confidence, detect,
 from setnet.train import detector_degrees
 
 from conftest import (bundle_of, fold_ids_of, fold_params, ragged_chunks, ragged_ensemble,
-                      stacked_batch, subddm_loss_and_grads)
+                      set_chunk_rows, stacked_batch, subddm_loss_and_grads)
 from oracles import (calibrate_theta_brute, confidence_brute, cross_entropy_two_pass,
                      disagreement_brute, kl_to_uniform_brute, softmax_two_pass,
                      subddm_loss_per_fold)
@@ -365,21 +364,22 @@ def test_batched_degree_matches_per_sample(batch):
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("batch", [dataio.CHUNK_ROWS + 1, 2 * dataio.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("batch", [257, 513])  # past one and two chunks of 256 rows
 def test_chunked_degree_matches_one_forward_and_rows(batch, monkeypatch):
     e = fixed_ensemble()
     feats = np.random.default_rng([batch, 0xC4D]).normal(scale=2, size=(batch, 6))
     feats = feats.astype(np.float32)  # as a bundle holds them
     bundle, rows = bundle_of(feats[:, None, None]), np.arange(batch)  # 1x1 maps: the mean is feats
+    set_chunk_rows(monkeypatch, 256, bundle.map_shape)
     degrees = detector_degrees(e, bundle, rows)
     # numpy multiplies a lone row with its matrix-vector kernel, which sums in
     # another order, so row by row agrees only to about one unit in the last place
     np.testing.assert_allclose(degrees, [disagreement_degree(e, f[None])[0] for f in feats],
                                rtol=0, atol=1e-15)
-    monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    set_chunk_rows(monkeypatch, batch, bundle.map_shape)  # the whole batch in one forward
     assert np.array_equal(detector_degrees(e, bundle, rows), degrees)
     assert np.array_equal(disagreement_degree(e, feats), degrees)
-    monkeypatch.setattr(dataio, "CHUNK_ROWS", 4)
+    set_chunk_rows(monkeypatch, 4, bundle.map_shape)
     for n in range(2, 30):  # even chunks of 2 to 4 rows: no lone row
         assert np.array_equal(detector_degrees(e, bundle, rows[:n]), degrees[:n])
 

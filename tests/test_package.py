@@ -1,5 +1,6 @@
 """The package surface: the lazy ``setnet`` namespace, the README's Library
-example, and the process entry of the CLI with its garbage-collector policy.
+example and CLI walkthrough, and the process entry of the CLI with its
+garbage-collector policy.
 
 ``import setnet`` loads neither numpy nor a submodule; each public name
 imports its home module when it is first read. The CLI's process entry
@@ -12,6 +13,7 @@ import ast
 import gc
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -88,6 +90,33 @@ def test_readme_library_example_runs():
     assert namespace["pred"].shape == (1,)
     assert namespace["preds"].shape == (namespace["bundle"].test_indices().size,)
     assert namespace["pred"][0] in set(namespace["bundle"].table.class_ids.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the README's CLI walkthrough, exactly as written
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argv, after ``setnet``, of each line of the CLI walkthrough's block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI walkthrough\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```\n(.*?)^```", section, flags=re.S | re.M)
+    assert len(blocks) == 1, "the CLI walkthrough holds one command block"
+    return [shlex.split(line)[1:] for line in blocks[0].splitlines() if line.startswith("setnet ")]
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    """Each command runs through ``main`` in a fresh directory, in order, with
+    ``configs/default.json`` given by its absolute path, and exits 0: a flag
+    the README names that the CLI no longer takes, or a required flag it
+    leaves out, fails here."""
+    config = str(ROOT / "configs" / "default.json")
+    lines = readme_cli_lines()
+    assert [argv[0] for argv in lines] == ["gen-synth", "train-setnet", "train-setnet", "train-ddm",
+                                           "calibrate", "eval-zsl", "eval-gzsl", "eval-ood"]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        argv = [config if a == "configs/default.json" else a for a in argv]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from setnet import dataio, pipeline
-from setnet.dataio import CHUNK_ROWS, gen_synthetic
+from setnet import pipeline
+from setnet.dataio import gen_synthetic
 from setnet.diffmath import spatial_mean
 from setnet.errors import NotCalibratedError
 from setnet.model import predict
@@ -12,7 +12,7 @@ from setnet.ood import disagreement_degree
 from setnet.pipeline import GzslSystem, classify_gzsl
 from setnet.train import TrainConfig, calibrate_ensemble, train_ddm, train_setnet
 
-from conftest import TINY_SPEC, bundle_of, random_model, random_table
+from conftest import TINY_SPEC, bundle_of, random_model, random_table, set_chunk_rows
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_batched_classify_matches_single_maps(small_system, tiny_bundle, monkeyp
     assert preds.tolist() == [classify_gzsl(small_system, fmap[None])[0] for fmap in fmaps]
 
 
-@pytest.mark.parametrize("batch", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+@pytest.mark.parametrize("batch", [257, 513])  # past one and two chunks of 256 rows
 def test_chunked_classify_matches_rows_and_one_forward(small_system, tiny_bundle, monkeypatch,
                                                        batch):
     rng = np.random.default_rng([batch, 0xC4E])
@@ -99,9 +99,10 @@ def test_chunked_classify_matches_rows_and_one_forward(small_system, tiny_bundle
     half = ordered.size // 2  # route about half the rows each way
     monkeypatch.setattr(small_system.detector, "theta", (ordered[half - 1] + ordered[half]) / 2)
     bundle, rows = bundle_of(fmaps), np.arange(batch)
+    set_chunk_rows(monkeypatch, 256, bundle.map_shape)
     preds = bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps))
     assert preds.tolist() == [classify_gzsl(small_system, fmap[None])[0] for fmap in fmaps]
-    monkeypatch.setattr(dataio, "CHUNK_ROWS", batch)  # the whole batch in one forward
+    set_chunk_rows(monkeypatch, batch, bundle.map_shape)  # the whole batch in one forward
     assert np.array_equal(bundle.map_rows(rows, lambda maps: classify_gzsl(small_system, maps)),
                           preds)
     assert np.array_equal(classify_gzsl(small_system, fmaps), preds)
